@@ -10,15 +10,16 @@ from .arrangements import (
     appropriate_arrangement,
     enumerate_admissible,
     is_admissible,
+    lex_first_adjacent,
     sigma_pairs,
     transposition_path,
 )
 from .criterion import (
+    CompiledCriterion,
     Verdict,
     Witness,
     cond_B,
     cond_C,
-    cond_C_interval,
     nonvanishing,
     nonvanishing_simplified,
 )
@@ -53,9 +54,11 @@ from .segments import (
     Segment,
     intersection_size,
     lambda_values,
+    neighbor_pairs,
     neighbors,
     range_classify,
     relation,
+    relation_table,
     segment_from_component,
 )
 from .tableau import (

@@ -8,14 +8,16 @@ of admissible permutations is written Sigma_r.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
 from .segments import (
     GoodParityParameter,
     Relation,
+    RelationTable,
     arrangement_is_admissible,
     relation,
+    relation_table,
 )
 
 Permutation = tuple[int, ...]
@@ -102,6 +104,54 @@ def sigma_pairs(
     return out
 
 
+def lex_first_adjacent(
+    psi: GoodParityParameter,
+    i: int,
+    j: int,
+    table: Optional[RelationTable] = None,
+) -> Optional[Permutation]:
+    """``sigma_pairs(psi, i, j)[0]`` without enumerating Sigma_r: the
+    lexicographically first admissible arrangement placing i and j next to
+    each other, or None when none exists.
+
+    Admissible arrangements are the orders in which every component comes
+    after the components preceding it.  The image list is built left to
+    right, each time taking the smallest component whose predecessors are
+    all placed and after which i and j can still end up adjacent: placing
+    i (or j) requires its partner to be placeable right after it, and any
+    other component keeps the pair placeable.  O(r^2) given the table.
+    """
+    relation(psi, i, j)  # validates the indices
+    if table is None:
+        table = relation_table(psi)
+    r = psi.r
+    preds = [
+        sum(1 << k for k, rel in enumerate(row) if rel is Relation.PRECEDED_BY)
+        for row in table
+    ]
+    images: list[int] = []
+    placed = 0
+    partner = None
+    while len(images) < r:
+        if partner is not None:
+            c, partner = partner, None
+        else:
+            for c in range(1, r + 1):
+                if placed >> c & 1 or preds[c] & ~placed:
+                    continue
+                if c == i or c == j:
+                    other = j if c == i else i
+                    if preds[other] & ~(placed | 1 << c):
+                        continue
+                    partner = other
+                break
+            else:
+                return None
+        images.append(c)
+        placed |= 1 << c
+    return tuple(images)
+
+
 def transposition_path(
     psi: GoodParityParameter, sigma: Sequence[int], tau: Sequence[int]
 ) -> list[int]:
@@ -118,6 +168,11 @@ def transposition_path(
     for name, perm in (("sigma", sigma), ("tau", tau)):
         if not is_admissible(psi, perm):
             raise InputError(f"{name}={perm} is not admissible")
+    return bubble_path(sigma, tau)
+
+
+def bubble_path(sigma: Permutation, tau: Permutation) -> list[int]:
+    """The swap positions of ``transposition_path``, without the checks."""
     # Bubble-sort sigma towards tau's order; each swap fixes one inversion.
     rank = {img: pos for pos, img in enumerate(tau)}
     work = [rank[img] for img in sigma]

@@ -8,23 +8,39 @@ Two engines decide whether a parameter vector p gives a non-zero module:
 * ``nonvanishing_simplified`` checks the box once and condition C at a
   single arrangement per neighbor pair (any adjacent placement gives the
   same answer, which is tested as a property).
+
+Apart from p, everything the simplified criterion needs depends only on the
+parameter, and the transition maps are affine.  ``CompiledCriterion``
+therefore works it out once per parameter: the relation table, the neighbor
+pairs, one placement per pair, and the two transported entries at that
+placement as integer affine forms in the reference p.  Deciding a vector is
+then the box check plus one inequality per pair, at any r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from .arrangements import (
     DEFAULT_MAX_R,
     Permutation,
+    bubble_path,
     enumerate_admissible,
+    lex_first_adjacent,
     perm_inverse,
-    sigma_pairs,
 )
 from .errors import InputError, ResourceLimitError
-from .segments import GoodParityParameter, Relation, intersection_size, neighbors, relation
-from .transition import ParamVector, phi, phi_adjacent
+from .segments import (
+    GoodParityParameter,
+    Relation,
+    RelationTable,
+    intersection_size,
+    neighbor_pairs,
+    relation_table,
+)
+from .transition import ParamVector, phi
 
 
 @dataclass(frozen=True)
@@ -62,15 +78,20 @@ def cond_B(psi: GoodParityParameter, pv: ParamVector, i: int) -> bool:
 
 
 def _c_values(
+    p_i: int, m_i: int, p_j: int, m_j: int, sing: int
+) -> tuple[int, int, int, int, int, int]:
+    """(p_i, q_i, p_j, q_j, lhs, sing): condition C holds iff lhs >= sing."""
+    q_i = m_i - p_i
+    q_j = m_j - p_j
+    lhs = min(p_i, q_j) + min(q_i, p_j)
+    return p_i, q_i, p_j, q_j, lhs, sing
+
+
+def _c_values_at(
     psi: GoodParityParameter, pv: ParamVector, i: int, j: int
 ) -> tuple[int, int, int, int, int, int]:
-    p_i = pv.entry_of(i)
-    p_j = pv.entry_of(j)
-    q_i = psi.m(i) - p_i
-    q_j = psi.m(j) - p_j
-    lhs = min(p_i, q_j) + min(q_i, p_j)
     sing = intersection_size(psi.seg(i), psi.seg(j))
-    return p_i, q_i, p_j, q_j, lhs, sing
+    return _c_values(pv.entry_of(i), psi.m(i), pv.entry_of(j), psi.m(j), sing)
 
 
 def cond_C(psi: GoodParityParameter, pv: ParamVector, i: int, j: int) -> bool:
@@ -83,47 +104,22 @@ def cond_C(psi: GoodParityParameter, pv: ParamVector, i: int, j: int) -> bool:
         raise InputError(
             f"components {i},{j} are not adjacent in arrangement {pv.sigma}"
         )
-    *_, lhs, sing = _c_values(psi, pv, i, j)
+    *_, lhs, sing = _c_values_at(psi, pv, i, j)
     return lhs >= sing
 
 
-def cond_C_interval(psi: GoodParityParameter, pv: ParamVector, h: int) -> bool:
-    """Interval form of condition C for positions (h, h+1).
-
-    Precedence pair: (m+m'-(a-a'))/2 <= p+p' <= (m+m' + (a-a'))/2;
-    containment: the sum must lie between the two lengths.
-    """
-    if not 1 <= h < len(pv.sigma):
-        raise InputError(f"position {h} out of range 1..{len(pv.sigma) - 1}")
-    i, j = pv.sigma[h - 1], pv.sigma[h]
-    total = pv.entries[h - 1] + pv.entries[h]
-    m_i, m_j = psi.m(i), psi.m(j)
-    rel = relation(psi, i, j)
-    if rel is Relation.PRECEDES:
-        gap = psi.a(i) - psi.a(j)
-        lo = (m_i + m_j - gap) // 2
-        hi = (m_i + m_j + gap) // 2
-    elif rel is Relation.CONTAINS:
-        lo, hi = m_j, m_i
-    elif rel is Relation.CONTAINED:
-        lo, hi = m_i, m_j
-    else:  # pragma: no cover - admissible arrangements never hit this
-        raise InputError(f"position {h} is preceded by position {h + 1}")
-    return lo <= total <= hi
-
-
-def _as_reference(
+def _reference_entries(
     psi: GoodParityParameter, p: Sequence[int] | ParamVector
-) -> ParamVector:
+) -> tuple[int, ...]:
     if isinstance(p, ParamVector):
         if p.sigma != tuple(range(1, psi.r + 1)):
             raise InputError("expected a vector on the reference arrangement")
-        pv = p
+        entries = p.entries
     else:
-        pv = ParamVector.reference(tuple(p))
-    if len(pv.entries) != psi.r:
-        raise InputError(f"expected {psi.r} entries, got {len(pv.entries)}")
-    return pv
+        entries = tuple(p)
+    if len(entries) != psi.r:
+        raise InputError(f"expected {psi.r} entries, got {len(entries)}")
+    return entries
 
 
 def nonvanishing(
@@ -132,7 +128,7 @@ def nonvanishing(
     max_r: int = DEFAULT_MAX_R,
 ) -> Verdict:
     """Full engine: B at every arrangement, C at every adjacent placement."""
-    pv = _as_reference(psi, p)
+    pv = ParamVector.reference(_reference_entries(psi, p))
     try:
         sigmas = enumerate_admissible(psi, max_r=max_r)
     except ResourceLimitError as exc:
@@ -149,30 +145,28 @@ def nonvanishing(
                 )
         for h in range(psi.r - 1):
             i, j = sigma[h], sigma[h + 1]
-            values = _c_values(psi, moved, i, j)
+            values = _c_values_at(psi, moved, i, j)
             if values[-2] < values[-1]:
                 return Verdict(False, Witness("C", (i, j), sigma, values))
     return Verdict(True)
 
 
-def _adjacent_sigma(
-    psi: GoodParityParameter, i: int, j: int
-) -> Optional[Permutation]:
+def _adjacent_sigma(table: RelationTable, i: int, j: int) -> Optional[Permutation]:
     """Greedily bubble components i < j together through containment swaps.
 
     Swapping an adjacent containment pair never breaks admissibility (the
     admissibility constraint only orders precedence pairs), so any sequence
     of such swaps is legal.  Returns None when blocked on both sides.
     """
-    images = list(range(1, psi.r + 1))
+    images = list(range(1, len(table)))
     pi, pj = i - 1, j - 1
     while pj - pi > 1:
         left_of_j = images[pj - 1]
         right_of_i = images[pi + 1]
-        if relation(psi, left_of_j, j).is_containment:
+        if table[left_of_j][j].is_containment:
             images[pj - 1], images[pj] = images[pj], images[pj - 1]
             pj -= 1
-        elif relation(psi, i, right_of_i).is_containment:
+        elif table[i][right_of_i].is_containment:
             images[pi], images[pi + 1] = images[pi + 1], images[pi]
             pi += 1
         else:
@@ -180,29 +174,129 @@ def _adjacent_sigma(
     return tuple(images)
 
 
+# An integer affine form in the reference entries: (constant, terms), where
+# each term (k, c) adds c * p[k] (k 0-based); only non-zero terms are kept.
+AffineForm = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def affine_value(form: AffineForm, p: Sequence[int]) -> int:
+    value, terms = form
+    for k, c in terms:
+        value += c * p[k]
+    return value
+
+
+def _combine(const: int, *terms: tuple[int, dict[int, int]]) -> dict[int, int]:
+    """const + sum of c * form over the (c, form) terms; key 0 holds the
+    constant and key k >= 1 the coefficient of p_k."""
+    out = {0: const}
+    for c, form in terms:
+        for k, v in form.items():
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def _transported_forms(
+    table: RelationTable, m: Sequence[int], sigma: Permutation, i: int, j: int
+) -> tuple[AffineForm, AffineForm]:
+    """The entries of components i and j after ``phi`` takes the reference
+    vector to sigma, as affine forms in the reference entries.
+
+    Runs the swaps of ``phi`` (same path, same formulas as ``phi_adjacent``)
+    on symbolic entries; a position no swap has touched still holds its
+    reference entry, so only touched positions get a form.
+    """
+    images = list(range(1, len(sigma) + 1))
+    forms: dict[int, dict[int, int]] = {}  # 1-based position -> form
+    for h in bubble_path(tuple(images), sigma):
+        x, y = images[h - 1], images[h]
+        f = forms.get(h) or {0: 0, h: 1}
+        g = forms.get(h + 1) or {0: 0, h + 1: 1}
+        if table[x][y] is Relation.CONTAINS:  # (q_{h+1}, p_h + p_{h+1} - q_{h+1})
+            new = _combine(m[y], (-1, g)), _combine(-m[y], (1, f), (2, g))
+        else:  # contained first: (p_h + p_{h+1} - q_h, q_h)
+            new = _combine(-m[x], (2, f), (1, g)), _combine(m[x], (-1, f))
+        forms[h], forms[h + 1] = new
+        images[h - 1], images[h] = y, x
+    out = []
+    for comp in (i, j):
+        pos = images.index(comp) + 1
+        form = forms.get(pos) or {0: 0, pos: 1}
+        terms = tuple((k - 1, c) for k, c in sorted(form.items()) if k and c)
+        out.append((form[0], terms))
+    return out[0], out[1]
+
+
+class PairConstraint(NamedTuple):
+    """Condition C for one neighbor pair, compiled at its placement sigma."""
+
+    i: int
+    j: int
+    sigma: Permutation
+    form_i: AffineForm  # entry of component i at sigma
+    form_j: AffineForm
+    m_i: int
+    m_j: int
+    sing: int
+
+
+class CompiledCriterion:
+    """The simplified criterion for one parameter, ready for many vectors.
+
+    Holds the relation table, and for every neighbor pair its placement
+    (the containment-swap bubble, else the lexicographically first
+    admissible arrangement placing the pair adjacently) and the
+    transported entries as affine forms.  The pairs are built on the first
+    vector that passes the box check.
+    """
+
+    def __init__(self, psi: GoodParityParameter) -> None:
+        self.psi = psi
+        self.m = tuple(s.m for s in psi.segments)
+        self.reference = tuple(range(1, psi.r + 1))
+
+    @cached_property
+    def table(self) -> RelationTable:
+        return relation_table(self.psi)
+
+    @cached_property
+    def pairs(self) -> tuple[PairConstraint, ...]:
+        table, psi = self.table, self.psi
+        m = (0,) + self.m
+        out = []
+        for i, j in neighbor_pairs(table):
+            sigma = _adjacent_sigma(table, i, j) or lex_first_adjacent(psi, i, j, table)
+            if sigma is None:  # pragma: no cover - impossible for neighbors
+                raise InputError(f"neighbor pair ({i},{j}) has no placement")
+            sing = intersection_size(psi.seg(i), psi.seg(j))
+            out.append(PairConstraint(
+                i, j, sigma, *_transported_forms(table, m, sigma, i, j), m[i], m[j], sing
+            ))
+        return tuple(out)
+
+    def verdict(self, p: Sequence[int] | ParamVector) -> Verdict:
+        """Box condition at the reference order, then condition C per pair."""
+        p = _reference_entries(self.psi, p)
+        for i, (p_i, m_i) in enumerate(zip(p, self.m), start=1):
+            if not 0 <= p_i <= m_i:
+                return Verdict(False, Witness("B", (i,), self.reference, (p_i, m_i)))
+        for pair in self.pairs:
+            values = _c_values(
+                affine_value(pair.form_i, p), pair.m_i,
+                affine_value(pair.form_j, p), pair.m_j, pair.sing,
+            )
+            if values[4] < values[5]:
+                return Verdict(False, Witness("C", (pair.i, pair.j), pair.sigma, values))
+        return Verdict(True)
+
+
 def nonvanishing_simplified(
     psi: GoodParityParameter, p: Sequence[int] | ParamVector
 ) -> Verdict:
-    """Default engine: box condition plus condition C once per neighbor pair."""
-    pv = _as_reference(psi, p)
-    for i in range(1, psi.r + 1):
-        if not cond_B(psi, pv, i):
-            return Verdict(
-                False, Witness("B", (i,), pv.sigma, (pv.entries[i - 1], psi.m(i)))
-            )
-    for i in range(1, psi.r + 1):
-        for j in range(i + 1, psi.r + 1):
-            if not neighbors(psi, i, j):
-                continue
-            sigma = _adjacent_sigma(psi, i, j)
-            if sigma is None:
-                pairs = sigma_pairs(psi, i, j)
-                if not pairs:  # pragma: no cover - impossible for neighbors
-                    raise InputError(f"neighbor pair ({i},{j}) has no placement")
-                sigma = pairs[0]
+    """Default engine: box condition plus condition C once per neighbor pair.
 
-            moved = phi(psi, pv, sigma)
-            values = _c_values(psi, moved, i, j)
-            if values[-2] < values[-1]:
-                return Verdict(False, Witness("C", (i, j), sigma, values))
-    return Verdict(True)
+    Compiles the criterion for psi (see ``CompiledCriterion``) and decides
+    p; to decide many vectors of one parameter, compile once and call its
+    ``verdict``.  Polynomial in r, with no bound on r.
+    """
+    return CompiledCriterion(psi).verdict(p)

@@ -8,11 +8,10 @@ pair), plus the p-adic image when the comparison is in domain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .criterion import nonvanishing_simplified
+from .criterion import CompiledCriterion
 from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
 from .padic import ExtendedMultiSegment, project_EF, to_extended
@@ -35,12 +34,25 @@ class PacketEntry:
 def enumerate_params(
     psi: GoodParityParameter, p_rank: int
 ) -> list[tuple[int, ...]]:
-    """All integer vectors in the box summing to p_rank, lexicographic."""
+    """All integer vectors in the box summing to p_rank, lexicographic.
+
+    Built one entry at a time, giving entry k only the values that the
+    remaining entries can still complete to p_rank, so no vector of another
+    rank is ever formed.
+    """
     n = psi.n
     if not 0 <= p_rank <= n:
         raise InputError(f"rank {p_rank} out of range 0..{n}")
-    boxes = [range(psi.m(i) + 1) for i in range(1, psi.r + 1)]
-    return [p for p in itertools.product(*boxes) if sum(p) == p_rank]
+    m = [s.m for s in psi.segments]
+    room = [sum(m[k:]) for k in range(len(m) + 1)]  # most entries k.. can hold
+    level = [((), p_rank)]  # (prefix, what the rest must add up to)
+    for k in range(len(m)):
+        level = [
+            (prefix + (v,), remaining - v)
+            for prefix, remaining in level
+            for v in range(max(0, remaining - room[k + 1]), min(m[k], remaining) + 1)
+        ]
+    return [prefix for prefix, _ in level]
 
 
 def compute_packet(
@@ -48,15 +60,17 @@ def compute_packet(
 ) -> list[PacketEntry]:
     """Entries for exactly the non-vanishing vectors at the given rank.
 
-    The linear-constraint engine decides; survivors are reduced to their
-    antitableau.  With ``verify`` the tableau engine re-decides every
-    vector and any disagreement raises an invariant violation.
+    The linear-constraint engine, compiled once for psi, decides; survivors
+    are reduced to their antitableau.  With ``verify`` the tableau engine
+    re-decides every vector and any disagreement raises an invariant
+    violation.
     """
     in_domain = all(psi.seg(i).e >= 0 for i in range(1, psi.r + 1))
     lam = lambda_values(psi)
+    criterion = CompiledCriterion(psi)
     entries = []
     for p in enumerate_params(psi, p_rank):
-        verdict = nonvanishing_simplified(psi, p)
+        verdict = criterion.verdict(p)
         if verify or verdict.nonzero:
             reduction = trapa_reduce(psi, p)
             if verify and reduction.nonzero != verdict.nonzero:

@@ -74,6 +74,10 @@ class Relation(enum.Enum):
     CONTAINS = "contains"
     CONTAINED = "contained"
 
+    # Members are singletons compared by identity, so they may hash by
+    # identity too; Enum's own hash runs Python code on every dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def inverse(self) -> "Relation":
         return _INVERSE[self]
@@ -92,15 +96,20 @@ _INVERSE = {
 
 
 def _relate(s: Segment, t: Segment, tie: Relation) -> Relation:
-    """Relation of s to t; `tie` breaks exact duplicates."""
-    if s.b > t.b and s.e > t.e:
+    """Relation of s to t; `tie` breaks exact duplicates.
+
+    Compares the doubled ends as plain ints: this is the innermost test of
+    every engine.
+    """
+    sb, se, tb, te = s.b.twice, s.e.twice, t.b.twice, t.e.twice
+    if sb > tb and se > te:
         return Relation.PRECEDES
-    if t.b > s.b and t.e > s.e:
+    if tb > sb and te > se:
         return Relation.PRECEDED_BY
-    if s == t:
+    if sb == tb and se == te:
         return tie
     # containment: neither precedes the other
-    if s.b >= t.b and s.e <= t.e:
+    if sb >= tb and se <= te:
         return Relation.CONTAINS
     return Relation.CONTAINED
 
@@ -194,6 +203,29 @@ def relation(psi: GoodParityParameter, i: int, j: int) -> Relation:
     return _relate(psi.seg(i), psi.seg(j), tie)
 
 
+# ``Relation | None``, not ``Optional[Relation]``: typing caches the latter,
+# which would keep this module alive after a re-import.
+RelationTable = tuple[tuple[Relation | None, ...], ...]
+
+
+def relation_table(psi: GoodParityParameter) -> RelationTable:
+    """All relations at once: ``table[i][j] == relation(psi, i, j)``.
+
+    Indices are 1-based like everywhere else; row 0, column 0 and the
+    diagonal hold None.  The lower half is the inverse of the upper half.
+    """
+    segs = psi.segments
+    r = len(segs)
+    rows = [[None] * (r + 1) for _ in range(r + 1)]
+    for i in range(1, r + 1):
+        s = segs[i - 1]
+        for j in range(i + 1, r + 1):
+            rel = _relate(s, segs[j - 1], Relation.CONTAINS)
+            rows[i][j] = rel
+            rows[j][i] = _INVERSE[rel]
+    return tuple(map(tuple, rows))
+
+
 def intersection_size(s: Segment, t: Segment) -> int:
     """Number of common entries of the two segments.
 
@@ -212,16 +244,29 @@ def neighbors(psi: GoodParityParameter, i: int, j: int) -> bool:
     blocked by nu_i > nu_k > nu_j, a containment pair by a strictly
     intermediate containment chain.
     """
-    rel = relation(psi, i, j)
-    if rel in (Relation.PRECEDED_BY, Relation.CONTAINED):
-        i, j = j, i
-        rel = rel.inverse
-    for k in range(1, psi.r + 1):
-        if k in (i, j):
-            continue
-        if relation(psi, i, k) is rel and relation(psi, k, j) is rel:
-            return False
-    return True
+    relation(psi, i, j)  # validates the indices
+    return (min(i, j), max(i, j)) in neighbor_pairs(relation_table(psi))
+
+
+def neighbor_pairs(table: RelationTable) -> list[tuple[int, int]]:
+    """All neighbor pairs i < j of a relation table, in lexicographic order.
+
+    Component k lies between i and j when i rel k and k rel j, that is when
+    i rel k and j rel.inverse k; one bitmask per (component, relation)
+    turns that into a single AND per pair.
+    """
+    r = len(table) - 1
+    masks = {rel: [0] * (r + 1) for rel in Relation}
+    for i in range(1, r + 1):
+        for k in range(1, r + 1):
+            if k != i:
+                masks[table[i][k]][i] |= 1 << k
+    return [
+        (i, j)
+        for i in range(1, r + 1)
+        for j in range(i + 1, r + 1)
+        if not masks[table[i][j]][i] & masks[table[i][j].inverse][j]
+    ]
 
 
 def lambda_values(psi: GoodParityParameter) -> tuple[HalfInt, ...]:

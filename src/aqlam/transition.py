@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arrangements import Permutation, is_admissible, transposition_path
+from .arrangements import Permutation, transposition_path
 from .errors import InputError
 from .segments import GoodParityParameter, Relation, relation
 
@@ -73,10 +73,7 @@ def phi_adjacent(
 def phi(
     psi: GoodParityParameter, pv: ParamVector, tau: Sequence[int]
 ) -> ParamVector:
-    """Transport pv from its own arrangement to tau."""
-    tau = tuple(tau)
-    if not is_admissible(psi, tau):
-        raise InputError(f"target arrangement {tau} is not admissible")
+    """Transport pv from its own arrangement to tau (both admissible)."""
     out = pv
     for h in transposition_path(psi, pv.sigma, tau):
         out = phi_adjacent(psi, out, h)

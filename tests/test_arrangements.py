@@ -8,6 +8,7 @@ from aqlam.arrangements import (
     appropriate_arrangement,
     enumerate_admissible,
     is_admissible,
+    lex_first_adjacent,
     perm_inversions,
     sigma_pairs,
     transposition_path,
@@ -73,6 +74,24 @@ def test_sigma_pairs_empty_when_blocked():
     # 1 > 2 > 3: positions of 1 and 3 always differ by two
     psi = GoodParityParameter((seg(8, 2), seg(6, 2), seg(4, 2)))
     assert sigma_pairs(psi, 1, 3) == []
+
+
+def test_lex_first_adjacent_is_the_first_sigma_pair():
+    rng = random.Random(17)
+    for _ in range(120):
+        psi = random_parameter(rng, rng.randint(2, 5))
+        for i, j in itertools.permutations(range(1, psi.r + 1), 2):
+            pairs = sigma_pairs(psi, i, j)
+            assert lex_first_adjacent(psi, i, j) == (pairs[0] if pairs else None)
+
+
+def test_lex_first_adjacent_fixtures(psi_A):
+    assert lex_first_adjacent(psi_A, 1, 3) == (2, 1, 3)
+    assert lex_first_adjacent(psi_A, 3, 2) == (1, 2, 3)
+    blocked = GoodParityParameter((seg(8, 2), seg(6, 2), seg(4, 2)))
+    assert lex_first_adjacent(blocked, 1, 3) is None
+    with pytest.raises(InputError):
+        lex_first_adjacent(psi_A, 2, 2)
 
 
 class TestTranspositionPath:

@@ -3,14 +3,20 @@ import random
 import pytest
 
 from aqlam import GoodParityParameter, intersection_size
+from aqlam.arrangements import is_admissible, sigma_pairs
 from aqlam.criterion import (
+    CompiledCriterion,
+    _adjacent_sigma,
+    affine_value,
     cond_B,
     cond_C,
     nonvanishing,
     nonvanishing_simplified,
 )
 from aqlam.errors import InputError
-from aqlam.transition import ParamVector
+from aqlam.segments import neighbors, relation_table
+from aqlam.tableau import trapa_reduce
+from aqlam.transition import ParamVector, phi
 
 from conftest import box, random_entry_vector, random_parameter, seg
 
@@ -92,3 +98,67 @@ def test_verdict_witness_reports_transported_values(psi_B):
     p_i, q_i, p_j, q_j, lhs, sing = w.values
     assert min(p_i, q_j) + min(q_i, p_j) == lhs
     assert lhs < sing
+
+
+def test_compiled_criterion_matches_one_shot_calls():
+    rng = random.Random(41)
+    for _ in range(60):
+        psi = random_parameter(rng, rng.randint(1, 6))
+        compiled = CompiledCriterion(psi)
+        for _ in range(5):
+            # entries one outside the box too, so witness B comes up
+            p = tuple(rng.randint(-1, psi.m(i) + 1) for i in range(1, psi.r + 1))
+            assert compiled.verdict(p) == nonvanishing_simplified(psi, p)
+
+
+def test_compiled_forms_equal_phi():
+    rng = random.Random(43)
+    for _ in range(120):
+        psi = random_parameter(rng, rng.randint(2, 9))
+        for pair in CompiledCriterion(psi).pairs:
+            for _ in range(3):
+                p = random_entry_vector(rng, psi)
+                moved = phi(psi, ParamVector.reference(p), pair.sigma)
+                assert affine_value(pair.form_i, p) == moved.entry_of(pair.i)
+                assert affine_value(pair.form_j, p) == moved.entry_of(pair.j)
+
+
+def test_compiled_pairs_are_the_neighbor_pairs_placed_adjacently():
+    rng = random.Random(47)
+    for _ in range(60):
+        psi = random_parameter(rng, rng.randint(2, 8))
+        pairs = CompiledCriterion(psi).pairs
+        assert [(c.i, c.j) for c in pairs] == [
+            (i, j)
+            for i in range(1, psi.r + 1)
+            for j in range(i + 1, psi.r + 1)
+            if neighbors(psi, i, j)
+        ]
+        for c in pairs:
+            assert is_admissible(psi, c.sigma)
+            assert abs(c.sigma.index(c.i) - c.sigma.index(c.j)) == 1
+
+
+def test_placement_when_the_bubble_fails_is_the_first_sigma_pair():
+    rng = random.Random(53)
+    fallbacks = 0
+    for _ in range(400):
+        psi = random_parameter(rng, rng.randint(3, 6))
+        table = relation_table(psi)
+        for c in CompiledCriterion(psi).pairs:
+            if _adjacent_sigma(table, c.i, c.j) is None:
+                assert c.sigma == sigma_pairs(psi, c.i, c.j)[0]
+                fallbacks += 1
+    assert fallbacks > 10
+
+
+@pytest.mark.parametrize("r", [*range(9, 17), 24])
+def test_simplified_has_no_r_bound_and_agrees_with_tableau(r):
+    rng = random.Random(1000 + r)
+    for _ in range(8 if r < 24 else 4):
+        psi = random_parameter(rng, r)
+        compiled = CompiledCriterion(psi)
+        for _ in range(3):
+            p = random_entry_vector(rng, psi)
+            assert compiled.verdict(p).nonzero == trapa_reduce(psi, p).nonzero, (psi, p)
+            assert nonvanishing_simplified(psi, p) == compiled.verdict(p)

@@ -1,5 +1,8 @@
 """Packet enumeration, survivors, invariants, and the fiber audit."""
 
+import itertools
+import random
+
 import pytest
 
 from aqlam import GoodParityParameter
@@ -11,7 +14,7 @@ from aqlam.packets import (
     multiplicity_report,
 )
 
-from conftest import parameter_family, seg
+from conftest import parameter_family, random_parameter, seg
 
 
 class TestEnumerate:
@@ -42,6 +45,18 @@ class TestEnumerate:
         for i in range(1, psi_A.r + 1):
             box_size *= psi_A.m(i) + 1
         assert total == box_size
+
+    def test_equals_filtering_the_whole_box(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            psi = random_parameter(rng, rng.randint(1, 4), m_max=4)
+            whole = list(
+                itertools.product(*(range(psi.m(i) + 1) for i in range(1, psi.r + 1)))
+            )
+            for rank in range(psi.n + 1):
+                assert enumerate_params(psi, rank) == [
+                    p for p in whole if sum(p) == rank
+                ]
 
 
 class TestComputePacket:

@@ -10,9 +10,11 @@ from aqlam import (
     Segment,
     intersection_size,
     lambda_values,
+    neighbor_pairs,
     neighbors,
     range_classify,
     relation,
+    relation_table,
     segment_from_component,
 )
 from aqlam.errors import InputError
@@ -140,6 +142,29 @@ def test_neighbors_blocked():
     psi = GoodParityParameter((seg(8, 2), seg(6, 2), seg(4, 2)))
     assert neighbors(psi, 1, 2) and neighbors(psi, 2, 3)
     assert not neighbors(psi, 1, 3)
+
+
+def test_relation_table_and_neighbor_pairs_match_the_definitions():
+    for psi in parameter_family(range(1, 5), 3, (2, 3, 4)):
+        table = relation_table(psi)
+        r = psi.r
+        assert all(
+            table[i][j] is (relation(psi, i, j) if i != j else None)
+            for i in range(1, r + 1)
+            for j in range(1, r + 1)
+        )
+        # neighbors straight from the definition: no k with i rel k rel j
+        expected = [
+            (i, j)
+            for i, j in itertools.combinations(range(1, r + 1), 2)
+            if not any(
+                relation(psi, i, k) is relation(psi, i, j)
+                and relation(psi, k, j) is relation(psi, i, j)
+                for k in range(1, r + 1)
+                if k not in (i, j)
+            )
+        ]
+        assert neighbor_pairs(table) == expected
 
 
 def test_lambda_values(psi_A):

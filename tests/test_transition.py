@@ -128,3 +128,9 @@ def test_affine_linearity():
         lhs = tuple(a + b for a, b in zip(f(p), f(q)))
         rhs = tuple(a + b for a, b in zip(f(mid), f((0,) * psi.r)))
         assert lhs == rhs
+
+
+def test_phi_rejects_an_inadmissible_target(psi_A):
+    pv = ParamVector.reference((2, 2, 2))
+    with pytest.raises(InputError):
+        phi(psi_A, pv, (3, 2, 1))
