@@ -41,16 +41,6 @@ def perm_inversions(sigma: Permutation) -> int:
     )
 
 
-def compose(sigma: Permutation, tau: Permutation) -> Permutation:
-    """(sigma o tau)(h) = sigma(tau(h))."""
-    return tuple(sigma[t - 1] for t in tau)
-
-
-def is_admissible(psi: GoodParityParameter, sigma: Sequence[int]) -> bool:
-    """True iff no position h < k has the segment at h preceded by the one at k."""
-    return arrangement_is_admissible(psi, sigma)
-
-
 def enumerate_admissible(
     psi: GoodParityParameter, max_r: int = DEFAULT_MAX_R
 ) -> list[Permutation]:
@@ -104,52 +94,48 @@ def sigma_pairs(
     return out
 
 
+def predecessor_masks(table: RelationTable) -> list[int]:
+    """Bit k of ``masks[c]`` is set when component k precedes component c.
+
+    The reference order is admissible, so every predecessor of c has a
+    smaller index than c.
+    """
+    return [
+        sum(1 << k for k, rel in enumerate(row) if rel is Relation.PRECEDED_BY)
+        for row in table
+    ]
+
+
 def lex_first_adjacent(
-    psi: GoodParityParameter,
-    i: int,
-    j: int,
-    table: Optional[RelationTable] = None,
+    psi: GoodParityParameter, i: int, j: int
 ) -> Optional[Permutation]:
     """``sigma_pairs(psi, i, j)[0]`` without enumerating Sigma_r: the
     lexicographically first admissible arrangement placing i and j next to
     each other, or None when none exists.
 
-    Admissible arrangements are the orders in which every component comes
-    after the components preceding it.  The image list is built left to
-    right, each time taking the smallest component whose predecessors are
-    all placed and after which i and j can still end up adjacent: placing
-    i (or j) requires its partner to be placeable right after it, and any
-    other component keeps the pair placeable.  O(r^2) given the table.
+    In closed form, for i < j and p the highest-index predecessor of j:
+    1..i-1; then, in index order, the components in (i, p] that i does not
+    precede; then i, j; then the remaining components in index order.  There
+    is none when i precedes a predecessor of j lying after i.
     """
     relation(psi, i, j)  # validates the indices
-    if table is None:
-        table = relation_table(psi)
-    r = psi.r
-    preds = [
-        sum(1 << k for k, rel in enumerate(row) if rel is Relation.PRECEDED_BY)
-        for row in table
-    ]
-    images: list[int] = []
-    placed = 0
-    partner = None
-    while len(images) < r:
-        if partner is not None:
-            c, partner = partner, None
+    masks = predecessor_masks(relation_table(psi))
+    return adjacent_placement(masks, min(i, j), max(i, j))
+
+
+def adjacent_placement(masks: Sequence[int], i: int, j: int) -> Optional[Permutation]:
+    """``lex_first_adjacent`` for i < j from ``predecessor_masks``; O(r)."""
+    p = max(i, masks[j].bit_length() - 1)
+    ahead, behind = [], []
+    for k in range(i + 1, p + 1):
+        if not masks[k] >> i & 1:
+            ahead.append(k)
+        elif masks[j] >> k & 1:
+            return None
         else:
-            for c in range(1, r + 1):
-                if placed >> c & 1 or preds[c] & ~placed:
-                    continue
-                if c == i or c == j:
-                    other = j if c == i else i
-                    if preds[other] & ~(placed | 1 << c):
-                        continue
-                    partner = other
-                break
-            else:
-                return None
-        images.append(c)
-        placed |= 1 << c
-    return tuple(images)
+            behind.append(k)
+    rest = (*behind, *range(p + 1, j), *range(j + 1, len(masks)))
+    return (*range(1, i), *ahead, i, j, *rest)
 
 
 def transposition_path(
@@ -166,7 +152,7 @@ def transposition_path(
     sigma = tuple(sigma)
     tau = tuple(tau)
     for name, perm in (("sigma", sigma), ("tau", tau)):
-        if not is_admissible(psi, perm):
+        if not arrangement_is_admissible(psi, perm):
             raise InputError(f"{name}={perm} is not admissible")
     return bubble_path(sigma, tau)
 

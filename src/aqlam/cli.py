@@ -33,13 +33,30 @@ from .transition import ParamVector, phi
 def _load_document(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError("the document must be a JSON object")
+    return doc
+
+
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer; bools, floats and strings are refused, not coerced."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _list(doc: dict, key: str) -> list:
+    if not isinstance(doc[key], list):
+        raise InputError(f"'{key}' must be a list")
+    return doc[key]
 
 
 def _parse_parameter(doc: dict, strict_parity: bool) -> GoodParityParameter:
@@ -49,14 +66,14 @@ def _parse_parameter(doc: dict, strict_parity: bool) -> GoodParityParameter:
         raise InputError("provide exactly one of 'components' or 'segments'")
     if has_components:
         comps = []
-        for item in doc["components"]:
+        for item in _list(doc, "components"):
             try:
-                comps.append((int(item["a"]), int(item["m"])))
-            except (KeyError, TypeError, ValueError):
+                comps.append((_integer(item["a"], "'a'"), _integer(item["m"], "'m'")))
+            except (KeyError, TypeError):
                 raise InputError(f"bad component entry: {item!r}") from None
         return GoodParityParameter.from_components(comps, strict_parity)
     segs = []
-    for item in doc["segments"]:
+    for item in _list(doc, "segments"):
         try:
             segs.append(
                 Segment(HalfInt.parse(str(item["b"])), HalfInt.parse(str(item["e"])))
@@ -72,7 +89,7 @@ def _require_p(doc: dict, psi: GoodParityParameter) -> tuple[int, ...]:
     p = doc["p"]
     if not isinstance(p, list) or len(p) != psi.r:
         raise InputError(f"'p' must be a list of {psi.r} integers")
-    return tuple(int(x) for x in p)
+    return tuple(_integer(x, "an entry of 'p'") for x in p)
 
 
 def _jsonable(value: Any) -> Any:
@@ -177,7 +194,7 @@ def _cmd_padic(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
 def _cmd_packet(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     if "p_rank" not in doc:
         raise InputError("the packet subcommand needs 'p_rank'")
-    rank = int(doc["p_rank"])
+    rank = _integer(doc["p_rank"], "'p_rank'")
     entries = packets_mod.compute_packet(psi, rank, verify=args.verify)
     scanned = len(packets_mod.enumerate_params(psi, rank))
     return {
@@ -233,6 +250,14 @@ def _parse_sigma(text: str) -> tuple[int, ...]:
         raise InputError(f"bad --sigma value: {text!r}") from None
 
 
+def _parse_max_r(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="aqlam",
@@ -245,11 +270,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                          help="JSON document path, or - for stdin")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--strict-parity", action="store_true")
-        cmd.add_argument("--verify", action="store_true",
-                         help="cross-check every verdict with the other engine")
-        cmd.add_argument("--sigma", type=_parse_sigma, default=None,
-                         help="target arrangement as an image list, e.g. '2,1,3'")
-        cmd.add_argument("--max-r", type=int, default=DEFAULT_MAX_R)
+        if name in ("check", "packet", "av"):
+            cmd.add_argument("--verify", action="store_true",
+                             help="cross-check every verdict with the other engine")
+        if name in ("check", "arrangements"):
+            cmd.add_argument("--max-r", type=_parse_max_r, default=DEFAULT_MAX_R)
+        if name == "transition":
+            cmd.add_argument("--sigma", type=_parse_sigma, default=None,
+                             help="target arrangement as an image list, e.g. '2,1,3'")
     args = parser.parse_args(argv)
     try:
         doc = _load_document(args.input)

@@ -6,8 +6,10 @@ Two engines decide whether a parameter vector p gives a non-zero module:
   condition C over every admissible arrangement (transporting p along the
   transition maps);
 * ``nonvanishing_simplified`` checks the box once and condition C at a
-  single arrangement per neighbor pair (any adjacent placement gives the
-  same answer, which is tested as a property).
+  single arrangement per neighbor pair, the lexicographically first
+  admissible arrangement placing the pair adjacently, which
+  ``arrangements.lex_first_adjacent`` gives in closed form (any adjacent
+  placement gives the same answer, which is tested as a property).
 
 Apart from p, everything the simplified criterion needs depends only on the
 parameter, and the transition maps are affine.  ``CompiledCriterion``
@@ -26,10 +28,11 @@ from typing import NamedTuple, Optional, Sequence
 from .arrangements import (
     DEFAULT_MAX_R,
     Permutation,
+    adjacent_placement,
     bubble_path,
     enumerate_admissible,
-    lex_first_adjacent,
     perm_inverse,
+    predecessor_masks,
 )
 from .errors import InputError, ResourceLimitError
 from .segments import (
@@ -151,29 +154,6 @@ def nonvanishing(
     return Verdict(True)
 
 
-def _adjacent_sigma(table: RelationTable, i: int, j: int) -> Optional[Permutation]:
-    """Greedily bubble components i < j together through containment swaps.
-
-    Swapping an adjacent containment pair never breaks admissibility (the
-    admissibility constraint only orders precedence pairs), so any sequence
-    of such swaps is legal.  Returns None when blocked on both sides.
-    """
-    images = list(range(1, len(table)))
-    pi, pj = i - 1, j - 1
-    while pj - pi > 1:
-        left_of_j = images[pj - 1]
-        right_of_i = images[pi + 1]
-        if table[left_of_j][j].is_containment:
-            images[pj - 1], images[pj] = images[pj], images[pj - 1]
-            pj -= 1
-        elif table[i][right_of_i].is_containment:
-            images[pi], images[pi + 1] = images[pi + 1], images[pi]
-            pi += 1
-        else:
-            return None
-    return tuple(images)
-
-
 # An integer affine form in the reference entries: (constant, terms), where
 # each term (k, c) adds c * p[k] (k 0-based); only non-zero terms are kept.
 AffineForm = tuple[int, tuple[tuple[int, int], ...]]
@@ -244,10 +224,10 @@ class CompiledCriterion:
     """The simplified criterion for one parameter, ready for many vectors.
 
     Holds the relation table, and for every neighbor pair its placement
-    (the containment-swap bubble, else the lexicographically first
-    admissible arrangement placing the pair adjacently) and the
-    transported entries as affine forms.  The pairs are built on the first
-    vector that passes the box check.
+    (the lexicographically first admissible arrangement placing the pair
+    adjacently, in closed form) and the transported entries as affine
+    forms.  The pairs are built on the first vector that passes the box
+    check.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -262,10 +242,11 @@ class CompiledCriterion:
     @cached_property
     def pairs(self) -> tuple[PairConstraint, ...]:
         table, psi = self.table, self.psi
+        masks = predecessor_masks(table)
         m = (0,) + self.m
         out = []
         for i, j in neighbor_pairs(table):
-            sigma = _adjacent_sigma(table, i, j) or lex_first_adjacent(psi, i, j, table)
+            sigma = adjacent_placement(masks, i, j)
             if sigma is None:  # pragma: no cover - impossible for neighbors
                 raise InputError(f"neighbor pair ({i},{j}) has no placement")
             sing = intersection_size(psi.seg(i), psi.seg(j))

@@ -51,6 +51,24 @@ class Segment:
     def entries(self) -> list[HalfInt]:
         return [self.b - k for k in range(self.m)]
 
+    def relate(self, other: Segment, tie: Relation) -> Relation:
+        """Relation of this segment to other; `tie` breaks exact duplicates.
+
+        Compares the doubled ends as plain ints: this is the innermost test
+        of every engine.
+        """
+        sb, se, tb, te = self.b.twice, self.e.twice, other.b.twice, other.e.twice
+        if sb > tb and se > te:
+            return Relation.PRECEDES
+        if tb > sb and te > se:
+            return Relation.PRECEDED_BY
+        if sb == tb and se == te:
+            return tie
+        # containment: neither precedes the other
+        if sb >= tb and se <= te:
+            return Relation.CONTAINS
+        return Relation.CONTAINED
+
     def __str__(self) -> str:
         return f"[{self.b},{self.e}]"
 
@@ -93,25 +111,6 @@ _INVERSE = {
     Relation.CONTAINS: Relation.CONTAINED,
     Relation.CONTAINED: Relation.CONTAINS,
 }
-
-
-def _relate(s: Segment, t: Segment, tie: Relation) -> Relation:
-    """Relation of s to t; `tie` breaks exact duplicates.
-
-    Compares the doubled ends as plain ints: this is the innermost test of
-    every engine.
-    """
-    sb, se, tb, te = s.b.twice, s.e.twice, t.b.twice, t.e.twice
-    if sb > tb and se > te:
-        return Relation.PRECEDES
-    if tb > sb and te > se:
-        return Relation.PRECEDED_BY
-    if sb == tb and se == te:
-        return tie
-    # containment: neither precedes the other
-    if sb >= tb and se <= te:
-        return Relation.CONTAINS
-    return Relation.CONTAINED
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def relation(psi: GoodParityParameter, i: int, j: int) -> Relation:
     if i == j:
         raise InputError(f"relation needs distinct indices, got ({i}, {j})")
     tie = Relation.CONTAINS if i < j else Relation.CONTAINED
-    return _relate(psi.seg(i), psi.seg(j), tie)
+    return psi.seg(i).relate(psi.seg(j), tie)
 
 
 # ``Relation | None``, not ``Optional[Relation]``: typing caches the latter,
@@ -220,7 +219,7 @@ def relation_table(psi: GoodParityParameter) -> RelationTable:
     for i in range(1, r + 1):
         s = segs[i - 1]
         for j in range(i + 1, r + 1):
-            rel = _relate(s, segs[j - 1], Relation.CONTAINS)
+            rel = s.relate(segs[j - 1], Relation.CONTAINS)
             rows[i][j] = rel
             rows[j][i] = _INVERSE[rel]
     return tuple(map(tuple, rows))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .arrangements import (
     Permutation,
@@ -22,22 +22,17 @@ from .arrangements import (
     enumerate_admissible,
 )
 from .criterion import Witness
-from .errors import AqlamError, InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
 from .segments import (
     GoodParityParameter,
     Relation,
     Segment,
-    _relate,
     intersection_size,
 )
 from .transition import ParamVector, phi
 
 Rows = tuple[tuple[int, str], ...]
-
-
-class ZeroParameterError(AqlamError):
-    """An entry fell outside its box during construction (maps to Zero)."""
 
 
 def _canonical_rows(rows: Sequence[tuple[int, str]]) -> Rows:
@@ -50,14 +45,11 @@ class Column:
     """One skew column: its segment and cumulative type L_{k,i}.
 
     ``L[i]`` counts the boxes of the column lying in its first i
-    components; L[0] = 0 and L[height] = m.  Signed counts Lp/Lm are
-    recorded on freshly built columns and dropped after rewrites.
+    components; L[0] = 0 and L[height] = m.
     """
 
     segment: Segment
     L: tuple[int, ...]
-    Lp: Optional[tuple[int, ...]] = None
-    Lm: Optional[tuple[int, ...]] = None
 
     @property
     def height(self) -> int:
@@ -102,8 +94,9 @@ def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
 
     For each new column, pluses extend minus-ending rows longest first,
     minuses extend plus-ending rows longest first, and remainders open new
-    rows; the signed type records, for each component range, how many boxes
-    of either sign landed there (new rows have unlimited capacity).
+    rows; the type L records, for each component range, how many boxes
+    landed there (new rows have unlimited capacity).  An entry outside its
+    box [0, m] is an ``InputError``.
     """
     rows: list[tuple[int, str]] = []
     columns: list[Column] = []
@@ -112,21 +105,14 @@ def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
         p, m = pv.entries[k - 1], seg.m
         q = m - p
         if not 0 <= p <= m:
-            raise ZeroParameterError(
-                f"entry {p} for component {comp} outside box [0, {m}]"
-            )
-        Lp, Lm = [0], [0]
-        for i in range(1, k + 1):
-            if i == k:
-                Lp.append(p)
-                Lm.append(q)
-            else:
-                plus_ends = sum(1 for ln, s in rows if ln >= k - i and s == "+")
-                minus_ends = sum(1 for ln, s in rows if ln >= k - i and s == "-")
-                Lp.append(min(minus_ends, p))
-                Lm.append(min(plus_ends, q))
-        L = tuple(a + b for a, b in zip(Lp, Lm))
-        columns.append(Column(seg, L, tuple(Lp), tuple(Lm)))
+            raise InputError(f"entry {p} for component {comp} outside box [0, {m}]")
+        L = [0]
+        for i in range(1, k):
+            plus_ends = sum(1 for ln, s in rows if ln >= k - i and s == "+")
+            minus_ends = sum(1 for ln, s in rows if ln >= k - i and s == "-")
+            L.append(min(minus_ends, p) + min(plus_ends, q))
+        L.append(m)
+        columns.append(Column(seg, tuple(L)))
 
         minus_rows = sorted((r for r in rows if r[1] == "-"), reverse=True)
         plus_rows = sorted((r for r in rows if r[1] == "+"), reverse=True)
@@ -164,7 +150,7 @@ def trapa_op(
     realized by the closed-form type equations.  The merged shape
     L'_{right,i} + L'_{left,i-1} is conserved.
     """
-    rel = _relate(left.segment, right.segment, tie=Relation.CONTAINS)
+    rel = left.segment.relate(right.segment, Relation.CONTAINS)
     if rel is Relation.PRECEDED_BY:
         raise InputError(
             f"right segment {right.segment} precedes left {left.segment}"
@@ -276,8 +262,36 @@ class Reduction:
         return self.zero is None
 
 
-def _zero_reduction(witness: Witness) -> Reduction:
-    return Reduction(zero=witness)
+def _reduce(
+    psi: GoodParityParameter,
+    p: Sequence[int] | ParamVector,
+    schedule: Callable[[list[Column], Permutation], Optional[Witness]],
+) -> Reduction:
+    """The start and finish shared by both reductions.
+
+    Transports p to the canonical arrangement and checks the box there (a
+    "B" witness, first in arrangement order), builds the signed tableau,
+    and lets ``schedule`` rewrite its columns in place; the schedule returns
+    an overlap witness, or None once it ends on what must be an antitableau.
+    """
+    if not isinstance(p, ParamVector):
+        p = ParamVector.reference(tuple(p))
+    sigma = appropriate_arrangement(psi)
+    pv = phi(psi, p, sigma)
+    for comp, entry in zip(sigma, pv.entries):
+        if not 0 <= entry <= psi.m(comp):
+            return Reduction(Witness("B", (comp,), sigma, (entry, psi.m(comp))))
+    state = build_tableau(psi, pv)
+    columns = list(state.columns)
+    witness = schedule(columns, sigma)
+    if witness is not None:
+        return Reduction(witness)
+    final = TableauState(tuple(columns), state.rows, sigma)
+    if not validate_antitableau(final):
+        raise InvariantViolationError(
+            f"reduction finished on a non-antitableau state for p={p.entries}"
+        )
+    return Reduction(None, _antitableau_grid(final), final.rows, final)
 
 
 def _insert_leftward(
@@ -291,7 +305,7 @@ def _insert_leftward(
     """
     for pos in range(start - 1, 0, -1):
         left, right = columns[pos - 1], columns[pos]
-        rel = _relate(left.segment, right.segment, tie=Relation.CONTAINS)
+        rel = left.segment.relate(right.segment, Relation.CONTAINS)
         result = trapa_op(left, right)
         if isinstance(result, TrapaZero):
             return Witness(
@@ -312,31 +326,15 @@ def trapa_reduce(
     tableau is built, and each column is bubbled leftward through the local
     rewrite as it arrives.
     """
-    if not isinstance(p, ParamVector):
-        p = ParamVector.reference(tuple(p))
-    sigma = appropriate_arrangement(psi)
-    pv = phi(psi, p, sigma)
-    try:
-        state = build_tableau(psi, pv)
-    except ZeroParameterError:
-        for h, comp in enumerate(pv.sigma):
-            entry = pv.entries[h]
-            if not 0 <= entry <= psi.m(comp):
-                return _zero_reduction(
-                    Witness("B", (comp,), sigma, (entry, psi.m(comp)))
-                )
-        raise  # pragma: no cover
-    columns = list(state.columns)
-    for k in range(2, len(columns) + 1):
-        witness = _insert_leftward(columns, k, sigma)
-        if witness is not None:
-            return _zero_reduction(witness)
-    final = TableauState(tuple(columns), state.rows, sigma)
-    if not validate_antitableau(final):
-        raise InvariantViolationError(
-            f"reduction finished on a non-antitableau state for p={p.entries}"
-        )
-    return Reduction(None, _antitableau_grid(final), final.rows, final)
+
+    def schedule(columns: list[Column], sigma: Permutation) -> Optional[Witness]:
+        for k in range(2, len(columns) + 1):
+            witness = _insert_leftward(columns, k, sigma)
+            if witness is not None:
+                return witness
+        return None
+
+    return _reduce(psi, p, schedule)
 
 
 def reduce_with_schedule(
@@ -349,46 +347,31 @@ def reduce_with_schedule(
     Used to exercise confluence: the final antitableau must not depend on
     the schedule.
     """
-    if not isinstance(p, ParamVector):
-        p = ParamVector.reference(tuple(p))
-    sigma = appropriate_arrangement(psi)
-    pv = phi(psi, p, sigma)
-    try:
-        state = build_tableau(psi, pv)
-    except ZeroParameterError:
-        return trapa_reduce(psi, p)
-    columns = list(state.columns)
-    while True:
-        pending: list[tuple[int, Union[TrapaZero, tuple[Column, Column]]]] = []
-        for pos in range(1, len(columns)):
-            left, right = columns[pos - 1], columns[pos]
-            rel = _relate(left.segment, right.segment, tie=Relation.CONTAINS)
-            if rel is Relation.PRECEDED_BY:
-                continue
-            result = trapa_op(left, right)
+
+    def schedule(columns: list[Column], sigma: Permutation) -> Optional[Witness]:
+        while True:
+            pending: list[tuple[int, Union[TrapaZero, tuple[Column, Column]]]] = []
+            for pos in range(1, len(columns)):
+                left, right = columns[pos - 1], columns[pos]
+                rel = left.segment.relate(right.segment, Relation.CONTAINS)
+                if rel is Relation.PRECEDED_BY:
+                    continue
+                result = trapa_op(left, right)
+                if isinstance(result, TrapaZero) or (
+                    (result[0].segment, result[0].L, result[1].segment, result[1].L)
+                    != (left.segment, left.L, right.segment, right.L)
+                ):
+                    pending.append((pos, result))
+            if not pending:
+                return None
+            pos, result = pending[rng.randrange(len(pending))]
             if isinstance(result, TrapaZero):
-                pending.append((pos, result))
-                continue
-            changed = (result[0].segment, result[0].L, result[1].segment, result[1].L) != (
-                left.segment,
-                left.L,
-                right.segment,
-                right.L,
-            )
-            if changed:
-                pending.append((pos, result))
-        if not pending:
-            break
-        pos, result = pending[rng.randrange(len(pending))]
-        if isinstance(result, TrapaZero):
-            return _zero_reduction(
-                Witness("overlap", (pos, pos + 1), sigma, (result.overlap, result.sing))
-            )
-        columns[pos - 1], columns[pos] = result
-    final = TableauState(tuple(columns), state.rows, sigma)
-    if not validate_antitableau(final):
-        raise InvariantViolationError("random schedule stalled before antitableau")
-    return Reduction(None, _antitableau_grid(final), final.rows, final)
+                return Witness(
+                    "overlap", (pos, pos + 1), sigma, (result.overlap, result.sing)
+                )
+            columns[pos - 1], columns[pos] = result
+
+    return _reduce(psi, p, schedule)
 
 
 def last_column_type(
@@ -434,7 +417,7 @@ def upper_bound_check(
         if any(a.fill(i) < b.fill(i) for i in range(hi + 1)):
             raise InputError("prefix columns are not an antitableau")
     rels = [
-        _relate(c.segment, last.segment, tie=Relation.CONTAINS) for c in prefix
+        c.segment.relate(last.segment, Relation.CONTAINS) for c in prefix
     ]
     if h is None:
         h = sum(1 for rel in rels if rel is Relation.PRECEDES)

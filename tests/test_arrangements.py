@@ -7,13 +7,14 @@ from aqlam import GoodParityParameter, Relation
 from aqlam.arrangements import (
     appropriate_arrangement,
     enumerate_admissible,
-    is_admissible,
     lex_first_adjacent,
     perm_inversions,
+    predecessor_masks,
     sigma_pairs,
     transposition_path,
 )
 from aqlam.errors import InputError, ResourceLimitError
+from aqlam.segments import arrangement_is_admissible, relation_table
 
 from conftest import parameter_family, random_parameter, seg
 
@@ -85,6 +86,17 @@ def test_lex_first_adjacent_is_the_first_sigma_pair():
             assert lex_first_adjacent(psi, i, j) == (pairs[0] if pairs else None)
 
 
+def test_predecessor_masks():
+    rng = random.Random(19)
+    for _ in range(40):
+        psi = random_parameter(rng, rng.randint(2, 8))
+        masks = predecessor_masks(relation_table(psi))
+        for c, k in itertools.permutations(range(1, psi.r + 1), 2):
+            precedes = psi.relation(k, c) is Relation.PRECEDES
+            assert bool(masks[c] >> k & 1) == precedes
+            assert not precedes or k < c
+
+
 def test_lex_first_adjacent_fixtures(psi_A):
     assert lex_first_adjacent(psi_A, 1, 3) == (2, 1, 3)
     assert lex_first_adjacent(psi_A, 3, 2) == (1, 2, 3)
@@ -115,7 +127,7 @@ class TestTranspositionPath:
             cur = list(sigma)
             for h in transposition_path(psi, sigma, tau):
                 cur[h - 1], cur[h] = cur[h], cur[h - 1]
-                assert is_admissible(psi, tuple(cur))
+                assert arrangement_is_admissible(psi, tuple(cur))
             assert tuple(cur) == tau
 
     def test_identity(self, psi_A):
@@ -131,7 +143,7 @@ def test_appropriate_arrangement_properties():
     for _ in range(60):
         psi = random_parameter(rng, rng.randint(1, 5), b_max=6, m_max=4)
         sigma = appropriate_arrangement(psi)
-        assert is_admissible(psi, sigma)
+        assert arrangement_is_admissible(psi, sigma)
         ordered = [psi.seg(i) for i in sigma]
         # every earlier segment precedes or is contained in every later one
         for h in range(len(ordered)):

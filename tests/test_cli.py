@@ -176,3 +176,39 @@ class TestInputHandling:
         code, payload = run_json(capsys, ["packet", path, "--verify"])
         again_code, again = run_json(capsys, ["packet", path, "--verify"])
         assert (code, payload) == (again_code, again)
+
+    @pytest.mark.parametrize("command, doc", [
+        ("check", {**DOC_A, "p": [1.5, 2, 2]}),
+        ("check", {**DOC_A, "p": [True, 2, 2]}),
+        ("check", {**DOC_A, "p": ["x", 2, 2]}),
+        ("check", {**DOC_A, "components": [{"a": 12.7, "m": 3}], "p": [1]}),
+        ("check", {**DOC_A, "components": 5}),
+        ("check", 5),
+        ("packet", {**DOC_A, "p_rank": "x"}),
+        ("packet", {**DOC_A, "p_rank": True}),
+    ])
+    def test_non_integer_or_non_object_is_input_error(
+        self, tmp_path, capsys, command, doc
+    ):
+        assert run([command, write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["tableau", "--sigma", "2,1"],
+        ["check", "--sigma", "2,1,3"],
+        ["tableau", "--verify"],
+        ["transition", "--max-r", "3"],
+        ["arrangements", "--max-r", "-1"],
+    ])
+    def test_misplaced_or_negative_flag_exits_two(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], write_doc(tmp_path, DOC_A), *argv[1:]])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_max_r_bounds_arrangements(self, tmp_path, capsys):
+        path = write_doc(tmp_path, DOC_A)
+        assert run(["arrangements", path, "--max-r", "2"]) == 3
+        assert run(["arrangements", path, "--max-r", "3"]) == 0

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from aqlam import GoodParityParameter
-from aqlam.arrangements import enumerate_admissible, is_admissible
+from aqlam.arrangements import enumerate_admissible
 from aqlam.criterion import cond_C, nonvanishing
 from aqlam.errors import InputError
 from aqlam.padic import (
@@ -22,6 +22,7 @@ from aqlam.padic import (
     sign_of,
     to_extended,
 )
+from aqlam.segments import arrangement_is_admissible
 from aqlam.transition import ParamVector, phi_adjacent
 
 from conftest import box, parameter_family, seg
@@ -132,7 +133,7 @@ class TestTransition:
                 h
                 for h in range(1, psi.r)
                 if psi.relation(h, h + 1).is_containment
-                and is_admissible(
+                and arrangement_is_admissible(
                     psi,
                     tuple(
                         h + 1 if v == h else h if v == h + 1 else v

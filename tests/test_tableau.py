@@ -49,10 +49,6 @@ class TestBuildFixture:
             (0, 3, 5),
             (0, 3, 4, 6),
         ]
-        assert state.columns[1].Lp == (0, 1, 2)
-        assert state.columns[1].Lm == (0, 2, 3)
-        assert state.columns[2].Lp == (0, 2, 2, 2)
-        assert state.columns[2].Lm == (0, 1, 2, 4)
 
     def test_rows(self, psi_A):
         state = build_tableau(psi_A, ParamVector.reference((2, 2, 2)))
@@ -195,6 +191,14 @@ def test_reduce_agrees_with_criterion_random():
         psi = random_parameter(rng, rng.randint(1, 4), b_max=7, m_max=4)
         p = random_entry_vector(rng, psi)
         assert trapa_reduce(psi, p).nonzero == nonvanishing(psi, p).nonzero
+
+
+def test_out_of_box_entry(psi_A):
+    witness = trapa_reduce(psi_A, (2, 6, 2)).zero
+    assert (witness.kind, witness.indices, witness.values) == ("B", (2,), (6, 5))
+    assert reduce_with_schedule(psi_A, (2, 6, 2), random.Random(1)).zero == witness
+    with pytest.raises(InputError, match="outside box"):
+        build_tableau(psi_A, ParamVector.reference((2, 6, 2)))
 
 
 def test_last_column_type_fixture(psi_A):

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from aqlam import GoodParityParameter, Relation
-from aqlam.arrangements import enumerate_admissible, is_admissible
+from aqlam.arrangements import enumerate_admissible
 from aqlam.errors import InputError
 from aqlam.transition import ParamVector, phi, phi_adjacent
 
