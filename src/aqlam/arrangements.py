@@ -54,6 +54,7 @@ def enumerate_admissible(
         raise ResourceLimitError(
             f"r={r} exceeds the arrangement bound {max_r}; raise max_r to override"
         )
+    table = relation_table(psi)
     out: list[Permutation] = []
     prefix: list[int] = []
     used = [False] * (r + 1)
@@ -65,7 +66,7 @@ def enumerate_admissible(
         for i in range(1, r + 1):
             if used[i]:
                 continue
-            if any(relation(psi, h, i) is Relation.PRECEDED_BY for h in prefix):
+            if any(table[h][i] is Relation.PRECEDED_BY for h in prefix):
                 continue
             used[i] = True
             prefix.append(i)

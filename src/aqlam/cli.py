@@ -46,10 +46,14 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _integer(value: Any, what: str) -> int:
-    """A JSON integer; bools, floats and strings are refused, not coerced."""
-    if type(value) is not int:
-        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+def _json(value: Any, kind: type, what: str) -> Any:
+    """A JSON integer (kind int) or string (kind str), nothing else: bools,
+    floats and strings are not integers, and numbers are not strings."""
+    if type(value) is not kind:
+        name = "integer" if kind is int else "string"
+        raise InputError(
+            f"{what} must be a JSON {name}, got {type(value).__name__} {value!r}"
+        )
     return value
 
 
@@ -68,16 +72,15 @@ def _parse_parameter(doc: dict, strict_parity: bool) -> GoodParityParameter:
         comps = []
         for item in _list(doc, "components"):
             try:
-                comps.append((_integer(item["a"], "'a'"), _integer(item["m"], "'m'")))
+                comps.append((_json(item["a"], int, "'a'"), _json(item["m"], int, "'m'")))
             except (KeyError, TypeError):
                 raise InputError(f"bad component entry: {item!r}") from None
         return GoodParityParameter.from_components(comps, strict_parity)
     segs = []
     for item in _list(doc, "segments"):
         try:
-            segs.append(
-                Segment(HalfInt.parse(str(item["b"])), HalfInt.parse(str(item["e"])))
-            )
+            b, e = (HalfInt.parse(_json(item[k], str, f"'{k}'")) for k in "be")
+            segs.append(Segment(b, e))
         except (KeyError, TypeError):
             raise InputError(f"bad segment entry: {item!r}") from None
     return GoodParityParameter(tuple(segs), strict_parity)
@@ -89,7 +92,7 @@ def _require_p(doc: dict, psi: GoodParityParameter) -> tuple[int, ...]:
     p = doc["p"]
     if not isinstance(p, list) or len(p) != psi.r:
         raise InputError(f"'p' must be a list of {psi.r} integers")
-    return tuple(_integer(x, "an entry of 'p'") for x in p)
+    return tuple(_json(x, int, "an entry of 'p'") for x in p)
 
 
 def _jsonable(value: Any) -> Any:
@@ -194,7 +197,7 @@ def _cmd_padic(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
 def _cmd_packet(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     if "p_rank" not in doc:
         raise InputError("the packet subcommand needs 'p_rank'")
-    rank = _integer(doc["p_rank"], "'p_rank'")
+    rank = _json(doc["p_rank"], int, "'p_rank'")
     entries = packets_mod.compute_packet(psi, rank, verify=args.verify)
     scanned = len(packets_mod.enumerate_params(psi, rank))
     return {
@@ -278,7 +281,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if name == "transition":
             cmd.add_argument("--sigma", type=_parse_sigma, default=None,
                              help="target arrangement as an image list, e.g. '2,1,3'")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error
+        return exc.code
     try:
         doc = _load_document(args.input)
         psi = _parse_parameter(doc, args.strict_parity)

@@ -1,8 +1,9 @@
-"""Exact half-integer arithmetic.
+"""The exact half-integer type, for input and output.
 
 Every numeric quantity in this library is an integer or a half-integer.
-``HalfInt`` stores twice the value as a plain ``int``, so addition,
-subtraction and comparison are exact; no floats appear anywhere.
+The engines compute on plain ints: box counts, and segment ends doubled
+(``.twice``).  ``HalfInt`` stores that doubled value, so it is exact; it is
+the type in which segment ends are parsed and half-integers are printed.
 """
 
 from __future__ import annotations

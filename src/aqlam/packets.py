@@ -14,7 +14,7 @@ from typing import Optional
 from .criterion import CompiledCriterion
 from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
-from .padic import ExtendedMultiSegment, project_EF, to_extended
+from .padic import ExtendedMultiSegment, in_padic_domain, project_EF, to_extended
 from .segments import GoodParityParameter, lambda_values
 from .tableau import Rows, trapa_reduce
 
@@ -65,7 +65,7 @@ def compute_packet(
     re-decides every vector and any disagreement raises an invariant
     violation.
     """
-    in_domain = all(psi.seg(i).e >= 0 for i in range(1, psi.r + 1))
+    in_domain = in_padic_domain(psi)
     lam = lambda_values(psi)
     criterion = CompiledCriterion(psi)
     entries = []
@@ -134,8 +134,7 @@ def arthur_vogan(psi: GoodParityParameter, verify: bool = False) -> AVReport:
         rank: compute_packet(psi, rank, verify=verify)
         for rank in range(psi.n + 1)
     }
-    in_domain = all(psi.seg(i).e >= 0 for i in range(1, psi.r + 1))
-    if not in_domain:
+    if not in_padic_domain(psi):
         return AVReport(packets, None, None)
     sizes: dict[ExtendedMultiSegment, int] = {}
     for entries in packets.values():

@@ -15,7 +15,7 @@ are tested properties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .arrangements import (
     DEFAULT_MAX_R,
@@ -256,13 +256,9 @@ def padic_cond_C(
     )
 
 
-def _require_domain(psi: GoodParityParameter) -> None:
-    for i in range(1, psi.r + 1):
-        if psi.seg(i).e < 0:
-            raise InputError(
-                f"component {i} has end {psi.seg(i).e} < 0; "
-                "the p-adic comparison needs all segment ends >= 0"
-            )
+def in_padic_domain(psi: GoodParityParameter) -> bool:
+    """True iff every segment end is >= 0, the domain of the comparison."""
+    return all(s.e.twice >= 0 for s in psi.segments)
 
 
 def padic_nonvanishing(
@@ -272,7 +268,11 @@ def padic_nonvanishing(
 ) -> Verdict:
     """Non-vanishing on the p-adic side: l >= 0 and the adjacency
     conditions at every admissible order."""
-    _require_domain(psi)
+    if not in_padic_domain(psi):
+        raise InputError(
+            f"{psi} has a segment end < 0; "
+            "the p-adic comparison needs all segment ends >= 0"
+        )
     for sigma in enumerate_admissible(psi, max_r=max_r):
         moved = _transport(psi, ems, sigma)
         for i in range(1, psi.r + 1):

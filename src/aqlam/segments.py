@@ -30,8 +30,8 @@ class Segment:
     e: HalfInt  # end (minimum)
 
     def __post_init__(self) -> None:
-        diff = self.b - self.e
-        if diff < 0 or diff.twice % 2 != 0:
+        diff = self.b.twice - self.e.twice
+        if diff < 0 or diff % 2 != 0:
             raise InputError(f"invalid segment [{self.b}, {self.e}]")
 
     @classmethod
@@ -41,15 +41,15 @@ class Segment:
     @property
     def m(self) -> int:
         """Length b - e + 1."""
-        return int(self.b - self.e) + 1
+        return (self.b.twice - self.e.twice) // 2 + 1
 
     @property
     def a(self) -> int:
         """Center b + e (always an integer: b and e lie on the same grid)."""
-        return int(self.b + self.e)
+        return (self.b.twice + self.e.twice) // 2
 
     def entries(self) -> list[HalfInt]:
-        return [self.b - k for k in range(self.m)]
+        return [HalfInt(self.b.twice - 2 * k) for k in range(self.m)]
 
     def relate(self, other: Segment, tie: Relation) -> Relation:
         """Relation of this segment to other; `tie` breaks exact duplicates.
@@ -231,9 +231,10 @@ def intersection_size(s: Segment, t: Segment) -> int:
     >>> intersection_size(Segment.of(7, 3), Segment.of(6, 1))
     4
     """
-    lo = max(s.e, t.e)
-    hi = min(s.b, t.b)
-    return max(0, int(hi - lo) + 1) if hi >= lo else 0
+    diff = min(s.b.twice, t.b.twice) - max(s.e.twice, t.e.twice)
+    if diff >= 0 and diff % 2:
+        raise InputError(f"segments {s} and {t} lie on different grids")
+    return max(0, diff // 2 + 1)
 
 
 def neighbors(psi: GoodParityParameter, i: int, j: int) -> bool:
@@ -289,9 +290,10 @@ def arrangement_is_admissible(
     r = psi.r
     if sorted(images) != list(range(1, r + 1)):
         raise InputError(f"not a permutation of 1..{r}: {tuple(images)}")
+    table = relation_table(psi)
     for h in range(r):
         for k in range(h + 1, r):
-            if relation(psi, images[h], images[k]) is Relation.PRECEDED_BY:
+            if table[images[h]][images[k]] is Relation.PRECEDED_BY:
                 return False
     return True
 
@@ -314,14 +316,14 @@ def range_classify(
     images = tuple(arrangement)
     if sorted(images) != list(range(1, psi.r + 1)):
         raise InputError(f"not a permutation of 1..{psi.r}: {images}")
-    segs = [psi.seg(i) for i in images]
+    ends = [(psi.seg(i).b.twice, psi.seg(i).e.twice) for i in images]
     labels: set[RangeLabel] = set()
-    pairs = list(zip(segs, segs[1:]))
-    if all(s.e > t.b for s, t in pairs):
+    pairs = list(zip(ends, ends[1:]))
+    if all(s[1] > t[0] for s, t in pairs):
         labels.add(RangeLabel.GOOD)
-    if all(s == t or (s.b > t.b and s.e > t.e) for s, t in pairs):
+    if all(s == t or (s[0] > t[0] and s[1] > t[1]) for s, t in pairs):
         labels.add(RangeLabel.NICE)
-    if all(s.a >= t.a for s, t in pairs):
+    if all(sum(s) >= sum(t) for s, t in pairs):  # the doubled centres 2a
         labels.add(RangeLabel.WEAKLY_FAIR)
     if arrangement_is_admissible(psi, images):
         labels.add(RangeLabel.MEDIOCRE)

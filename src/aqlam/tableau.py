@@ -2,18 +2,21 @@
 
 This is the second, independent decision procedure.  A parameter vector is
 turned into a signed tableau column by column; each column carries a
-cumulative box-count type L_{k,i} and a derived filling type
-nu_{k;i} = b(nu_k) + 1 - L_{k,i}.  The local rewrite on two adjacent
-columns (``trapa_op``) either certifies zero (overlap < singularity) or
-performs an elementary operation on the filling segments, implemented
-through closed-form type equations.  Iterating the rewrite yields an
-antitableau exactly when the parameter is non-vanishing.
+cumulative box-count type L_{k,i}, and its filling type
+nu_{k;i} = b(nu_k) + 1 - L_{k,i} follows from it.  The local rewrite on two
+adjacent columns (``trapa_op``) either certifies zero (overlap <
+singularity) or performs an elementary operation on the filling segments,
+implemented through closed-form type equations.  Iterating the rewrite
+yields an antitableau exactly when the parameter is non-vanishing.  The
+engine computes on the integer types; half-integers appear only in
+``Column.fills`` and in the entries of the antitableau it returns.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 from .arrangements import (
@@ -45,7 +48,8 @@ class Column:
     """One skew column: its segment and cumulative type L_{k,i}.
 
     ``L[i]`` counts the boxes of the column lying in its first i
-    components; L[0] = 0 and L[height] = m.
+    components; L[0] = 0 and L[height] = m.  The types are the data that
+    every rewrite works on; ``fills`` reads the filling types out.
     """
 
     segment: Segment
@@ -55,10 +59,6 @@ class Column:
     def height(self) -> int:
         return len(self.L) - 1
 
-    @property
-    def top(self) -> HalfInt:
-        return self.segment.b + 1
-
     def L_at(self, i: int) -> int:
         if i <= 0:
             return 0
@@ -66,12 +66,16 @@ class Column:
             return self.L[-1]
         return self.L[i]
 
-    def fill(self, i: int) -> HalfInt:
-        """The filling type nu_{k;i} = top - L_{k,i}, extended constantly."""
-        return self.top - self.L_at(i)
-
     def fills(self) -> tuple[HalfInt, ...]:
-        return tuple(self.fill(i) for i in range(self.height + 1))
+        """The filling types nu_{k;i} = b + 1 - L_{k,i}, i = 0..height."""
+        top = self.segment.b.twice + 2
+        return tuple(HalfInt(top - 2 * self.L_at(i)) for i in range(self.height + 1))
+
+
+def _gap(left: Column, right: Column) -> int:
+    """b(left) - b(right), floored: nu_{left;i} >= nu_{right;j} exactly when
+    the gap is at least L_{left,i} - L_{right,j}."""
+    return (left.segment.b.twice - right.segment.b.twice) // 2
 
 
 @dataclass(frozen=True)
@@ -162,39 +166,27 @@ def trapa_op(
     if rel is Relation.PRECEDES:
         return left, right
 
-    top = max(left.height, right.height)
-    d = [int(left.fill(j) - right.fill(j)) for j in range(top + 1)]
-
-    def delta(i: int) -> Optional[int]:
-        if rel is Relation.CONTAINS:
-            window = d[:i]
-        else:
-            window = d[i:]
-        return min(window) if window else None
-
-    def shift_right(i: int) -> int:
-        dlt = delta(i)
-        return min(0, dlt) if dlt is not None else 0
-
-    new_right_fills = [
-        right.fill(i) + shift_right(i) for i in range(right.height + 1)
-    ]
-    new_left_fills = [
-        left.fill(i) - shift_right(i + 1) for i in range(left.height + 1)
-    ]
-    new_left = _column_from_fills(new_left_fills)
-    new_right = _column_from_fills(new_right_fills)
+    # d_j = nu_{left;j} - nu_{right;j}; the right column's fills move by
+    # s_i = min(0, d_j over j < i) for a container on the left, over j >= i
+    # for a contained one, and the left column's by -s_{i+1}.
+    gap, top = _gap(left, right), max(left.height, right.height)
+    d = [gap - left.L_at(j) + right.L_at(j) for j in range(top + 1)]
+    if rel is Relation.CONTAINS:
+        shift = list(accumulate([0, *d], min))
+    else:
+        shift = list(accumulate([0, *reversed(d)], min))[::-1]
+    new_left = _shifted(left, [-x for x in shift[1 : left.height + 2]])
+    new_right = _shifted(right, shift[: right.height + 1])
 
     # Self-checks: the rewrite must produce the elementary-operation pair
     # of segments and conserve the merged shape.
-    pair = {left.segment, right.segment}
-    bs = sorted((s.b for s in pair), reverse=True)
-    es = sorted((s.e for s in pair), reverse=True)
-    want = (Segment(bs[0], es[0]), Segment(bs[-1], es[-1]))
-    if (new_left.segment, new_right.segment) != want:
+    ends = [(c.segment.b.twice, c.segment.e.twice) for c in (left, right)]
+    want = tuple(map(max, *ends)), tuple(map(min, *ends))
+    got = tuple((c.segment.b.twice, c.segment.e.twice) for c in (new_left, new_right))
+    if got != want:
         raise InvariantViolationError(
-            f"rewrite produced segments {new_left.segment}, "
-            f"{new_right.segment}; expected {want[0]}, {want[1]}"
+            f"rewrite produced segments {new_left.segment}, {new_right.segment}"
+            f" from {left.segment}, {right.segment}: not their max and min"
         )
     for i in range(right.height + 2):
         before = right.L_at(i) + left.L_at(i - 1)
@@ -206,20 +198,23 @@ def trapa_op(
     return new_left, new_right
 
 
-def _column_from_fills(fills: Sequence[HalfInt]) -> Column:
-    top = fills[0]
-    L = tuple(int(top - f) for f in fills)
+def _shifted(column: Column, shifts: Sequence[int]) -> Column:
+    """The column with filling types nu_i + s_i: types L_i + s_0 - s_i, which
+    must stay weakly increasing, and segment ends moved by s_0 and s_last."""
+    s0 = shifts[0]
+    L = tuple(column.L_at(i) + s0 - s for i, s in enumerate(shifts))
     if any(L[i] > L[i + 1] for i in range(len(L) - 1)):
-        raise InvariantViolationError(f"fill types not weakly decreasing: {fills}")
-    return Column(Segment(top - 1, fills[-1]), L)
+        raise InvariantViolationError(f"types not weakly increasing: {L}")
+    b, e = column.segment.b.twice + 2 * s0, column.segment.e.twice + 2 * shifts[-1]
+    return Column(Segment(HalfInt(b), HalfInt(e)), L)
 
 
 def validate_antitableau(state: TableauState) -> bool:
     """True iff nu_{k;i} >= nu_{k+1;i} for all adjacent columns and all i."""
     for left, right in zip(state.columns, state.columns[1:]):
-        for i in range(right.height + 1):
-            if left.fill(i) < right.fill(i):
-                return False
+        gap = _gap(left, right)
+        if any(gap < left.L_at(i) - right.L_at(i) for i in range(right.height + 1)):
+            return False
     return True
 
 
@@ -227,7 +222,8 @@ def _antitableau_grid(state: TableauState) -> tuple[tuple[HalfInt, ...], ...]:
     """Reconstruct the filled rows from column types.
 
     Grid column c stacks, for k = c..r, the entries of component k+1-c of
-    state column k: the run nu_{k;i-1} - 1 down to nu_{k;i} with i = k+1-c.
+    state column k: b(nu_k) - u for u = L_{k,i-1} .. L_{k,i} - 1, with
+    i = k+1-c.
     """
     r = len(state.columns)
     grid_cols: list[list[HalfInt]] = []
@@ -236,10 +232,8 @@ def _antitableau_grid(state: TableauState) -> tuple[tuple[HalfInt, ...], ...]:
         for k in range(c, r + 1):
             i = k + 1 - c
             column = state.columns[k - 1]
-            hi = column.fill(i - 1)
-            lo = column.fill(i)
-            count = int(hi - lo)
-            col += [hi - 1 - t for t in range(count)]
+            b, lo, hi = column.segment.b.twice, column.L_at(i - 1), column.L_at(i)
+            col += [HalfInt(b - 2 * u) for u in range(lo, hi)]
         grid_cols.append(col)
     height = max(len(c) for c in grid_cols)
     rows = []
@@ -387,16 +381,11 @@ def last_column_type(
     reduction = trapa_reduce(psi, p)
     if not reduction.nonzero:
         raise InputError("last-column type is undefined for a zero parameter")
-    best: Optional[list[HalfInt]] = None
-    for sigma in enumerate_admissible(psi):
-        state = build_tableau(psi, phi(psi, p, sigma))
-        fills = state.columns[-1].fills()
-        if best is None:
-            best = list(fills)
-        else:
-            best = [min(a, b) for a, b in zip(best, fills)]
-    assert best is not None
-    return tuple(best)
+    fills = [
+        build_tableau(psi, phi(psi, p, sigma)).columns[-1].fills()
+        for sigma in enumerate_admissible(psi)
+    ]
+    return tuple(min(types) for types in zip(*fills))
 
 
 def upper_bound_check(
@@ -414,7 +403,8 @@ def upper_bound_check(
     r = len(prefix) + 1
     for a, b in zip(prefix, prefix[1:]):
         hi = max(a.height, b.height) + 1
-        if any(a.fill(i) < b.fill(i) for i in range(hi + 1)):
+        gap = _gap(a, b)
+        if any(gap < a.L_at(i) - b.L_at(i) for i in range(hi + 1)):
             raise InputError("prefix columns are not an antitableau")
     rels = [
         c.segment.relate(last.segment, Relation.CONTAINS) for c in prefix
@@ -429,46 +419,44 @@ def upper_bound_check(
         )
     steps = r - h - 1  # chain length for inequality (a)
 
-    def mu(k: int, j: int) -> HalfInt:
-        return prefix[k - 1].fill(j)
-
+    # A chain step j0 -> j1 in column k adds mu_{k;j0} - mu_{k;j1}, which is
+    # the type difference L_{k,j1} - L_{k,j0}: the chain minima are integers.
     floor = -steps - 1
     for i in range(last.height + 1):
         # (a) full chains of length `steps`, then anchor at column h;
         # with no preceding column there is no anchor and (a) is vacuous
-        if h == 0:
-            bound_a = None
-        elif steps == 0:
-            bound_a = mu(h, i)
-        else:
-            best: dict[int, HalfInt] = {}  # j -> partial min, walking steps
-            level = {i: HalfInt(0)}
+        if h:
+            level = {i: 0}
             for s in range(1, steps + 1):
-                nxt: dict[int, HalfInt] = {}
+                L = prefix[r - s - 1].L_at
+                nxt: dict[int, int] = {}
                 for j0, acc in level.items():
                     for j1 in range(floor, j0):
-                        cand = acc + (mu(r - s, j0) - mu(r - s, j1))
+                        cand = acc + L(j1) - L(j0)
                         if j1 not in nxt or cand < nxt[j1]:
                             nxt[j1] = cand
                 level = nxt
-            bound_a = min(acc + mu(h, j) for j, acc in level.items())
-        if bound_a is not None and last.fill(i) > bound_a:
-            return False
+            # mu_last(i) > min(acc + mu_{h;j}), with both tops taken out
+            anchor = prefix[h - 1]
+            low = min(acc - anchor.L_at(j) for j, acc in level.items())
+            if _gap(anchor, last) < -last.L_at(i) - low:
+                return False
         # (b) chains of any length 1..steps ending exactly at 0
-        bound_b: Optional[HalfInt] = None
-        level = {i: HalfInt(0)}
+        bound_b: Optional[int] = None
+        level = {i: 0}
         for s in range(1, steps + 1):
+            L = prefix[r - s - 1].L_at
             nxt = {}
             for j0, acc in level.items():
                 if j0 > 0:
-                    cand = acc + (mu(r - s, j0) - mu(r - s, 0))
+                    cand = acc - L(j0)
                     if bound_b is None or cand < bound_b:
                         bound_b = cand
                 for j1 in range(1, j0):
-                    cand = acc + (mu(r - s, j0) - mu(r - s, j1))
+                    cand = acc + L(j1) - L(j0)
                     if j1 not in nxt or cand < nxt[j1]:
                         nxt[j1] = cand
             level = nxt
-        if bound_b is not None and last.fill(i) - last.fill(0) > int(bound_b):
+        if bound_b is not None and -last.L_at(i) > bound_b:
             return False
     return True

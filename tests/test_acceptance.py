@@ -9,8 +9,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from aqlam import GoodParityParameter, HalfInt, Segment
 from aqlam.arrangements import enumerate_admissible
 from aqlam.criterion import nonvanishing, nonvanishing_simplified
@@ -32,7 +30,6 @@ from conftest import (
     parameter_family,
     random_entry_vector,
     random_parameter,
-    seg,
     sorted_reference,
 )
 from test_transition import all_geodesic_results

@@ -1,11 +1,49 @@
-"""The package namespace."""
+"""The package namespace, and a lint check on the source tree."""
 
+import ast
+import pathlib
 import types
 
 import aqlam
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_all_names_resolve_and_none_is_a_module():
     assert len(set(aqlam.__all__)) == len(aqlam.__all__)
     for name in aqlam.__all__:
         assert not isinstance(getattr(aqlam, name), types.ModuleType), name
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never mentions (``__future__`` aside)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{name} (line {line})" for name, line in imported.items() if name not in used
+    ]
+
+
+def test_unused_imports_detected():
+    assert unused_imports("import os\nimport os.path\nfrom a import b as c\nos\n") == [
+        "c (line 3)"
+    ]
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports to re-export, listing the names in __all__
+    paths = [*(ROOT / "src" / "aqlam").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    found = {
+        str(path.relative_to(ROOT)): unused
+        for path in paths
+        if path.name != "__init__.py"
+        and (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

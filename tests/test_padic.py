@@ -4,13 +4,11 @@ Exhaustive equivalence of the two sides lives in the acceptance suite;
 here are the worked examples and the pointwise properties.
 """
 
-import itertools
 import random
 
 import pytest
 
 from aqlam import GoodParityParameter
-from aqlam.arrangements import enumerate_admissible
 from aqlam.criterion import cond_C, nonvanishing
 from aqlam.errors import InputError
 from aqlam.padic import (

@@ -10,9 +10,9 @@ import random
 import pytest
 
 from aqlam import GoodParityParameter, HalfInt, intersection_size
-from aqlam.arrangements import appropriate_arrangement, enumerate_admissible
+from aqlam.arrangements import appropriate_arrangement
 from aqlam.criterion import nonvanishing
-from aqlam.errors import InputError, InvariantViolationError
+from aqlam.errors import InputError
 from aqlam.tableau import (
     Column,
     TrapaZero,

@@ -9,12 +9,12 @@ import random
 
 import pytest
 
-from aqlam import GoodParityParameter, Relation
+from aqlam import Relation
 from aqlam.arrangements import enumerate_admissible
 from aqlam.errors import InputError
 from aqlam.transition import ParamVector, phi, phi_adjacent
 
-from conftest import random_entry_vector, random_parameter, seg
+from conftest import random_entry_vector, random_parameter
 
 
 def all_geodesic_results(psi, pv, tau):
