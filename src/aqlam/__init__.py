@@ -40,6 +40,7 @@ from .padic import (
 )
 from .packets import (
     AVReport,
+    CompiledPackets,
     PacketEntry,
     arthur_vogan,
     compute_packet,
@@ -62,6 +63,7 @@ from .segments import (
 )
 from .tableau import (
     Column,
+    CompiledReduction,
     Reduction,
     TableauState,
     TrapaZero,
@@ -77,19 +79,21 @@ from .tableau import (
 from .transition import ParamVector, phi, phi_adjacent
 
 __all__ = [
-    "appropriate_arrangement", "enumerate_admissible", "lex_first_adjacent",
-    "sigma_pairs", "transposition_path", "CompiledCriterion", "Verdict",
-    "Witness", "cond_B", "cond_C", "nonvanishing", "nonvanishing_simplified",
-    "AqlamError", "InputError", "InvariantViolationError",
-    "ResourceLimitError", "ExtendedMultiSegment", "padic_cond_C",
-    "padic_nonvanishing", "padic_transition", "project_EF", "sign_of",
-    "to_extended", "AVReport", "PacketEntry", "arthur_vogan", "compute_packet",
+    "appropriate_arrangement", "enumerate_admissible",
+    "lex_first_adjacent", "sigma_pairs", "transposition_path",
+    "CompiledCriterion", "Verdict", "Witness", "cond_B", "cond_C",
+    "nonvanishing", "nonvanishing_simplified", "AqlamError", "InputError",
+    "InvariantViolationError", "ResourceLimitError",
+    "ExtendedMultiSegment", "padic_cond_C", "padic_nonvanishing",
+    "padic_transition", "project_EF", "sign_of", "to_extended", "AVReport",
+    "CompiledPackets", "PacketEntry", "arthur_vogan", "compute_packet",
     "enumerate_params", "multiplicity_report", "GoodParityParameter",
-    "RangeLabel", "Relation", "Segment", "intersection_size", "lambda_values",
-    "neighbor_pairs", "neighbors", "range_classify", "relation",
-    "relation_table", "segment_from_component", "Column", "Reduction",
-    "TableauState", "TrapaZero", "build_tableau", "last_column_type",
-    "overlap", "reduce_with_schedule", "trapa_op", "trapa_reduce",
-    "upper_bound_check", "validate_antitableau", "HalfInt", "ParamVector",
-    "phi", "phi_adjacent",
+    "RangeLabel", "Relation", "Segment", "intersection_size",
+    "lambda_values", "neighbor_pairs", "neighbors", "range_classify",
+    "relation", "relation_table", "segment_from_component", "Column",
+    "CompiledReduction", "Reduction", "TableauState", "TrapaZero",
+    "build_tableau", "last_column_type", "overlap", "reduce_with_schedule",
+    "trapa_op", "trapa_reduce", "upper_bound_check",
+    "validate_antitableau", "HalfInt", "ParamVector", "phi",
+    "phi_adjacent",
 ]

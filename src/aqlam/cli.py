@@ -7,14 +7,17 @@ either component data or explicit segments::
     {"segments": [{"b": "7", "e": "5"}, {"b": "7/2", "e": "1/2"}], "p_rank": 3}
 
 Half-integers are always strings "k" or "k/2"; no floats appear in any
-interface.  Exit codes: 0 success, 1 zero verdict on `check` (a successful
-computation -- shell pipelines can branch on it), 2 input error,
-3 resource limit, 4 internal invariant violation.
+interface.  The result is printed as one compact JSON line with sorted keys;
+``--format text`` prints a human view instead.  Exit codes: 0 success,
+1 zero verdict on `check` (a successful computation -- shell pipelines can
+branch on it), 2 input error, 3 resource limit, 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Optional, Sequence
@@ -151,8 +154,8 @@ def _render_antitableau(rows: Sequence[Sequence[str]]) -> str:
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    if fmt == "json":  # one compact line, which json's C encoder writes
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         return
     for key, value in payload.items():
         if key == "antitableau" and value:
@@ -198,11 +201,11 @@ def _cmd_packet(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     if "p_rank" not in doc:
         raise InputError("the packet subcommand needs 'p_rank'")
     rank = _json(doc["p_rank"], int, "'p_rank'")
-    entries = packets_mod.compute_packet(psi, rank, verify=args.verify)
-    scanned = len(packets_mod.enumerate_params(psi, rank))
+    vectors = packets_mod.enumerate_params(psi, rank)
+    entries = packets_mod.CompiledPackets(psi).entries(vectors, verify=args.verify)
     return {
         "p_rank": rank,
-        "scanned": scanned,
+        "scanned": len(vectors),
         "entries": [_entry_payload(e) for e in entries],
     }, 0
 
@@ -250,7 +253,9 @@ def _parse_sigma(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
-        raise InputError(f"bad --sigma value: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected integers separated by commas or spaces, got {text!r}"
+        ) from None
 
 
 def _parse_max_r(text: str) -> int:
@@ -261,7 +266,9 @@ def _parse_max_r(text: str) -> int:
     return int(text)
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="aqlam",
         description="Non-vanishing and packets for Arthur parameters of U(p,q)",
@@ -281,8 +288,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if name == "transition":
             cmd.add_argument("--sigma", type=_parse_sigma, default=None,
                              help="target arrangement as an image list, e.g. '2,1,3'")
+    return parser
+
+
+def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error
         return exc.code
     try:

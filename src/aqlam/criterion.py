@@ -15,7 +15,9 @@ Apart from p, everything the simplified criterion needs depends only on the
 parameter, and the transition maps are affine.  ``CompiledCriterion``
 therefore works it out once per parameter: the relation table, the neighbor
 pairs, one placement per pair, and the two transported entries at that
-placement as integer affine forms in the reference p.  Deciding a vector is
+placement as integer affine forms in the reference p (the symbolic
+transport ``transition.transported_forms``, which the tableau engine's
+``CompiledReduction`` shares).  Deciding a vector is
 then the box check plus one inequality per pair, at any r.
 """
 
@@ -29,7 +31,6 @@ from .arrangements import (
     DEFAULT_MAX_R,
     Permutation,
     adjacent_placement,
-    bubble_path,
     enumerate_admissible,
     perm_inverse,
     predecessor_masks,
@@ -37,13 +38,12 @@ from .arrangements import (
 from .errors import InputError, ResourceLimitError
 from .segments import (
     GoodParityParameter,
-    Relation,
     RelationTable,
     intersection_size,
     neighbor_pairs,
     relation_table,
 )
-from .transition import ParamVector, phi
+from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
 
 
 @dataclass(frozen=True)
@@ -154,59 +154,6 @@ def nonvanishing(
     return Verdict(True)
 
 
-# An integer affine form in the reference entries: (constant, terms), where
-# each term (k, c) adds c * p[k] (k 0-based); only non-zero terms are kept.
-AffineForm = tuple[int, tuple[tuple[int, int], ...]]
-
-
-def affine_value(form: AffineForm, p: Sequence[int]) -> int:
-    value, terms = form
-    for k, c in terms:
-        value += c * p[k]
-    return value
-
-
-def _combine(const: int, *terms: tuple[int, dict[int, int]]) -> dict[int, int]:
-    """const + sum of c * form over the (c, form) terms; key 0 holds the
-    constant and key k >= 1 the coefficient of p_k."""
-    out = {0: const}
-    for c, form in terms:
-        for k, v in form.items():
-            out[k] = out.get(k, 0) + c * v
-    return out
-
-
-def _transported_forms(
-    table: RelationTable, m: Sequence[int], sigma: Permutation, i: int, j: int
-) -> tuple[AffineForm, AffineForm]:
-    """The entries of components i and j after ``phi`` takes the reference
-    vector to sigma, as affine forms in the reference entries.
-
-    Runs the swaps of ``phi`` (same path, same formulas as ``phi_adjacent``)
-    on symbolic entries; a position no swap has touched still holds its
-    reference entry, so only touched positions get a form.
-    """
-    images = list(range(1, len(sigma) + 1))
-    forms: dict[int, dict[int, int]] = {}  # 1-based position -> form
-    for h in bubble_path(tuple(images), sigma):
-        x, y = images[h - 1], images[h]
-        f = forms.get(h) or {0: 0, h: 1}
-        g = forms.get(h + 1) or {0: 0, h + 1: 1}
-        if table[x][y] is Relation.CONTAINS:  # (q_{h+1}, p_h + p_{h+1} - q_{h+1})
-            new = _combine(m[y], (-1, g)), _combine(-m[y], (1, f), (2, g))
-        else:  # contained first: (p_h + p_{h+1} - q_h, q_h)
-            new = _combine(-m[x], (2, f), (1, g)), _combine(m[x], (-1, f))
-        forms[h], forms[h + 1] = new
-        images[h - 1], images[h] = y, x
-    out = []
-    for comp in (i, j):
-        pos = images.index(comp) + 1
-        form = forms.get(pos) or {0: 0, pos: 1}
-        terms = tuple((k - 1, c) for k, c in sorted(form.items()) if k and c)
-        out.append((form[0], terms))
-    return out[0], out[1]
-
-
 class PairConstraint(NamedTuple):
     """Condition C for one neighbor pair, compiled at its placement sigma."""
 
@@ -250,8 +197,9 @@ class CompiledCriterion:
             if sigma is None:  # pragma: no cover - impossible for neighbors
                 raise InputError(f"neighbor pair ({i},{j}) has no placement")
             sing = intersection_size(psi.seg(i), psi.seg(j))
+            forms = transported_forms(table, m, sigma)
             out.append(PairConstraint(
-                i, j, sigma, *_transported_forms(table, m, sigma, i, j), m[i], m[j], sing
+                i, j, sigma, forms[sigma.index(i)], forms[sigma.index(j)], m[i], m[j], sing
             ))
         return tuple(out)
 

@@ -3,20 +3,22 @@
 A packet at a given rank collects every vector p with 0 <= p_i <= m_i and
 fixed sum that passes the non-vanishing criterion; each survivor carries
 its reduced antitableau and canonical signed rows (a complete invariant
-pair), plus the p-adic image when the comparison is in domain.
+pair), plus the p-adic image when the comparison is in domain.  Both
+engines are compiled once per parameter (``CompiledPackets``), so
+``arthur_vogan`` pays for that once for all ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .criterion import CompiledCriterion
 from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
 from .padic import ExtendedMultiSegment, in_padic_domain, project_EF, to_extended
 from .segments import GoodParityParameter, lambda_values
-from .tableau import Rows, trapa_reduce
+from .tableau import CompiledReduction, Rows
 
 Antitableau = tuple[tuple[HalfInt, ...], ...]
 
@@ -55,45 +57,68 @@ def enumerate_params(
     return [prefix for prefix, _ in level]
 
 
+class CompiledPackets:
+    """Packet enumeration for one parameter, ready for every rank.
+
+    Compiles once what deciding and describing a vector needs apart from the
+    vector: the criterion, the tableau reduction, the shifts lambda and
+    whether the p-adic comparison applies.
+    """
+
+    def __init__(self, psi: GoodParityParameter) -> None:
+        self.psi = psi
+        self.criterion = CompiledCriterion(psi)
+        self.reduction = CompiledReduction(psi)
+        self.lam = lambda_values(psi)
+        self.in_domain = in_padic_domain(psi)
+
+    def entries(
+        self, vectors: Iterable[Sequence[int]], verify: bool = False
+    ) -> list[PacketEntry]:
+        """Entries for exactly the non-vanishing vectors among ``vectors``.
+
+        The criterion decides; survivors are reduced to their antitableau.
+        With ``verify`` the tableau engine re-decides every vector and any
+        disagreement raises an invariant violation.
+        """
+        psi = self.psi
+        out = []
+        for p in vectors:
+            verdict = self.criterion.verdict(p)
+            if verify or verdict.nonzero:
+                reduction = self.reduction.reduce(p)
+                if verify and reduction.nonzero != verdict.nonzero:
+                    raise InvariantViolationError(
+                        f"engines disagree on p={p}: criterion says "
+                        f"{verdict.nonzero}, tableau says {reduction.nonzero}"
+                    )
+            if not verdict.nonzero:
+                continue
+            image = None
+            if self.in_domain:
+                image = project_EF(psi, to_extended(psi, p))
+            out.append(
+                PacketEntry(
+                    p=tuple(p),
+                    levi=tuple((pi, psi.m(i + 1) - pi) for i, pi in enumerate(p)),
+                    lam=self.lam,
+                    antitableau=reduction.antitableau,
+                    rows=reduction.rows,
+                    padic_image=image,
+                )
+            )
+        return out
+
+
 def compute_packet(
     psi: GoodParityParameter, p_rank: int, verify: bool = False
 ) -> list[PacketEntry]:
     """Entries for exactly the non-vanishing vectors at the given rank.
 
-    The linear-constraint engine, compiled once for psi, decides; survivors
-    are reduced to their antitableau.  With ``verify`` the tableau engine
-    re-decides every vector and any disagreement raises an invariant
-    violation.
+    Compiles psi (see ``CompiledPackets``) and scans the rank's vectors; to
+    scan several ranks of one parameter, compile once.
     """
-    in_domain = in_padic_domain(psi)
-    lam = lambda_values(psi)
-    criterion = CompiledCriterion(psi)
-    entries = []
-    for p in enumerate_params(psi, p_rank):
-        verdict = criterion.verdict(p)
-        if verify or verdict.nonzero:
-            reduction = trapa_reduce(psi, p)
-            if verify and reduction.nonzero != verdict.nonzero:
-                raise InvariantViolationError(
-                    f"engines disagree on p={p}: criterion says "
-                    f"{verdict.nonzero}, tableau says {reduction.nonzero}"
-                )
-        if not verdict.nonzero:
-            continue
-        image = None
-        if in_domain:
-            image = project_EF(psi, to_extended(psi, p))
-        entries.append(
-            PacketEntry(
-                p=tuple(p),
-                levi=tuple((pi, psi.m(i + 1) - pi) for i, pi in enumerate(p)),
-                lam=lam,
-                antitableau=reduction.antitableau,
-                rows=reduction.rows,
-                padic_image=image,
-            )
-        )
-    return entries
+    return CompiledPackets(psi).entries(enumerate_params(psi, p_rank), verify)
 
 
 def multiplicity_report(
@@ -130,11 +155,12 @@ def arthur_vogan(psi: GoodParityParameter, verify: bool = False) -> AVReport:
     For n odd each p-adic image must have exactly two preimages (p and its
     complement m - p); for n even the map must be injective.
     """
+    compiled = CompiledPackets(psi)
     packets = {
-        rank: compute_packet(psi, rank, verify=verify)
+        rank: compiled.entries(enumerate_params(psi, rank), verify)
         for rank in range(psi.n + 1)
     }
-    if not in_padic_domain(psi):
+    if not compiled.in_domain:
         return AVReport(packets, None, None)
     sizes: dict[ExtendedMultiSegment, int] = {}
     for entries in packets.values():

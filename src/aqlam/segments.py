@@ -52,12 +52,17 @@ class Segment:
         return [HalfInt(self.b.twice - 2 * k) for k in range(self.m)]
 
     def relate(self, other: Segment, tie: Relation) -> Relation:
-        """Relation of this segment to other; `tie` breaks exact duplicates.
+        """Relation of this segment to other; `tie` breaks exact duplicates."""
+        return Segment.relate_twice(
+            self.b.twice, self.e.twice, other.b.twice, other.e.twice, tie
+        )
 
-        Compares the doubled ends as plain ints: this is the innermost test
-        of every engine.
+    @staticmethod
+    def relate_twice(sb: int, se: int, tb: int, te: int, tie: Relation) -> Relation:
+        """``relate`` on doubled ends: [sb/2, se/2] against [tb/2, te/2].
+
+        Compares plain ints: this is the innermost test of every engine.
         """
-        sb, se, tb, te = self.b.twice, self.e.twice, other.b.twice, other.e.twice
         if sb > tb and se > te:
             return Relation.PRECEDES
         if tb > sb and te > se:
@@ -68,6 +73,17 @@ class Segment:
         if sb >= tb and se <= te:
             return Relation.CONTAINS
         return Relation.CONTAINED
+
+    @staticmethod
+    def intersection_twice(sb: int, se: int, tb: int, te: int) -> int:
+        """``intersection_size`` on doubled ends."""
+        diff = min(sb, tb) - max(se, te)
+        if diff >= 0 and diff % 2:
+            raise InputError(
+                f"segments [{HalfInt(sb)},{HalfInt(se)}] and [{HalfInt(tb)},{HalfInt(te)}]"
+                " lie on different grids"
+            )
+        return max(0, diff // 2 + 1)
 
     def __str__(self) -> str:
         return f"[{self.b},{self.e}]"
@@ -231,10 +247,7 @@ def intersection_size(s: Segment, t: Segment) -> int:
     >>> intersection_size(Segment.of(7, 3), Segment.of(6, 1))
     4
     """
-    diff = min(s.b.twice, t.b.twice) - max(s.e.twice, t.e.twice)
-    if diff >= 0 and diff % 2:
-        raise InputError(f"segments {s} and {t} lie on different grids")
-    return max(0, diff // 2 + 1)
+    return Segment.intersection_twice(s.b.twice, s.e.twice, t.b.twice, t.e.twice)
 
 
 def neighbors(psi: GoodParityParameter, i: int, j: int) -> bool:

@@ -10,14 +10,22 @@ implemented through closed-form type equations.  Iterating the rewrite
 yields an antitableau exactly when the parameter is non-vanishing.  The
 engine computes on the integer types; half-integers appear only in
 ``Column.fills`` and in the entries of the antitableau it returns.
+
+A rewrite always turns its two segments into their max/min pair, whatever
+the types, so the whole rewrite schedule depends only on the parameter.
+``CompiledReduction`` works it out once, together with the transport to the
+canonical arrangement; reducing a vector then builds its types and runs the
+compiled steps on them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Optional, Sequence, Union
+from operator import add, sub
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .arrangements import (
     Permutation,
@@ -32,15 +40,17 @@ from .segments import (
     Relation,
     Segment,
     intersection_size,
+    relation_table,
 )
-from .transition import ParamVector, phi
+from .transition import (
+    AffineForm,
+    ParamVector,
+    affine_value,
+    phi,
+    transported_forms,
+)
 
 Rows = tuple[tuple[int, str], ...]
-
-
-def _canonical_rows(rows: Sequence[tuple[int, str]]) -> Rows:
-    """Length descending, then '+' rows before '-' rows."""
-    return tuple(sorted(rows, key=lambda r: (-r[0], r[1] != "+")))
 
 
 @dataclass(frozen=True)
@@ -102,46 +112,77 @@ def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
     landed there (new rows have unlimited capacity).  An entry outside its
     box [0, m] is an ``InputError``.
     """
-    rows: list[tuple[int, str]] = []
-    columns: list[Column] = []
-    for k, comp in enumerate(pv.sigma, start=1):
-        seg = psi.seg(comp)
-        p, m = pv.entries[k - 1], seg.m
-        q = m - p
-        if not 0 <= p <= m:
-            raise InputError(f"entry {p} for component {comp} outside box [0, {m}]")
-        L = [0]
-        for i in range(1, k):
-            plus_ends = sum(1 for ln, s in rows if ln >= k - i and s == "+")
-            minus_ends = sum(1 for ln, s in rows if ln >= k - i and s == "-")
-            L.append(min(minus_ends, p) + min(plus_ends, q))
-        L.append(m)
-        columns.append(Column(seg, tuple(L)))
+    segments = [psi.seg(comp) for comp in pv.sigma]
+    for comp, p, seg in zip(pv.sigma, pv.entries, segments):
+        if not 0 <= p <= seg.m:
+            raise InputError(f"entry {p} for component {comp} outside box [0, {seg.m}]")
+    types, rows = _build(pv.entries, [seg.m for seg in segments])
+    columns = tuple(
+        Column(seg, tuple(L[: k + 1]))
+        for k, (seg, L) in enumerate(zip(segments, types), start=1)
+    )
+    return TableauState(columns, rows, pv.sigma)
 
-        minus_rows = sorted((r for r in rows if r[1] == "-"), reverse=True)
-        plus_rows = sorted((r for r in rows if r[1] == "+"), reverse=True)
-        new_rows = []
-        new_rows += [(ln + 1, "+") for ln, _ in minus_rows[:p]]
-        new_rows += [(ln, "-") for ln, _ in minus_rows[p:]]
-        new_rows += [(ln + 1, "-") for ln, _ in plus_rows[:q]]
-        new_rows += [(ln, "+") for ln, _ in plus_rows[q:]]
-        new_rows += [(1, "+")] * max(0, p - len(minus_rows))
-        new_rows += [(1, "-")] * max(0, q - len(plus_rows))
-        rows = new_rows
-    return TableauState(tuple(columns), _canonical_rows(rows), pv.sigma)
+
+def _build(entries: Sequence[int], lengths: Sequence[int]) -> tuple[list[list[int]], Rows]:
+    """The types and the signed rows (longest first, '+' rows before '-'
+    rows of one length) of the tableau with these entries.
+
+    The rows are kept as counts by length and end sign: L_{k,i} counts the
+    boxes of column k that land on rows of length at least k - i.  Each
+    column's types come padded to r + 2 entries with its length m.
+    """
+    r = len(entries)
+    plus = [0] * (r + 2)  # plus[t]: rows of length t ending in '+'
+    minus = [0] * (r + 2)
+    types = []
+    for k, (p, m) in enumerate(zip(entries, lengths), start=1):
+        q = m - p
+        L = [0]
+        plus_ends = minus_ends = 0
+        for t in range(k - 1, 0, -1):
+            plus_ends += plus[t]
+            minus_ends += minus[t]
+            L.append(min(minus_ends, p) + min(plus_ends, q))
+        types.append(L + [m] * (r + 2 - k))
+        # the p longest minus-ending rows take a '+', the q longest
+        # plus-ending rows a '-'; what is left of p and q opens new rows
+        new_plus, new_minus = [0] * (r + 2), [0] * (r + 2)
+        for t in range(k - 1, 0, -1):
+            to_plus, to_minus = min(minus[t], p), min(plus[t], q)
+            p, q = p - to_plus, q - to_minus
+            new_plus[t + 1] += to_plus
+            new_minus[t] += minus[t] - to_plus
+            new_minus[t + 1] += to_minus
+            new_plus[t] += plus[t] - to_minus
+        new_plus[1] += p
+        new_minus[1] += q
+        plus, minus = new_plus, new_minus
+    rows = tuple(
+        row
+        for t in range(r, 0, -1)
+        for row in ((t, "+"),) * plus[t] + ((t, "-"),) * minus[t]
+    )
+    return types, rows
+
+
+def _padded(L: Sequence[int], size: int) -> list[int]:
+    """The types L continued by their last value, the column length."""
+    return [*L, *[L[-1]] * (size - len(L))]
 
 
 def overlap(state: TableauState, k: int) -> int:
     """Overlap of columns at positions k and k+1 (1-based), clamped at 0."""
     if not 1 <= k < len(state.columns):
         raise InputError(f"column position {k} out of range")
-    return _overlap(state.columns[k - 1], state.columns[k])
+    left, right = state.columns[k - 1], state.columns[k]
+    return _overlap(left.L, _padded(right.L, left.height + 1), left.height, left.segment.m)
 
 
-def _overlap(left: Column, right: Column) -> int:
-    m = left.segment.m
-    val = min(right.L_at(i) - left.L_at(i) + m for i in range(left.height + 1))
-    return max(0, val)
+def _overlap(left: Sequence[int], right: Sequence[int], height: int, m: int) -> int:
+    """min over i <= height of L_right(i) - L_left(i) + m, clamped at 0, for
+    a left column of this height and length m."""
+    return max(0, min(map(sub, right[: height + 1], left[: height + 1])) + m)
 
 
 def trapa_op(
@@ -154,92 +195,141 @@ def trapa_op(
     realized by the closed-form type equations.  The merged shape
     L'_{right,i} + L'_{left,i-1} is conserved.
     """
-    rel = left.segment.relate(right.segment, Relation.CONTAINS)
+    ls, rs = left.segment, right.segment
+    rel = ls.relate(rs, Relation.CONTAINS)
     if rel is Relation.PRECEDED_BY:
-        raise InputError(
-            f"right segment {right.segment} precedes left {left.segment}"
-        )
-    ov = _overlap(left, right)
-    sing = intersection_size(left.segment, right.segment)
+        raise InputError(f"right segment {rs} precedes left {ls}")
+    size = max(left.height, right.height) + 2
+    lt, rt = _padded(left.L, size), _padded(right.L, size)
+    ov = _overlap(lt, rt, left.height, ls.m)
+    sing = intersection_size(ls, rs)
     if ov < sing:
         return TrapaZero(ov, sing)
     if rel is Relation.PRECEDES:
         return left, right
+    (lb, le), (rb, re), moves = _elementary(
+        (ls.b.twice, ls.e.twice), (rs.b.twice, rs.e.twice)
+    )
+    new_left, new_right = _rewrite(
+        lt, rt, left.height, right.height, _gap(left, right),
+        rel is Relation.CONTAINS, moves,
+    )
+    return (
+        Column(Segment(HalfInt(lb), HalfInt(le)), tuple(new_left[: left.height + 1])),
+        Column(Segment(HalfInt(rb), HalfInt(re)), tuple(new_right[: right.height + 1])),
+    )
 
+
+def _elementary(
+    left: tuple[int, int], right: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int, int, int]]:
+    """The elementary operation on two segments given by their doubled ends
+    (b, e): the left one becomes their coordinatewise max, the right one
+    their min.  Also returns how far it moves the left b and e and the right
+    b and e, in whole steps."""
+    (lb, le), (rb, re) = left, right
+    new_left, new_right = (max(lb, rb), max(le, re)), (min(lb, rb), min(le, re))
+    moves = (
+        (new_left[0] - lb) // 2, (new_left[1] - le) // 2,
+        (new_right[0] - rb) // 2, (new_right[1] - re) // 2,
+    )
+    return new_left, new_right, moves
+
+
+def _rewrite(
+    left: list[int], right: list[int], hl: int, hr: int, gap: int,
+    contains: bool, moves: tuple[int, int, int, int],
+) -> tuple[list[int], list[int]]:
+    """The types of two adjacent columns after the elementary operation.
+
+    ``left`` and ``right`` are the types of columns of heights hl and hr,
+    padded to at least max(hl, hr) + 2 entries, ``gap`` is ``_gap`` of their
+    tops and ``contains`` says the left segment contains the right one.
+    Self-checks: the merged shape L_right(i) + L_left(i-1) is conserved,
+    and the shifts move the segment ends by ``moves`` (those of
+    ``_elementary``).
+    """
     # d_j = nu_{left;j} - nu_{right;j}; the right column's fills move by
     # s_i = min(0, d_j over j < i) for a container on the left, over j >= i
     # for a contained one, and the left column's by -s_{i+1}.
-    gap, top = _gap(left, right), max(left.height, right.height)
-    d = [gap - left.L_at(j) + right.L_at(j) for j in range(top + 1)]
-    if rel is Relation.CONTAINS:
+    top = max(hl, hr)
+    d = [gap - a + b for a, b in zip(left[: top + 1], right)]
+    if contains:
         shift = list(accumulate([0, *d], min))
     else:
         shift = list(accumulate([0, *reversed(d)], min))[::-1]
-    new_left = _shifted(left, [-x for x in shift[1 : left.height + 2]])
-    new_right = _shifted(right, shift[: right.height + 1])
-
-    # Self-checks: the rewrite must produce the elementary-operation pair
-    # of segments and conserve the merged shape.
-    ends = [(c.segment.b.twice, c.segment.e.twice) for c in (left, right)]
-    want = tuple(map(max, *ends)), tuple(map(min, *ends))
-    got = tuple((c.segment.b.twice, c.segment.e.twice) for c in (new_left, new_right))
-    if got != want:
+    new_left = _shifted(left, [-x for x in shift[1 : hl + 2]])
+    new_right = _shifted(right, shift[: hr + 1])
+    before = list(map(add, right[1 : hr + 2], left))
+    after = list(map(add, new_right[1 : hr + 2], new_left))
+    if before != after:
+        i = next(i for i, pair in enumerate(zip(before, after), start=1) if pair[0] != pair[1])
         raise InvariantViolationError(
-            f"rewrite produced segments {new_left.segment}, {new_right.segment}"
-            f" from {left.segment}, {right.segment}: not their max and min"
+            f"merged shape not conserved at i={i}: {before[i - 1]} != {after[i - 1]}"
         )
-    for i in range(right.height + 2):
-        before = right.L_at(i) + left.L_at(i - 1)
-        after = new_right.L_at(i) + new_left.L_at(i - 1)
-        if before != after:
-            raise InvariantViolationError(
-                f"merged shape not conserved at i={i}: {before} != {after}"
-            )
+    got = (-shift[1], -shift[hl + 1], shift[0], shift[hr])
+    if got != moves:
+        raise InvariantViolationError(
+            f"rewrite moved the segment ends by {got}, not by {moves}:"
+            " not to their max and min"
+        )
     return new_left, new_right
 
 
-def _shifted(column: Column, shifts: Sequence[int]) -> Column:
-    """The column with filling types nu_i + s_i: types L_i + s_0 - s_i, which
-    must stay weakly increasing, and segment ends moved by s_0 and s_last."""
+def _shifted(types: list[int], shifts: Sequence[int]) -> list[int]:
+    """The types of a column whose filling types move by the shifts s_i:
+    L_i + s_0 - s_i, which must stay weakly increasing, padded like types."""
     s0 = shifts[0]
-    L = tuple(column.L_at(i) + s0 - s for i, s in enumerate(shifts))
-    if any(L[i] > L[i + 1] for i in range(len(L) - 1)):
-        raise InvariantViolationError(f"types not weakly increasing: {L}")
-    b, e = column.segment.b.twice + 2 * s0, column.segment.e.twice + 2 * shifts[-1]
-    return Column(Segment(HalfInt(b), HalfInt(e)), L)
+    L = [t + s0 - s for t, s in zip(types, shifts)]
+    if any(a > b for a, b in zip(L, L[1:])):
+        raise InvariantViolationError(f"types not weakly increasing: {tuple(L)}")
+    return L + [L[-1]] * (len(types) - len(L))
 
 
 def validate_antitableau(state: TableauState) -> bool:
     """True iff nu_{k;i} >= nu_{k+1;i} for all adjacent columns and all i."""
-    for left, right in zip(state.columns, state.columns[1:]):
-        gap = _gap(left, right)
-        if any(gap < left.L_at(i) - right.L_at(i) for i in range(right.height + 1)):
-            return False
-    return True
+    return all(
+        _descends(_gap(left, right), _padded(left.L, right.height + 1), right.L)
+        for left, right in zip(state.columns, state.columns[1:])
+    )
 
 
-def _antitableau_grid(state: TableauState) -> tuple[tuple[HalfInt, ...], ...]:
+def _descends(gap: int, left: Sequence[int], right: Sequence[int]) -> bool:
+    """nu_{left;i} >= nu_{right;i}, that is gap >= L_left(i) - L_right(i),
+    for every i both type lists reach."""
+    return all(gap >= a - b for a, b in zip(left, right))
+
+
+def _cells(ends: Sequence[tuple[int, int]]) -> list[list[HalfInt]]:
+    """For each column with doubled segment ends (b, e), its entries b,
+    b - 1, ..., e; the columns share one ``HalfInt`` per value."""
+    top = max(b for b, _ in ends)
+    table = [HalfInt(top - 2 * u) for u in range((top - min(e for _, e in ends)) // 2 + 1)]
+    return [table[(top - b) // 2 : (top - e) // 2 + 1] for b, e in ends]
+
+
+def _antitableau_grid(
+    cells: Sequence[Sequence[HalfInt]], types: Sequence[Sequence[int]]
+) -> tuple[tuple[HalfInt, ...], ...]:
     """Reconstruct the filled rows from column types.
 
     Grid column c stacks, for k = c..r, the entries of component k+1-c of
     state column k: b(nu_k) - u for u = L_{k,i-1} .. L_{k,i} - 1, with
-    i = k+1-c.
+    i = k+1-c; ``cells[k-1][u]`` holds b(nu_k) - u.
     """
-    r = len(state.columns)
+    r = len(types)
     grid_cols: list[list[HalfInt]] = []
     for c in range(1, r + 1):
         col: list[HalfInt] = []
         for k in range(c, r + 1):
             i = k + 1 - c
-            column = state.columns[k - 1]
-            b, lo, hi = column.segment.b.twice, column.L_at(i - 1), column.L_at(i)
-            col += [HalfInt(b - 2 * u) for u in range(lo, hi)]
+            L = types[k - 1]
+            col += cells[k - 1][L[i - 1] : L[i]]
         grid_cols.append(col)
     height = max(len(c) for c in grid_cols)
-    rows = []
-    for t in range(height):
-        rows.append(tuple(c[t] for c in grid_cols if len(c) > t))
-    return tuple(rows)
+    return tuple(
+        tuple(c[t] for c in grid_cols if len(c) > t) for t in range(height)
+    )
 
 
 @dataclass(frozen=True)
@@ -256,79 +346,139 @@ class Reduction:
         return self.zero is None
 
 
-def _reduce(
-    psi: GoodParityParameter,
-    p: Sequence[int] | ParamVector,
-    schedule: Callable[[list[Column], Permutation], Optional[Witness]],
-) -> Reduction:
-    """The start and finish shared by both reductions.
+class _Step(NamedTuple):
+    """One step of the compiled insertion schedule, on positions pos, pos+1."""
 
-    Transports p to the canonical arrangement and checks the box there (a
-    "B" witness, first in arrangement order), builds the signed tableau,
-    and lets ``schedule`` rewrite its columns in place; the schedule returns
-    an overlap witness, or None once it ends on what must be an antitableau.
+    pos: int
+    rewrite: bool  # False: the left segment precedes, and the insertion ends
+    contains: bool  # the left segment contains the right one
+    m: int  # length of the left segment
+    sing: int  # intersection size of the two segments
+    gap: int  # ``_gap`` of their tops
+    moves: tuple[int, int, int, int]  # of the ends, see ``_elementary``
+
+
+class CompiledReduction:
+    """Trapa's reduction for one parameter, ready for many vectors.
+
+    Apart from the types, everything the reduction works on depends only on
+    the parameter: the canonical arrangement, the transport of the reference
+    vector there (affine forms, see ``transition.transported_forms``), and
+    the segments of every rewrite, since a rewrite always turns its two
+    segments into their max/min pair whatever the types.  ``reduce(p)``
+    transports p, checks the box, builds the integer types and runs the
+    compiled rewrites on them.  The schedule and the output cells are
+    compiled on the first vector that passes the box check.
     """
-    if not isinstance(p, ParamVector):
-        p = ParamVector.reference(tuple(p))
-    sigma = appropriate_arrangement(psi)
-    pv = phi(psi, p, sigma)
-    for comp, entry in zip(sigma, pv.entries):
-        if not 0 <= entry <= psi.m(comp):
-            return Reduction(Witness("B", (comp,), sigma, (entry, psi.m(comp))))
-    state = build_tableau(psi, pv)
-    columns = list(state.columns)
-    witness = schedule(columns, sigma)
-    if witness is not None:
-        return Reduction(witness)
-    final = TableauState(tuple(columns), state.rows, sigma)
-    if not validate_antitableau(final):
-        raise InvariantViolationError(
-            f"reduction finished on a non-antitableau state for p={p.entries}"
-        )
-    return Reduction(None, _antitableau_grid(final), final.rows, final)
 
+    def __init__(self, psi: GoodParityParameter) -> None:
+        self.psi = psi
+        self.sigma = appropriate_arrangement(psi)
+        self.lengths = tuple(psi.seg(comp).m for comp in self.sigma)
+        self.reference = tuple(range(1, psi.r + 1))
 
-def _insert_leftward(
-    columns: list[Column], start: int, sigma: Permutation
-) -> Optional[Witness]:
-    """Bubble the column at position start (1-based) leftward.
+    @cached_property
+    def _forms(self) -> tuple[AffineForm, ...]:
+        m = (0, *(s.m for s in self.psi.segments))
+        return transported_forms(relation_table(self.psi), m, self.sigma)
 
-    Applies the rewrite at (pos, pos+1) for pos = start-1 down to 1,
-    stopping at a precedence (no-op) pair or the left wall.  Returns a
-    zero witness or None.
-    """
-    for pos in range(start - 1, 0, -1):
-        left, right = columns[pos - 1], columns[pos]
-        rel = left.segment.relate(right.segment, Relation.CONTAINS)
-        result = trapa_op(left, right)
-        if isinstance(result, TrapaZero):
-            return Witness(
-                "overlap", (pos, pos + 1), sigma, (result.overlap, result.sing)
+    @cached_property
+    def _schedule(self) -> tuple[tuple[_Step, ...], tuple[tuple[int, int], ...]]:
+        """Trapa's insertion order run on the doubled segment ends: column
+        k = 2..r bubbles leftward through the rewrite, up to a left segment
+        that precedes it.  Returns the steps and the final ends."""
+        ends = [(s.b.twice, s.e.twice) for s in map(self.psi.seg, self.sigma)]
+        steps = []
+        for k in range(2, len(ends) + 1):
+            for pos in range(k - 1, 0, -1):
+                left, right = ends[pos - 1], ends[pos]
+                rel = Segment.relate_twice(*left, *right, Relation.CONTAINS)
+                if rel is Relation.PRECEDED_BY:
+                    # the canonical arrangement and the rewrites rule it out
+                    raise InvariantViolationError(
+                        f"insertion at position {pos} met a left segment"
+                        f" preceded by the right one in {self.psi}"
+                    )
+                m = (left[0] - left[1]) // 2 + 1
+                sing = Segment.intersection_twice(*left, *right)
+                gap = (left[0] - right[0]) // 2
+                if rel is Relation.PRECEDES:
+                    steps.append(_Step(pos, False, False, m, sing, gap, (0, 0, 0, 0)))
+                    break
+                ends[pos - 1], ends[pos], moves = _elementary(left, right)
+                steps.append(
+                    _Step(pos, True, rel is Relation.CONTAINS, m, sing, gap, moves)
+                )
+        return tuple(steps), tuple(ends)
+
+    @cached_property
+    def _output(self) -> tuple[tuple[Segment, ...], tuple[int, ...], list[list[HalfInt]]]:
+        """The final columns' segments, the gaps between their tops, and
+        their antitableau cells."""
+        ends = self._schedule[1]
+        segments = tuple(Segment(HalfInt(b), HalfInt(e)) for b, e in ends)
+        gaps = tuple((left[0] - right[0]) // 2 for left, right in zip(ends, ends[1:]))
+        return segments, gaps, _cells(ends)
+
+    def _start(self, p: Sequence[int] | ParamVector) -> Union[Witness, Sequence[int]]:
+        """p's entries on the canonical arrangement, or the first of them in
+        arrangement order that leaves its box, as a "B" witness."""
+        if isinstance(p, ParamVector) and p.sigma != self.reference:
+            entries: Sequence[int] = phi(self.psi, p, self.sigma).entries
+        else:
+            p = p.entries if isinstance(p, ParamVector) else tuple(p)
+            if len(p) != self.psi.r:
+                raise InputError(f"expected {self.psi.r} entries, got {len(p)}")
+            entries = [affine_value(form, p) for form in self._forms]
+        for comp, entry, m in zip(self.sigma, entries, self.lengths):
+            if not 0 <= entry <= m:
+                return Witness("B", (comp,), self.sigma, (entry, m))
+        return entries
+
+    def reduce(self, p: Sequence[int] | ParamVector) -> Reduction:
+        """Reduce p (reference entries, or a vector on any admissible
+        arrangement) to an antitableau, or certify zero."""
+        entries = self._start(p)
+        if isinstance(entries, Witness):
+            return Reduction(entries)
+        types, rows = _build(entries, self.lengths)
+        steps, _ = self._schedule
+        for pos, rewrite, contains, m, sing, gap, moves in steps:
+            left, right = types[pos - 1], types[pos]
+            ov = _overlap(left, right, pos, m)
+            if ov < sing:
+                return Reduction(
+                    Witness("overlap", (pos, pos + 1), self.sigma, (ov, sing))
+                )
+            if rewrite:
+                types[pos - 1], types[pos] = _rewrite(
+                    left, right, pos, pos + 1, gap, contains, moves
+                )
+        segments, gaps, cells = self._output
+        if not all(map(_descends, gaps, types, types[1:])):
+            raise InvariantViolationError(
+                f"reduction finished on a non-antitableau state for p={p}"
             )
-        columns[pos - 1], columns[pos] = result
-        if rel is Relation.PRECEDES:
-            break
-    return None
+        columns = tuple(
+            Column(seg, tuple(L[: k + 1]))
+            for k, (seg, L) in enumerate(zip(segments, types), start=1)
+        )
+        state = TableauState(columns, rows, self.sigma)
+        return Reduction(None, _antitableau_grid(cells, types), rows, state)
 
 
 def trapa_reduce(
     psi: GoodParityParameter, p: Sequence[int] | ParamVector
 ) -> Reduction:
-    """Reduce a reference-order parameter to an antitableau, or certify zero.
+    """Reduce a parameter vector to an antitableau, or certify zero.
 
     The vector is transported to the canonical arrangement, the signed
     tableau is built, and each column is bubbled leftward through the local
-    rewrite as it arrives.
+    rewrite as it arrives.  Compiles the reduction for psi (see
+    ``CompiledReduction``); to reduce many vectors of one parameter, compile
+    once and call its ``reduce``.
     """
-
-    def schedule(columns: list[Column], sigma: Permutation) -> Optional[Witness]:
-        for k in range(2, len(columns) + 1):
-            witness = _insert_leftward(columns, k, sigma)
-            if witness is not None:
-                return witness
-        return None
-
-    return _reduce(psi, p, schedule)
+    return CompiledReduction(psi).reduce(p)
 
 
 def reduce_with_schedule(
@@ -336,36 +486,48 @@ def reduce_with_schedule(
     p: Sequence[int] | ParamVector,
     rng: random.Random,
 ) -> Reduction:
-    """Like trapa_reduce, but applies the rewrite in a random valid order.
+    """Like trapa_reduce, but applies ``trapa_op`` to the columns in a random
+    valid order.
 
     Used to exercise confluence: the final antitableau must not depend on
-    the schedule.
+    the schedule.  Only the transport and the box check are shared with
+    ``CompiledReduction``.
     """
-
-    def schedule(columns: list[Column], sigma: Permutation) -> Optional[Witness]:
-        while True:
-            pending: list[tuple[int, Union[TrapaZero, tuple[Column, Column]]]] = []
-            for pos in range(1, len(columns)):
-                left, right = columns[pos - 1], columns[pos]
-                rel = left.segment.relate(right.segment, Relation.CONTAINS)
-                if rel is Relation.PRECEDED_BY:
-                    continue
-                result = trapa_op(left, right)
-                if isinstance(result, TrapaZero) or (
-                    (result[0].segment, result[0].L, result[1].segment, result[1].L)
-                    != (left.segment, left.L, right.segment, right.L)
-                ):
-                    pending.append((pos, result))
-            if not pending:
-                return None
-            pos, result = pending[rng.randrange(len(pending))]
-            if isinstance(result, TrapaZero):
-                return Witness(
-                    "overlap", (pos, pos + 1), sigma, (result.overlap, result.sing)
-                )
-            columns[pos - 1], columns[pos] = result
-
-    return _reduce(psi, p, schedule)
+    compiled = CompiledReduction(psi)
+    entries = compiled._start(p)
+    if isinstance(entries, Witness):
+        return Reduction(entries)
+    sigma = compiled.sigma
+    state = build_tableau(psi, ParamVector(tuple(entries), sigma))
+    columns = list(state.columns)
+    while True:
+        pending: list[tuple[int, Union[TrapaZero, tuple[Column, Column]]]] = []
+        for pos in range(1, len(columns)):
+            left, right = columns[pos - 1], columns[pos]
+            rel = left.segment.relate(right.segment, Relation.CONTAINS)
+            if rel is Relation.PRECEDED_BY:
+                continue
+            result = trapa_op(left, right)
+            if isinstance(result, TrapaZero) or (
+                (result[0].segment, result[0].L, result[1].segment, result[1].L)
+                != (left.segment, left.L, right.segment, right.L)
+            ):
+                pending.append((pos, result))
+        if not pending:
+            break
+        pos, result = pending[rng.randrange(len(pending))]
+        if isinstance(result, TrapaZero):
+            return Reduction(
+                Witness("overlap", (pos, pos + 1), sigma, (result.overlap, result.sing))
+            )
+        columns[pos - 1], columns[pos] = result
+    final = TableauState(tuple(columns), state.rows, sigma)
+    if not validate_antitableau(final):
+        raise InvariantViolationError(
+            f"reduction finished on a non-antitableau state for p={p}"
+        )
+    cells = _cells([(c.segment.b.twice, c.segment.e.twice) for c in columns])
+    return Reduction(None, _antitableau_grid(cells, [c.L for c in columns]), final.rows, final)
 
 
 def last_column_type(

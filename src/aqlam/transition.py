@@ -4,7 +4,10 @@ A parameter vector lives on an admissible arrangement sigma: entry at
 position h comes from component sigma(h).  Swapping two adjacent positions
 (only possible for a containment pair) transforms the two affected entries
 affine-linearly; composites along any transposition path agree (tested as
-a property, not recomputed here).
+a property, not recomputed here).  Because the swaps are affine,
+``transported_forms`` can run them once on symbolic entries: every entry
+after the transport is an integer affine form in the reference entries,
+which both engines compile once per parameter.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arrangements import Permutation, transposition_path
+from .arrangements import Permutation, bubble_path, transposition_path
 from .errors import InputError
-from .segments import GoodParityParameter, Relation, relation
+from .segments import GoodParityParameter, Relation, RelationTable, relation
 
 
 @dataclass(frozen=True)
@@ -78,3 +81,55 @@ def phi(
     for h in transposition_path(psi, pv.sigma, tau):
         out = phi_adjacent(psi, out, h)
     return out
+
+
+# An integer affine form in the reference entries: (constant, terms), where
+# each term (k, c) adds c * p[k] (k 0-based); only non-zero terms are kept.
+AffineForm = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def affine_value(form: AffineForm, p: Sequence[int]) -> int:
+    value, terms = form
+    for k, c in terms:
+        value += c * p[k]
+    return value
+
+
+def _combine(const: int, *terms: tuple[int, dict[int, int]]) -> dict[int, int]:
+    """const + sum of c * form over the (c, form) terms; key 0 holds the
+    constant and key k >= 1 the coefficient of p_k."""
+    out = {0: const}
+    for c, form in terms:
+        for k, v in form.items():
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def transported_forms(
+    table: RelationTable, m: Sequence[int], sigma: Permutation
+) -> tuple[AffineForm, ...]:
+    """The entries at every position of sigma after ``phi`` takes the
+    reference vector there, as affine forms in the reference entries.
+
+    ``table`` is the parameter's relation table and ``m[i]`` the length of
+    component i (both 1-based).  Runs the swaps of ``phi`` (same path, same
+    formulas as ``phi_adjacent``) on symbolic entries; a position no swap
+    has touched still holds its reference entry.
+    """
+    images = list(range(1, len(sigma) + 1))
+    forms: dict[int, dict[int, int]] = {}  # 1-based position -> form
+    for h in bubble_path(tuple(images), sigma):
+        x, y = images[h - 1], images[h]
+        f = forms.get(h) or {0: 0, h: 1}
+        g = forms.get(h + 1) or {0: 0, h + 1: 1}
+        if table[x][y] is Relation.CONTAINS:  # (q_{h+1}, p_h + p_{h+1} - q_{h+1})
+            new = _combine(m[y], (-1, g)), _combine(-m[y], (1, f), (2, g))
+        else:  # contained first: (p_h + p_{h+1} - q_h, q_h)
+            new = _combine(-m[x], (2, f), (1, g)), _combine(m[x], (-1, f))
+        forms[h], forms[h + 1] = new
+        images[h - 1], images[h] = y, x
+    out = [(0, ((k, 1),)) for k in range(len(sigma))]
+    for pos, form in forms.items():
+        const = form.pop(0)
+        out[pos - 1] = const, tuple(sorted((k - 1, c) for k, c in form.items() if c))
+    return tuple(out)

@@ -143,6 +143,15 @@ class TestAV:
         assert payload["total"] == len(payload["fiber_sizes"])
 
 
+class TestOutput:
+    @pytest.mark.parametrize("argv", [["av"], ["packet", "--verify"], ["check"]])
+    def test_json_is_one_compact_line(self, tmp_path, capsys, argv):
+        assert run([argv[0], write_doc(tmp_path, DOC_A), *argv[1:]]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TestInputHandling:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -207,6 +216,12 @@ class TestFlags:
     def test_misplaced_or_negative_flag_exits_two(self, tmp_path, capsys, argv):
         assert run([argv[0], write_doc(tmp_path, DOC_A), *argv[1:]]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_sigma_message(self, tmp_path, capsys):
+        assert run(["transition", write_doc(tmp_path, DOC_A), "--sigma", "2 x"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --sigma: expected integers separated by commas or spaces, got '2 x'" in err
+        assert "_parse_sigma" not in err
 
     def test_max_r_bounds_arrangements(self, tmp_path, capsys):
         path = write_doc(tmp_path, DOC_A)

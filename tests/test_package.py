@@ -1,6 +1,9 @@
-"""The package namespace, and a lint check on the source tree."""
+"""The package namespace, the examples in its docstrings, and a lint check
+on the source tree."""
 
 import ast
+import doctest
+import importlib
 import pathlib
 import types
 
@@ -13,6 +16,16 @@ def test_all_names_resolve_and_none_is_a_module():
     assert len(set(aqlam.__all__)) == len(aqlam.__all__)
     for name in aqlam.__all__:
         assert not isinstance(getattr(aqlam, name), types.ModuleType), name
+
+
+def test_docstring_examples():
+    attempted = 0
+    for path in sorted((ROOT / "src" / "aqlam").glob("*.py")):
+        name = "aqlam" if path.stem == "__init__" else f"aqlam.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted += result.attempted
+    assert attempted >= 5
 
 
 def unused_imports(source: str) -> list[str]:

@@ -113,6 +113,15 @@ class TestArthurVogan:
         assert report.fibers_ok
         assert set(report.fiber_sizes.values()) == {1}
 
+    def test_every_rank_equals_compute_packet(self, psi_A, psi_C, psi_D):
+        rng = random.Random(62)
+        params = [psi_A, psi_C, psi_D, GoodParityParameter((seg(1, 3),))]
+        params += [random_parameter(rng, rng.randint(1, 4), m_max=3) for _ in range(8)]
+        for psi in params:
+            report = arthur_vogan(psi)
+            for rank in range(psi.n + 1):
+                assert report.packets[rank] == compute_packet(psi, rank), (psi, rank)
+
     def test_out_of_domain_skips_audit(self):
         # a segment with negative end: packets still computed, no audit
         psi = GoodParityParameter((seg(1, 3),))

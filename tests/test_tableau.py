@@ -5,18 +5,20 @@ example by hand; every other test is a property checked against either the
 constraint engine or a brute-force enumeration.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from aqlam import GoodParityParameter, HalfInt, intersection_size
-from aqlam.arrangements import appropriate_arrangement
-from aqlam.criterion import nonvanishing
-from aqlam.errors import InputError
+from aqlam import GoodParityParameter, HalfInt, intersection_size, tableau
+from aqlam.arrangements import appropriate_arrangement, enumerate_admissible
+from aqlam.criterion import Witness, nonvanishing
+from aqlam.errors import InputError, InvariantViolationError
+from aqlam.segments import Relation
 from aqlam.tableau import (
     Column,
+    CompiledReduction,
     TrapaZero,
-    _insert_leftward,
     build_tableau,
     last_column_type,
     overlap,
@@ -28,7 +30,7 @@ from aqlam.tableau import (
 )
 from aqlam.transition import ParamVector, phi
 
-from conftest import box, random_entry_vector, random_parameter, seg
+from conftest import box, parameter_family, random_entry_vector, random_parameter, seg
 
 
 def h(x) -> HalfInt:
@@ -238,6 +240,21 @@ def test_confluence_small():
         done += 1
 
 
+def insert_leftward(columns, start, sigma):
+    """Bubble the column at position start (1-based) leftward through
+    ``trapa_op``, as the reduction inserts it, up to a left segment that
+    precedes it; a zero witness or None."""
+    for pos in range(start - 1, 0, -1):
+        left, right = columns[pos - 1], columns[pos]
+        result = trapa_op(left, right)
+        if isinstance(result, TrapaZero):
+            return Witness("overlap", (pos, pos + 1), sigma, (result.overlap, result.sing))
+        columns[pos - 1], columns[pos] = result
+        if left.segment.relate(right.segment, Relation.CONTAINS) is Relation.PRECEDES:
+            return None
+    return None
+
+
 class TestUpperBound:
     @staticmethod
     def reduced_prefix(psi, p):
@@ -247,7 +264,7 @@ class TestUpperBound:
         state = build_tableau(psi, pv)
         columns = list(state.columns)
         for k in range(2, len(columns)):
-            if _insert_leftward(columns, k, sigma) is not None:
+            if insert_leftward(columns, k, sigma) is not None:
                 return None
         return columns
 
@@ -267,7 +284,7 @@ class TestUpperBound:
                 continue  # precondition (precedes-then-contained) fails
             sigma = appropriate_arrangement(psi)
             inserted = (
-                _insert_leftward(list(columns), len(columns), sigma) is None
+                insert_leftward(list(columns), len(columns), sigma) is None
             )
             assert predicted == inserted
             done += 1
@@ -293,3 +310,73 @@ def test_exhaustive_r2_against_criterion():
                             trapa_reduce(psi, p).nonzero
                             == nonvanishing(psi, p).nonzero
                         )
+
+
+def compiled_inputs():
+    """(psi, vectors) pairs: every 25th parameter of the acceptance sweep
+    family on its whole box, and 300 seeded random r <= 8 parameters, every
+    second one in a random admissible order other than the canonical one,
+    each with three box vectors and two vectors leaving the box."""
+    family = parameter_family([HalfInt(t) for t in range(1, 13)], 4, (1, 2, 3))
+    for psi in family[::25]:
+        yield psi, list(box(psi))
+    rng = random.Random(5)
+    for t in range(300):
+        r = rng.randint(2, 8)
+        psi = random_parameter(rng, r, m_max=4)
+        others = [s for s in enumerate_admissible(psi) if s != tuple(range(1, r + 1))]
+        if t % 2 and others:
+            psi = GoodParityParameter(tuple(psi.seg(i) for i in rng.choice(others)))
+        vectors = [random_entry_vector(rng, psi) for _ in range(3)]
+        for _ in range(2):
+            p = list(random_entry_vector(rng, psi))
+            k = rng.randrange(r)
+            p[k] = psi.m(k + 1) + 1 if rng.random() < 0.5 else -1
+            vectors.append(tuple(p))
+        yield psi, vectors
+
+
+class TestCompiledReduction:
+    # sha256 of the newline-joined ``repr`` of ``trapa_reduce(psi, p)`` over
+    # ``compiled_inputs()``, recorded before the reduction was compiled
+    # (3,533 vectors: 1,429 antitableaux, 1,365 overlap and 739 "B" witnesses)
+    RECORD = "94c601b678be3479d6cb24fedee45d87ac66e01700555f4de0191693c5421c87"
+
+    def test_matches_the_record_of_the_uncompiled_reduction(self):
+        lines = []
+        for psi, vectors in compiled_inputs():
+            compiled = CompiledReduction(psi)
+            lines += [repr(compiled.reduce(p)) for p in vectors]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (3533, self.RECORD)
+
+    def test_agrees_with_the_schedule_oracle(self):
+        rng = random.Random(6)
+        for n, (psi, vectors) in enumerate(compiled_inputs()):
+            compiled = CompiledReduction(psi)
+            for p in vectors[n % 2 :: 2]:
+                fast, oracle = compiled.reduce(p), reduce_with_schedule(psi, p, rng)
+                assert fast.nonzero == oracle.nonzero, (psi, p)
+                if fast.nonzero:
+                    assert (fast.antitableau, fast.rows) == (oracle.antitableau, oracle.rows)
+                elif fast.zero.kind == "B":
+                    assert oracle.zero == fast.zero
+
+    # Types that no tableau has, fed to the compiled rewrites in place of
+    # the built ones: each trips one self-check.
+    @pytest.mark.parametrize("segments, types, message", [
+        ((seg(4, 4), seg(3, 2)), [[0, -2, -2, -2], [0, -2, -2, -2]],
+         "types not weakly increasing"),
+        ((seg(4, 4), seg(3, 2)), [[0, 0, -2, -2], [0, 0, 1, 1]],
+         "merged shape not conserved"),
+        ((seg(4, 4), seg(3, 2)), [[0, 0, 0, 0], [0, 0, 0, 0]],
+         "rewrite moved the segment ends"),
+        ((seg(7, 3), seg(4, 3)), [[0, -2, 2, 2], [0, -2, -2, -2]],
+         "non-antitableau state"),
+    ])
+    def test_corrupted_types_raise(self, monkeypatch, segments, types, message):
+        compiled = CompiledReduction(GoodParityParameter(segments))
+        p = next(p for p in box(compiled.psi) if compiled.reduce(p).nonzero)
+        monkeypatch.setattr(tableau, "_build", lambda entries, lengths: (types, ()))
+        with pytest.raises(InvariantViolationError, match=message):
+            compiled.reduce(p)

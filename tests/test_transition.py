@@ -12,7 +12,14 @@ import pytest
 from aqlam import Relation
 from aqlam.arrangements import enumerate_admissible
 from aqlam.errors import InputError
-from aqlam.transition import ParamVector, phi, phi_adjacent
+from aqlam.segments import relation_table
+from aqlam.transition import (
+    ParamVector,
+    affine_value,
+    phi,
+    phi_adjacent,
+    transported_forms,
+)
 
 from conftest import random_entry_vector, random_parameter
 
@@ -134,3 +141,16 @@ def test_phi_rejects_an_inadmissible_target(psi_A):
     pv = ParamVector.reference((2, 2, 2))
     with pytest.raises(InputError):
         phi(psi_A, pv, (3, 2, 1))
+
+
+def test_transported_forms_equal_phi_at_every_position():
+    rng = random.Random(137)
+    for _ in range(150):
+        psi = random_parameter(rng, rng.randint(1, 6), m_max=4)
+        m = (0, *(s.m for s in psi.segments))
+        table = relation_table(psi)
+        for sigma in enumerate_admissible(psi):
+            forms = transported_forms(table, m, sigma)
+            p = random_entry_vector(rng, psi)
+            moved = phi(psi, ParamVector.reference(p), sigma)
+            assert [affine_value(form, p) for form in forms] == list(moved.entries)
