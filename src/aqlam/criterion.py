@@ -197,9 +197,8 @@ class CompiledCriterion:
             if sigma is None:  # pragma: no cover - impossible for neighbors
                 raise InputError(f"neighbor pair ({i},{j}) has no placement")
             sing = intersection_size(psi.seg(i), psi.seg(j))
-            forms = transported_forms(table, m, sigma)
             out.append(PairConstraint(
-                i, j, sigma, forms[sigma.index(i)], forms[sigma.index(j)], m[i], m[j], sing
+                i, j, sigma, *transported_forms(table, m, sigma, (i, j)), m[i], m[j], sing
             ))
         return tuple(out)
 

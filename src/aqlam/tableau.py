@@ -380,7 +380,7 @@ class CompiledReduction:
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
         m = (0, *(s.m for s in self.psi.segments))
-        return transported_forms(relation_table(self.psi), m, self.sigma)
+        return transported_forms(relation_table(self.psi), m, self.sigma, self.sigma)
 
     @cached_property
     def _schedule(self) -> tuple[tuple[_Step, ...], tuple[tuple[int, int], ...]]:

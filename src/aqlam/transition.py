@@ -106,15 +106,16 @@ def _combine(const: int, *terms: tuple[int, dict[int, int]]) -> dict[int, int]:
 
 
 def transported_forms(
-    table: RelationTable, m: Sequence[int], sigma: Permutation
+    table: RelationTable, m: Sequence[int], sigma: Permutation, comps: Sequence[int]
 ) -> tuple[AffineForm, ...]:
-    """The entries at every position of sigma after ``phi`` takes the
-    reference vector there, as affine forms in the reference entries.
+    """The entries of components ``comps`` after ``phi`` takes the reference
+    vector to sigma, as affine forms in the reference entries.
 
     ``table`` is the parameter's relation table and ``m[i]`` the length of
-    component i (both 1-based).  Runs the swaps of ``phi`` (same path, same
-    formulas as ``phi_adjacent``) on symbolic entries; a position no swap
-    has touched still holds its reference entry.
+    component i (both 1-based); ``comps = sigma`` gives every position in
+    order.  Runs the swaps of ``phi`` (same path, same formulas as
+    ``phi_adjacent``) on symbolic entries; a position no swap has touched
+    still holds its reference entry.
     """
     images = list(range(1, len(sigma) + 1))
     forms: dict[int, dict[int, int]] = {}  # 1-based position -> form
@@ -128,8 +129,9 @@ def transported_forms(
             new = _combine(-m[x], (2, f), (1, g)), _combine(m[x], (-1, f))
         forms[h], forms[h + 1] = new
         images[h - 1], images[h] = y, x
-    out = [(0, ((k, 1),)) for k in range(len(sigma))]
-    for pos, form in forms.items():
-        const = form.pop(0)
-        out[pos - 1] = const, tuple(sorted((k - 1, c) for k, c in form.items() if c))
+    out = []
+    for comp in comps:
+        pos = images.index(comp) + 1
+        form = forms.get(pos) or {0: 0, pos: 1}
+        out.append((form[0], tuple((k - 1, c) for k, c in sorted(form.items()) if k and c)))
     return tuple(out)

@@ -150,7 +150,7 @@ def test_transported_forms_equal_phi_at_every_position():
         m = (0, *(s.m for s in psi.segments))
         table = relation_table(psi)
         for sigma in enumerate_admissible(psi):
-            forms = transported_forms(table, m, sigma)
+            forms = transported_forms(table, m, sigma, sigma)
             p = random_entry_vector(rng, psi)
             moved = phi(psi, ParamVector.reference(p), sigma)
             assert [affine_value(form, p) for form in forms] == list(moved.entries)
