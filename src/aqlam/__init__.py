@@ -19,6 +19,7 @@ from .criterion import (
     Witness,
     cond_B,
     cond_C,
+    lattice_points,
     nonvanishing,
     nonvanishing_simplified,
 )
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .halfint import HalfInt
 from .padic import (
+    CompiledImage,
     ExtendedMultiSegment,
     padic_cond_C,
     padic_nonvanishing,
@@ -44,6 +46,7 @@ from .packets import (
     PacketEntry,
     arthur_vogan,
     compute_packet,
+    count_params,
     enumerate_params,
     multiplicity_report,
 )
@@ -79,21 +82,21 @@ from .tableau import (
 from .transition import ParamVector, phi, phi_adjacent
 
 __all__ = [
-    "appropriate_arrangement", "enumerate_admissible",
-    "lex_first_adjacent", "sigma_pairs", "transposition_path",
-    "CompiledCriterion", "Verdict", "Witness", "cond_B", "cond_C",
-    "nonvanishing", "nonvanishing_simplified", "AqlamError", "InputError",
-    "InvariantViolationError", "ResourceLimitError",
+    "appropriate_arrangement", "enumerate_admissible", "lex_first_adjacent",
+    "sigma_pairs", "transposition_path", "CompiledCriterion", "Verdict",
+    "Witness", "cond_B", "cond_C", "lattice_points", "nonvanishing",
+    "nonvanishing_simplified", "AqlamError", "InputError",
+    "InvariantViolationError", "ResourceLimitError", "CompiledImage",
     "ExtendedMultiSegment", "padic_cond_C", "padic_nonvanishing",
     "padic_transition", "project_EF", "sign_of", "to_extended", "AVReport",
     "CompiledPackets", "PacketEntry", "arthur_vogan", "compute_packet",
-    "enumerate_params", "multiplicity_report", "GoodParityParameter",
-    "RangeLabel", "Relation", "Segment", "intersection_size",
-    "lambda_values", "neighbor_pairs", "neighbors", "range_classify",
-    "relation", "relation_table", "segment_from_component", "Column",
-    "CompiledReduction", "Reduction", "TableauState", "TrapaZero",
-    "build_tableau", "last_column_type", "overlap", "reduce_with_schedule",
-    "trapa_op", "trapa_reduce", "upper_bound_check",
-    "validate_antitableau", "HalfInt", "ParamVector", "phi",
-    "phi_adjacent",
+    "count_params", "enumerate_params", "multiplicity_report",
+    "GoodParityParameter", "RangeLabel", "Relation", "Segment",
+    "intersection_size", "lambda_values", "neighbor_pairs", "neighbors",
+    "range_classify", "relation", "relation_table",
+    "segment_from_component", "Column", "CompiledReduction", "Reduction",
+    "TableauState", "TrapaZero", "build_tableau", "last_column_type",
+    "overlap", "reduce_with_schedule", "trapa_op", "trapa_reduce",
+    "upper_bound_check", "validate_antitableau", "HalfInt", "ParamVector",
+    "phi", "phi_adjacent",
 ]

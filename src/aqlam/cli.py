@@ -10,8 +10,10 @@ Half-integers are always strings "k" or "k/2"; no floats appear in any
 interface.  The result is printed as one compact JSON line with sorted keys;
 ``--format text`` prints a human view instead.  Exit codes: 0 success,
 1 zero verdict on `check` (a successful computation -- shell pipelines can
-branch on it), 2 input error, 3 resource limit, 4 internal invariant
-violation.
+branch on it), 2 input error, 3 resource limit (a lattice-point search past
+``criterion.MAX_DFS_NODES`` nodes, or r past ``--max-r``), 4 internal error
+(an invariant violation or any other defect), 141 stdout closed by its
+reader.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -42,6 +45,8 @@ def _load_document(path: str) -> dict:
                 doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("the JSON document nests too deeply") from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -137,15 +142,37 @@ def _reduction_payload(reduction: Reduction) -> dict:
     }
 
 
-def _entry_payload(entry: packets_mod.PacketEntry) -> dict:
-    return {
-        "p": list(entry.p),
-        "levi": [list(x) for x in entry.levi],
-        "lambda": _jsonable(entry.lam),
-        "antitableau": _jsonable(entry.antitableau),
-        "rows": [[length, sign] for length, sign in entry.rows],
-        "padic_image": _jsonable(entry.padic_image),
-    }
+class _Strings(dict):
+    """Half-integers written as strings, keyed by doubled value; each value
+    is converted once."""
+
+    def __missing__(self, twice: int) -> str:
+        text = self[twice] = str(HalfInt(twice))
+        return text
+
+
+class _EntryWriter:
+    """Writes packet entries as payloads.  The entries of one parameter
+    share their lambda and most cell values, so each lambda tuple and each
+    value's string is converted once and shared."""
+
+    def __init__(self) -> None:
+        self.strings = _Strings()
+        self.lam_of: Optional[tuple[HalfInt, ...]] = None
+        self.lam: list[str] = []
+
+    def __call__(self, entry: packets_mod.PacketEntry) -> dict:
+        strings = self.strings
+        if entry.lam is not self.lam_of:
+            self.lam_of, self.lam = entry.lam, [strings[x.twice] for x in entry.lam]
+        return {
+            "p": list(entry.p),
+            "levi": [list(x) for x in entry.levi],
+            "lambda": self.lam,
+            "antitableau": [[strings[x.twice] for x in row] for row in entry.antitableau],
+            "rows": [list(row) for row in entry.rows],
+            "padic_image": _jsonable(entry.padic_image),
+        }
 
 
 def _render_antitableau(rows: Sequence[Sequence[str]]) -> str:
@@ -201,12 +228,11 @@ def _cmd_packet(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     if "p_rank" not in doc:
         raise InputError("the packet subcommand needs 'p_rank'")
     rank = _json(doc["p_rank"], int, "'p_rank'")
-    vectors = packets_mod.enumerate_params(psi, rank)
-    entries = packets_mod.CompiledPackets(psi).entries(vectors, verify=args.verify)
+    entries = packets_mod.compute_packet(psi, rank, verify=args.verify)
     return {
         "p_rank": rank,
-        "scanned": len(vectors),
-        "entries": [_entry_payload(e) for e in entries],
+        "scanned": packets_mod.count_params(psi, rank),
+        "entries": list(map(_EntryWriter(), entries)),
     }, 0
 
 
@@ -225,10 +251,11 @@ def _cmd_transition(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, in
 
 def _cmd_av(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     report = packets_mod.arthur_vogan(psi, verify=args.verify)
+    write = _EntryWriter()
     payload: dict = {
         "total": report.total,
         "packets": {
-            str(rank): [_entry_payload(e) for e in entries]
+            str(rank): list(map(write, entries))
             for rank, entries in report.packets.items()
         },
     }
@@ -309,12 +336,25 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # a defect: report it, never as exit 1 ("zero")
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     _emit(payload, args.format)
     return code
 
 
 def main() -> None:
-    sys.exit(run())
+    """The console script.  A reader that closes stdout early (``aqlam av
+    | head -1``) ends the run with exit 141, as SIGPIPE would, and no
+    traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is gone: point it at devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

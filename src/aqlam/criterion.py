@@ -19,13 +19,21 @@ placement as integer affine forms in the reference p (the symbolic
 transport ``transition.transported_forms``, which the tableau engine's
 ``CompiledReduction`` shares).  Deciding a vector is
 then the box check plus one inequality per pair, at any r.
+
+Each inequality reads the reference entries only up to the highest one its
+two forms involve, so ``CompiledCriterion.survivors`` finds the
+non-vanishing vectors by a depth-first search over the box that assigns
+p_1, p_2, ... in turn and tests each pair as soon as its last entry is
+set; it visits at most ``MAX_DFS_NODES`` nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arrangements import (
     DEFAULT_MAX_R,
@@ -44,6 +52,12 @@ from .segments import (
     relation_table,
 )
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
+
+# The most nodes one lattice-point search (``lattice_points``) may visit;
+# past it the job is refused with a ``ResourceLimitError``.  A vector the
+# search yields is a leaf, so this bounds the survivors too: describing
+# 100,000 survivors takes about 20 s and 900 MB (r = 5, every m = 9).
+MAX_DFS_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -167,6 +181,76 @@ class PairConstraint(NamedTuple):
     sing: int
 
 
+# Condition C of one pair, ready for the search: the pair's two forms, the
+# lengths m_i and m_j, and the singularity.
+PairCheck = tuple[AffineForm, AffineForm, int, int, int]
+
+
+def lattice_points(
+    m: Sequence[int],
+    rank: Optional[int] = None,
+    checks: Optional[Sequence[Sequence[PairCheck]]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """The vectors 0 <= p_k <= m_k, of sum ``rank`` unless it is None, that
+    pass every check, in lexicographic order.
+
+    A depth-first search assigning p_1, p_2, ... in turn.  Entry k takes
+    only the values the later entries can still complete to ``rank``, so no
+    vector of another rank is formed, and ``checks[k]`` (0-based) holds the
+    conditions whose forms read no entry after p_k, tested as soon as p_k is
+    set.  Raises ``ResourceLimitError`` once the search has visited more
+    than ``MAX_DFS_NODES`` nodes, and ``InputError`` for a rank outside
+    0..sum(m).
+    """
+    r = len(m)
+    room = [sum(m[k:]) for k in range(r + 1)]  # most entries k.. can hold
+    if rank is not None and not 0 <= rank <= room[0]:
+        raise InputError(f"rank {rank} out of range 0..{room[0]}")
+    checks = checks or ((),) * r
+    p = [0] * r
+    nodes = 0
+
+    def extend(k: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        nonlocal nodes
+        if rank is None:
+            lo, hi = 0, m[k]
+        else:
+            lo, hi = max(0, remaining - room[k + 1]), min(m[k], remaining)
+        nodes += hi - lo + 1
+        if nodes > MAX_DFS_NODES:
+            raise ResourceLimitError(
+                f"the lattice-point search visited more than {MAX_DFS_NODES}"
+                f" nodes of the box {tuple(m)}"
+            )
+        bucket, last = checks[k], k + 1 == r
+        for v in range(lo, hi + 1):
+            p[k] = v
+            for form_i, form_j, m_i, m_j, sing in bucket:
+                p_i, p_j = affine_value(form_i, p), affine_value(form_j, p)
+                if min(p_i, m_j - p_j) + min(m_i - p_i, p_j) < sing:
+                    break
+            else:
+                if last:
+                    yield tuple(p)
+                else:
+                    yield from extend(k + 1, remaining - v)
+
+    return extend(0, 0 if rank is None else rank)
+
+
+def check_box_scan(m: Sequence[int]) -> None:
+    """Refuse at once a scan of the whole box that ``lattice_points`` would
+    stop part-way: without checks it visits sum_k prod_{i<=k} (m_i + 1)
+    nodes for the whole box (under twice the box size), and no more for one
+    rank.  Raises ``ResourceLimitError`` past ``MAX_DFS_NODES``."""
+    nodes = sum(accumulate((x + 1 for x in m), mul))
+    if nodes > MAX_DFS_NODES:
+        raise ResourceLimitError(
+            f"scanning the box {tuple(m)} visits {nodes} nodes,"
+            f" more than {MAX_DFS_NODES}"
+        )
+
+
 class CompiledCriterion:
     """The simplified criterion for one parameter, ready for many vectors.
 
@@ -175,6 +259,12 @@ class CompiledCriterion:
     adjacently, in closed form) and the transported entries as affine
     forms.  The pairs are built on the first vector that passes the box
     check.
+
+    ``verdict(p)`` decides one vector and names a violated condition;
+    ``survivors(rank)`` finds every non-vanishing vector of a rank (or of
+    the whole box) by the lattice-point search, which tests each pair as
+    soon as the entries its forms read are set instead of deciding every
+    box vector.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -201,6 +291,24 @@ class CompiledCriterion:
                 i, j, sigma, *transported_forms(table, m, sigma, (i, j)), m[i], m[j], sing
             ))
         return tuple(out)
+
+    @cached_property
+    def _checks(self) -> tuple[tuple[PairCheck, ...], ...]:
+        """The pairs' conditions, bucketed by the last entry their forms
+        read (a pair reading none goes with the first)."""
+        buckets: list[list[PairCheck]] = [[] for _ in self.m]
+        for pair in self.pairs:
+            last = max((k for k, _ in pair.form_i[1] + pair.form_j[1]), default=0)
+            buckets[last].append(
+                (pair.form_i, pair.form_j, pair.m_i, pair.m_j, pair.sing)
+            )
+        return tuple(map(tuple, buckets))
+
+    def survivors(self, rank: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+        """The box vectors of sum ``rank`` (all of them for None) that
+        ``verdict`` passes, in lexicographic order, found by
+        ``lattice_points``, within its ``MAX_DFS_NODES`` budget."""
+        return lattice_points(self.m, rank, self._checks)
 
     def verdict(self, p: Sequence[int] | ParamVector) -> Verdict:
         """Box condition at the reference order, then condition C per pair."""

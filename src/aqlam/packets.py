@@ -3,20 +3,24 @@
 A packet at a given rank collects every vector p with 0 <= p_i <= m_i and
 fixed sum that passes the non-vanishing criterion; each survivor carries
 its reduced antitableau and canonical signed rows (a complete invariant
-pair), plus the p-adic image when the comparison is in domain.  Both
-engines are compiled once per parameter (``CompiledPackets``), so
-``arthur_vogan`` pays for that once for all ranks.
+pair), plus the p-adic image when the comparison is in domain.
+``CompiledPackets`` compiles the criterion, the tableau reduction and the
+p-adic image once per parameter.  The survivors come from the criterion's
+lattice-point search, which never forms most vanishing vectors, and each
+survivor is then described in one pass; with ``verify`` both engines
+decide every vector of the box instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import sub
+from typing import Optional
 
-from .criterion import CompiledCriterion
+from .criterion import CompiledCriterion, Witness, check_box_scan, lattice_points
 from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
-from .padic import ExtendedMultiSegment, in_padic_domain, project_EF, to_extended
+from .padic import CompiledImage, ExtendedMultiSegment, in_padic_domain
 from .segments import GoodParityParameter, lambda_values
 from .tableau import CompiledReduction, Rows
 
@@ -38,31 +42,36 @@ def enumerate_params(
 ) -> list[tuple[int, ...]]:
     """All integer vectors in the box summing to p_rank, lexicographic.
 
-    Built one entry at a time, giving entry k only the values that the
-    remaining entries can still complete to p_rank, so no vector of another
-    rank is ever formed.
+    The lattice-point search with no checks: entry k takes only the values
+    that the remaining entries can still complete to p_rank, so no vector
+    of another rank is ever formed.
     """
+    return list(lattice_points(tuple(s.m for s in psi.segments), p_rank))
+
+
+def count_params(psi: GoodParityParameter, p_rank: int) -> int:
+    """``len(enumerate_params(psi, p_rank))``, counted without listing."""
     n = psi.n
     if not 0 <= p_rank <= n:
         raise InputError(f"rank {p_rank} out of range 0..{n}")
-    m = [s.m for s in psi.segments]
-    room = [sum(m[k:]) for k in range(len(m) + 1)]  # most entries k.. can hold
-    level = [((), p_rank)]  # (prefix, what the rest must add up to)
-    for k in range(len(m)):
-        level = [
-            (prefix + (v,), remaining - v)
-            for prefix, remaining in level
-            for v in range(max(0, remaining - room[k + 1]), min(m[k], remaining) + 1)
-        ]
-    return [prefix for prefix, _ in level]
+    ways = [1] + [0] * n  # ways[t]: vectors of the entries so far summing to t
+    for s in psi.segments:
+        ways = [sum(ways[max(0, t - s.m) : t + 1]) for t in range(n + 1)]
+    return ways[p_rank]
 
 
 class CompiledPackets:
     """Packet enumeration for one parameter, ready for every rank.
 
     Compiles once what deciding and describing a vector needs apart from the
-    vector: the criterion, the tableau reduction, the shifts lambda and
-    whether the p-adic comparison applies.
+    vector: the criterion, the tableau reduction, the shifts lambda, the
+    lengths m and, in the comparison domain, the p-adic image.
+    ``packet(rank)`` and ``packets()`` take the survivors from the
+    criterion's lattice-point search (``CompiledCriterion.survivors``) and
+    describe each with ``entry``.  With ``verify`` they scan the box
+    instead: the tableau engine re-decides every vector, and any
+    disagreement with the criterion, or with the search, raises an
+    invariant violation.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -70,43 +79,67 @@ class CompiledPackets:
         self.criterion = CompiledCriterion(psi)
         self.reduction = CompiledReduction(psi)
         self.lam = lambda_values(psi)
+        self.m = self.criterion.m
         self.in_domain = in_padic_domain(psi)
+        self.image = CompiledImage(psi).image if self.in_domain else None
 
-    def entries(
-        self, vectors: Iterable[Sequence[int]], verify: bool = False
-    ) -> list[PacketEntry]:
-        """Entries for exactly the non-vanishing vectors among ``vectors``.
-
-        The criterion decides; survivors are reduced to their antitableau.
-        With ``verify`` the tableau engine re-decides every vector and any
-        disagreement raises an invariant violation.
-        """
-        psi = self.psi
-        out = []
-        for p in vectors:
-            verdict = self.criterion.verdict(p)
-            if verify or verdict.nonzero:
-                reduction = self.reduction.reduce(p)
-                if verify and reduction.nonzero != verdict.nonzero:
-                    raise InvariantViolationError(
-                        f"engines disagree on p={p}: criterion says "
-                        f"{verdict.nonzero}, tableau says {reduction.nonzero}"
-                    )
-            if not verdict.nonzero:
-                continue
-            image = None
-            if self.in_domain:
-                image = project_EF(psi, to_extended(psi, p))
-            out.append(
-                PacketEntry(
-                    p=tuple(p),
-                    levi=tuple((pi, psi.m(i + 1) - pi) for i, pi in enumerate(p)),
-                    lam=self.lam,
-                    antitableau=reduction.antitableau,
-                    rows=reduction.rows,
-                    padic_image=image,
-                )
+    def entry(self, p: tuple[int, ...]) -> PacketEntry:
+        """The entry of a non-vanishing vector: the antitableau and rows
+        read straight from the reduction's final types, the Levi data and
+        the p-adic image from the compiled pieces.  A vector the tableau
+        engine zeroes raises ``InvariantViolationError``."""
+        result = self.reduction.run(p)
+        if isinstance(result, Witness):
+            raise InvariantViolationError(
+                f"the criterion passes p={p} but the tableau engine zeroes it: {result}"
             )
+        types, rows = result
+        return PacketEntry(
+            p=p,
+            levi=tuple(zip(p, map(sub, self.m, p))),
+            lam=self.lam,
+            antitableau=self.reduction.antitableau(types),
+            rows=rows,
+            padic_image=self.image(p) if self.image else None,
+        )
+
+    def _survivors(self, rank: Optional[int], verify: bool) -> list[tuple[int, ...]]:
+        """The non-vanishing vectors of sum ``rank`` (of the box for None),
+        lexicographic.  The search runs to the end before any survivor is
+        described, so its node budget refuses a job before the costly part."""
+        found = list(self.criterion.survivors(rank))
+        if not verify:
+            return found
+        check_box_scan(self.m)
+        scanned = []
+        for p in lattice_points(self.m, rank):
+            verdict = self.criterion.verdict(p)
+            reduction = self.reduction.reduce(p)
+            if reduction.nonzero != verdict.nonzero:
+                raise InvariantViolationError(
+                    f"engines disagree on p={p}: criterion says "
+                    f"{verdict.nonzero}, tableau says {reduction.nonzero}"
+                )
+            if verdict.nonzero:
+                scanned.append(p)
+        if scanned != found:
+            raise InvariantViolationError(
+                "the lattice-point search and the scan of the box disagree"
+                f" on the survivors of {self.psi}"
+            )
+        return scanned
+
+    def packet(self, rank: int, verify: bool = False) -> list[PacketEntry]:
+        """Entries for exactly the non-vanishing vectors of sum ``rank``,
+        lexicographic."""
+        return [self.entry(p) for p in self._survivors(rank, verify)]
+
+    def packets(self, verify: bool = False) -> dict[int, list[PacketEntry]]:
+        """``packet(rank)`` for every rank 0..n, from one search of the
+        whole box bucketed by the sum."""
+        out: dict[int, list[PacketEntry]] = {rank: [] for rank in range(self.psi.n + 1)}
+        for p in self._survivors(None, verify):
+            out[sum(p)].append(self.entry(p))
         return out
 
 
@@ -115,10 +148,11 @@ def compute_packet(
 ) -> list[PacketEntry]:
     """Entries for exactly the non-vanishing vectors at the given rank.
 
-    Compiles psi (see ``CompiledPackets``) and scans the rank's vectors; to
-    scan several ranks of one parameter, compile once.
+    Compiles psi (see ``CompiledPackets``) and searches the rank's
+    survivors; to do several ranks of one parameter, compile once.  Raises
+    ``ResourceLimitError`` past the search's ``MAX_DFS_NODES`` budget.
     """
-    return CompiledPackets(psi).entries(enumerate_params(psi, p_rank), verify)
+    return CompiledPackets(psi).packet(p_rank, verify)
 
 
 def multiplicity_report(
@@ -152,14 +186,16 @@ class AVReport:
 def arthur_vogan(psi: GoodParityParameter, verify: bool = False) -> AVReport:
     """Packets for every rank 0..n plus the fiber audit of the p-adic map.
 
-    For n odd each p-adic image must have exactly two preimages (p and its
-    complement m - p); for n even the map must be injective.
+    One lattice-point search finds the survivors of every rank (see
+    ``CompiledPackets.packets``; ``verify`` scans the box with both engines
+    instead).  A survivor that the tableau engine zeroes raises
+    ``InvariantViolationError``, and a search past ``MAX_DFS_NODES`` nodes
+    raises ``ResourceLimitError``.  For n odd each p-adic image must have
+    exactly two preimages (p and its complement m - p); for n even the map
+    must be injective.
     """
     compiled = CompiledPackets(psi)
-    packets = {
-        rank: compiled.entries(enumerate_params(psi, rank), verify)
-        for rank in range(psi.n + 1)
-    }
+    packets = compiled.packets(verify)
     if not compiled.in_domain:
         return AVReport(packets, None, None)
     sizes: dict[ExtendedMultiSegment, int] = {}

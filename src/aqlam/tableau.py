@@ -23,8 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, zip_longest
+from operator import add, gt, sub
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .arrangements import (
@@ -137,33 +137,29 @@ def _build(entries: Sequence[int], lengths: Sequence[int]) -> tuple[list[list[in
     minus = [0] * (r + 2)
     types = []
     for k, (p, m) in enumerate(zip(entries, lengths), start=1):
+        # the p longest minus-ending rows take a '+', the q = m - p longest
+        # plus-ending rows a '-'; what is left of p and q opens new rows.
+        # After rows of length t, m - p - q boxes have landed on rows of
+        # length at least t: that is L_{k,k-t}.
         q = m - p
         L = [0]
-        plus_ends = minus_ends = 0
-        for t in range(k - 1, 0, -1):
-            plus_ends += plus[t]
-            minus_ends += minus[t]
-            L.append(min(minus_ends, p) + min(plus_ends, q))
-        types.append(L + [m] * (r + 2 - k))
-        # the p longest minus-ending rows take a '+', the q longest
-        # plus-ending rows a '-'; what is left of p and q opens new rows
         new_plus, new_minus = [0] * (r + 2), [0] * (r + 2)
         for t in range(k - 1, 0, -1):
             to_plus, to_minus = min(minus[t], p), min(plus[t], q)
             p, q = p - to_plus, q - to_minus
+            L.append(m - p - q)
             new_plus[t + 1] += to_plus
             new_minus[t] += minus[t] - to_plus
             new_minus[t + 1] += to_minus
             new_plus[t] += plus[t] - to_minus
+        types.append(L + [m] * (r + 2 - k))
         new_plus[1] += p
         new_minus[1] += q
         plus, minus = new_plus, new_minus
-    rows = tuple(
-        row
-        for t in range(r, 0, -1)
-        for row in ((t, "+"),) * plus[t] + ((t, "-"),) * minus[t]
-    )
-    return types, rows
+    rows: list[tuple[int, str]] = []
+    for t in range(r, 0, -1):
+        rows += [(t, "+")] * plus[t] + [(t, "-")] * minus[t]
+    return types, tuple(rows)
 
 
 def _padded(L: Sequence[int], size: int) -> list[int]:
@@ -281,7 +277,7 @@ def _shifted(types: list[int], shifts: Sequence[int]) -> list[int]:
     L_i + s_0 - s_i, which must stay weakly increasing, padded like types."""
     s0 = shifts[0]
     L = [t + s0 - s for t, s in zip(types, shifts)]
-    if any(a > b for a, b in zip(L, L[1:])):
+    if any(map(gt, L, L[1:])):
         raise InvariantViolationError(f"types not weakly increasing: {tuple(L)}")
     return L + [L[-1]] * (len(types) - len(L))
 
@@ -297,7 +293,7 @@ def validate_antitableau(state: TableauState) -> bool:
 def _descends(gap: int, left: Sequence[int], right: Sequence[int]) -> bool:
     """nu_{left;i} >= nu_{right;i}, that is gap >= L_left(i) - L_right(i),
     for every i both type lists reach."""
-    return all(gap >= a - b for a, b in zip(left, right))
+    return max(map(sub, left, right)) <= gap
 
 
 def _cells(ends: Sequence[tuple[int, int]]) -> list[list[HalfInt]]:
@@ -326,10 +322,8 @@ def _antitableau_grid(
             L = types[k - 1]
             col += cells[k - 1][L[i - 1] : L[i]]
         grid_cols.append(col)
-    height = max(len(c) for c in grid_cols)
-    return tuple(
-        tuple(c[t] for c in grid_cols if len(c) > t) for t in range(height)
-    )
+    # row t holds entry t of every column that long (a HalfInt is truthy)
+    return tuple(tuple(filter(None, row)) for row in zip_longest(*grid_cols))
 
 
 @dataclass(frozen=True)
@@ -369,6 +363,12 @@ class CompiledReduction:
     transports p, checks the box, builds the integer types and runs the
     compiled rewrites on them.  The schedule and the output cells are
     compiled on the first vector that passes the box check.
+
+    ``run(p)`` is that core: it returns the final integer types and signed
+    rows (or the zero witness), and ``antitableau(types)`` reads the filled
+    rows out of them.  ``reduce`` wraps the two in a ``Reduction`` with its
+    ``TableauState``; a caller that needs only the antitableau and the rows,
+    such as ``packets.CompiledPackets``, skips building the state.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -435,36 +435,49 @@ class CompiledReduction:
                 return Witness("B", (comp,), self.sigma, (entry, m))
         return entries
 
-    def reduce(self, p: Sequence[int] | ParamVector) -> Reduction:
-        """Reduce p (reference entries, or a vector on any admissible
-        arrangement) to an antitableau, or certify zero."""
+    def run(
+        self, p: Sequence[int] | ParamVector
+    ) -> Union[Witness, tuple[list[list[int]], Rows]]:
+        """The core of ``reduce``: p's final types (padded, see ``_build``)
+        and signed rows, or the witness that p is zero.  Every self-check of
+        the rewrites and the final antitableau check run here."""
         entries = self._start(p)
         if isinstance(entries, Witness):
-            return Reduction(entries)
+            return entries
         types, rows = _build(entries, self.lengths)
         steps, _ = self._schedule
         for pos, rewrite, contains, m, sing, gap, moves in steps:
             left, right = types[pos - 1], types[pos]
             ov = _overlap(left, right, pos, m)
             if ov < sing:
-                return Reduction(
-                    Witness("overlap", (pos, pos + 1), self.sigma, (ov, sing))
-                )
+                return Witness("overlap", (pos, pos + 1), self.sigma, (ov, sing))
             if rewrite:
                 types[pos - 1], types[pos] = _rewrite(
                     left, right, pos, pos + 1, gap, contains, moves
                 )
-        segments, gaps, cells = self._output
-        if not all(map(_descends, gaps, types, types[1:])):
+        if not all(map(_descends, self._output[1], types, types[1:])):
             raise InvariantViolationError(
                 f"reduction finished on a non-antitableau state for p={p}"
             )
+        return types, rows
+
+    def antitableau(self, types: Sequence[Sequence[int]]) -> tuple[tuple[HalfInt, ...], ...]:
+        """The antitableau that final types from ``run`` describe."""
+        return _antitableau_grid(self._output[2], types)
+
+    def reduce(self, p: Sequence[int] | ParamVector) -> Reduction:
+        """Reduce p (reference entries, or a vector on any admissible
+        arrangement) to an antitableau, or certify zero."""
+        result = self.run(p)
+        if isinstance(result, Witness):
+            return Reduction(result)
+        types, rows = result
         columns = tuple(
             Column(seg, tuple(L[: k + 1]))
-            for k, (seg, L) in enumerate(zip(segments, types), start=1)
+            for k, (seg, L) in enumerate(zip(self._output[0], types), start=1)
         )
         state = TableauState(columns, rows, self.sigma)
-        return Reduction(None, _antitableau_grid(cells, types), rows, state)
+        return Reduction(None, self.antitableau(types), rows, state)
 
 
 def trapa_reduce(

@@ -1,10 +1,18 @@
 """End-to-end runs of every subcommand through run(argv)."""
 
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from aqlam import cli, criterion
 from aqlam.cli import run
+
+from test_packets import loosen_pair
 
 DOC_A = {
     "components": [{"a": 12, "m": 3}, {"a": 10, "m": 5}, {"a": 7, "m": 6}],
@@ -15,6 +23,14 @@ DOC_B = {
     "components": [{"a": 12, "m": 3}, {"a": 8, "m": 5}, {"a": 7, "m": 6}],
     "p": [2, 2, 2],
 }
+DOC_D = {"components": [{"a": 5, "m": 2}, {"a": 4, "m": 3}, {"a": 3, "m": 2}]}
+DOC_R5 = {
+    "components": [
+        {"a": 14, "m": 3}, {"a": 12, "m": 5}, {"a": 11, "m": 4},
+        {"a": 9, "m": 6}, {"a": 6, "m": 3},
+    ],
+}
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 DOC_HALF = {
     "segments": [
         {"b": "7/2", "e": "5/2"},
@@ -142,6 +158,29 @@ class TestAV:
         assert payload["fibers_ok"] is True
         assert payload["total"] == len(payload["fiber_sizes"])
 
+    # fixtures A to D (DOC_HALF holds fixture C) and the r=5 parameter
+    @pytest.mark.parametrize("doc", [DOC_A, DOC_B, DOC_HALF, DOC_D, DOC_R5])
+    def test_verify_prints_the_same_bytes(self, tmp_path, capsys, doc):
+        # the search and the full scan by both engines agree to the byte
+        path = write_doc(tmp_path, doc)
+        assert run(["av", path]) == 0
+        searched = capsys.readouterr().out
+        assert run(["av", path, "--verify"]) == 0
+        assert capsys.readouterr().out == searched
+
+    def test_a_survivor_the_tableau_zeroes_exits_four(self, tmp_path, capsys, monkeypatch):
+        loosen_pair(monkeypatch, 2, 3)
+        assert run(["av", write_doc(tmp_path, DOC_B)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("internal error: ")
+
+    @pytest.mark.parametrize("argv", [["av"], ["av", "--verify"], ["packet"]])
+    def test_node_budget_exits_three(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(criterion, "MAX_DFS_NODES", 20)
+        assert run([argv[0], write_doc(tmp_path, DOC_A), *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestOutput:
     @pytest.mark.parametrize("argv", [["av"], ["packet", "--verify"], ["check"]])
@@ -158,6 +197,34 @@ class TestInputHandling:
         path.write_text("{not json")
         assert run(["check", str(path)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    def test_deep_nesting_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+        assert run(["av", "-"]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
+
+    def test_an_unexpected_exception_exits_four(self, tmp_path, capsys, monkeypatch):
+        def broken(doc, psi, args):
+            raise ZeroDivisionError("a defect")
+
+        monkeypatch.setitem(cli._COMMANDS, "av", broken)
+        assert run(["av", write_doc(tmp_path, DOC_A)]) == 4
+        assert capsys.readouterr().err == "internal error: ZeroDivisionError: a defect\n"
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from aqlam.cli import main; main()",
+             "av", "-", "--format", "text"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        proc.stdout.close()  # the reader is gone before anything is written
+        proc.stdin.write(json.dumps(DOC_R5).encode())
+        proc.stdin.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_missing_file(self, capsys):
         assert run(["check", "/nonexistent.json"]) == 2

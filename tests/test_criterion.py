@@ -4,20 +4,25 @@ import pytest
 
 from aqlam import GoodParityParameter, intersection_size
 from aqlam.arrangements import sigma_pairs
+from aqlam import criterion
 from aqlam.criterion import (
     CompiledCriterion,
     affine_value,
+    check_box_scan,
     cond_B,
     cond_C,
+    lattice_points,
     nonvanishing,
     nonvanishing_simplified,
 )
-from aqlam.errors import InputError
+from aqlam.errors import InputError, ResourceLimitError
+from aqlam.packets import enumerate_params
 from aqlam.segments import arrangement_is_admissible, neighbors
 from aqlam.tableau import trapa_reduce
 from aqlam.transition import ParamVector, phi
 
 from conftest import box, random_entry_vector, random_parameter, seg
+from test_acceptance import sweep_family
 
 
 def test_fixture_nonzero(psi_A):
@@ -156,3 +161,47 @@ def test_simplified_has_no_r_bound_and_agrees_with_tableau(r):
             p = random_entry_vector(rng, psi)
             assert compiled.verdict(p).nonzero == trapa_reduce(psi, p).nonzero, (psi, p)
             assert nonvanishing_simplified(psi, p) == compiled.verdict(p)
+
+
+def search_family():
+    """The acceptance sweep family and seeded random parameters up to r = 8,
+    with lengths kept small enough to filter every box vector."""
+    rng = random.Random(71)
+    m_max = {1: 6, 2: 6, 3: 5, 4: 4, 5: 3, 6: 3, 7: 2, 8: 2}
+    randoms = []
+    for _ in range(160):
+        r = rng.randint(1, 8)
+        randoms.append(random_parameter(rng, r, m_max=m_max[r]))
+    return [*sweep_family(), *randoms]
+
+
+def test_survivors_are_the_box_filtered_by_the_verdict():
+    for psi in search_family():
+        compiled = CompiledCriterion(psi)
+        passing = [p for p in box(psi) if compiled.verdict(p).nonzero]
+        assert list(compiled.survivors()) == passing, psi
+        for rank in range(psi.n + 1):
+            assert list(compiled.survivors(rank)) == [
+                p for p in enumerate_params(psi, rank) if compiled.verdict(p).nonzero
+            ], (psi, rank)
+
+
+def test_survivors_reject_a_rank_out_of_range(psi_A):
+    for rank in (-1, psi_A.n + 1):
+        with pytest.raises(InputError):
+            CompiledCriterion(psi_A).survivors(rank)
+
+
+def test_node_budget_is_checked_as_nodes_are_visited(monkeypatch):
+    # the box (2, 3) without checks: 3 nodes for p_1, then 4 under each
+    monkeypatch.setattr(criterion, "MAX_DFS_NODES", 15)
+    assert len(list(lattice_points((2, 3)))) == 12
+    check_box_scan((2, 3))
+    monkeypatch.setattr(criterion, "MAX_DFS_NODES", 14)
+    with pytest.raises(ResourceLimitError):
+        list(lattice_points((2, 3)))
+    with pytest.raises(ResourceLimitError):
+        check_box_scan((2, 3))
+    # a rank prunes nodes: rank 0 visits one node per entry
+    monkeypatch.setattr(criterion, "MAX_DFS_NODES", 2)
+    assert list(lattice_points((2, 3), 0)) == [(0, 0)]

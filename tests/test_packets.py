@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from aqlam import GoodParityParameter
-from aqlam.errors import InputError
+from aqlam import GoodParityParameter, criterion
+from aqlam.criterion import CompiledCriterion
+from aqlam.errors import InputError, InvariantViolationError, ResourceLimitError
 from aqlam.packets import (
     arthur_vogan,
     compute_packet,
+    count_params,
     enumerate_params,
     multiplicity_report,
 )
@@ -57,6 +59,63 @@ class TestEnumerate:
                 assert enumerate_params(psi, rank) == [
                     p for p in whole if sum(p) == rank
                 ]
+
+
+    def test_count_is_the_length_of_the_list(self):
+        rng = random.Random(63)
+        for _ in range(30):
+            psi = random_parameter(rng, rng.randint(1, 5), m_max=4)
+            for rank in range(psi.n + 1):
+                assert count_params(psi, rank) == len(enumerate_params(psi, rank))
+        with pytest.raises(InputError):
+            count_params(psi, psi.n + 1)
+
+
+def loosen_pair(monkeypatch, i, j):
+    """Drop condition C of the pair (i, j) from every compiled criterion."""
+    compile_pairs = CompiledCriterion.pairs.func
+
+    def pairs(self):
+        return tuple(
+            pair._replace(sing=0) if (pair.i, pair.j) == (i, j) else pair
+            for pair in compile_pairs(self)
+        )
+
+    monkeypatch.setattr(CompiledCriterion, "pairs", property(pairs))
+
+
+class TestSearchChecks:
+    def test_a_survivor_the_tableau_zeroes_is_an_invariant_violation(
+        self, psi_B, monkeypatch
+    ):
+        # (2, 2, 2) vanishes by condition C on the pair (2, 3) alone
+        loosen_pair(monkeypatch, 2, 3)
+        assert CompiledCriterion(psi_B).verdict((2, 2, 2)).nonzero
+        with pytest.raises(InvariantViolationError, match="zeroes"):
+            arthur_vogan(psi_B)
+        with pytest.raises(InvariantViolationError, match="disagree"):
+            arthur_vogan(psi_B, verify=True)
+        with pytest.raises(InvariantViolationError):
+            compute_packet(psi_B, 6)
+
+    def test_verify_checks_the_search_against_the_scan(self, psi_A, monkeypatch):
+        search = CompiledCriterion.survivors
+        monkeypatch.setattr(
+            CompiledCriterion, "survivors", lambda self, rank=None: list(search(self, rank))[1:]
+        )
+        assert len(compute_packet(psi_A, 6)) == 8
+        with pytest.raises(InvariantViolationError, match="search and the scan"):
+            compute_packet(psi_A, 6, verify=True)
+
+    def test_node_budget_refuses_before_describing(self, psi_D, monkeypatch):
+        low = compute_packet(psi_D, 2)
+        monkeypatch.setattr(criterion, "MAX_DFS_NODES", 20)
+        with pytest.raises(ResourceLimitError):
+            arthur_vogan(psi_D)
+        with pytest.raises(ResourceLimitError, match="scanning the box"):
+            compute_packet(psi_D, 2, verify=True)
+        # rank 2 of the box (2, 3, 2) has few nodes, and one survivor
+        assert compute_packet(psi_D, 2) == low and len(low) == 1
 
 
 class TestComputePacket:

@@ -9,9 +9,10 @@ import random
 import pytest
 
 from aqlam import GoodParityParameter
-from aqlam.criterion import cond_C, nonvanishing
+from aqlam.criterion import CompiledCriterion, cond_C, nonvanishing
 from aqlam.errors import InputError
 from aqlam.padic import (
+    CompiledImage,
     ExtendedMultiSegment,
     padic_cond_C,
     padic_nonvanishing,
@@ -24,6 +25,7 @@ from aqlam.segments import arrangement_is_admissible
 from aqlam.transition import ParamVector, phi_adjacent
 
 from conftest import box, parameter_family, seg
+from test_criterion import search_family
 
 
 @pytest.fixture
@@ -237,3 +239,15 @@ class TestNonvanishing:
                     assert padic_cond_C(psi, ems, i, j) == cond_C(
                         psi, pv, i, j
                     )
+
+
+def test_compiled_image_is_project_EF_of_to_extended():
+    # the parity recipe against the two reference definitions, on every
+    # survivor of the search family (n odd and even, both grids)
+    compared = 0
+    for psi in search_family():
+        image = CompiledImage(psi).image
+        for p in CompiledCriterion(psi).survivors():
+            assert image(p) == project_EF(psi, to_extended(psi, p)), (psi, p)
+            compared += 1
+    assert compared > 10_000
