@@ -30,9 +30,9 @@ from .arrangements import DEFAULT_MAX_R, enumerate_admissible
 from .criterion import Verdict, Witness, nonvanishing, nonvanishing_simplified
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
-from .padic import ExtendedMultiSegment, project_EF, sign_of, to_extended
+from .padic import ExtendedMultiSegment, in_padic_domain, project_EF, sign_of, to_extended
 from .segments import GoodParityParameter, Segment
-from .tableau import Reduction, trapa_reduce
+from .tableau import Reduction, Rows, trapa_reduce
 from .transition import ParamVector, phi
 
 
@@ -142,37 +142,52 @@ def _reduction_payload(reduction: Reduction) -> dict:
     }
 
 
-class _Strings(dict):
-    """Half-integers written as strings, keyed by doubled value; each value
-    is converted once."""
+class _EntryText:
+    """Writes a survivor of one parameter as the compact, key-sorted JSON of
+    its entry, from pieces written once per parameter: the quoted cells, the
+    lambda, the image's sigma, and each Levi pair and signed row."""
 
-    def __missing__(self, twice: int) -> str:
-        text = self[twice] = str(HalfInt(twice))
-        return text
+    def __init__(self, compiled: packets_mod.CompiledPackets) -> None:
+        self.reduction = compiled.reduction
+        self.lam = ",".join(f'"{x}"' for x in compiled.lam)
+        self.levi = [[f"[{v},{m - v}]" for v in range(m + 1)] for m in compiled.m]
+        r = compiled.psi.r
+        self.rows = {(t, s): f'[{t},"{s}"]' for t in range(1, r + 1) for s in "+-"}
+        self.image = f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}'
+
+    @functools.cached_property
+    def cells(self) -> list[list[str]]:
+        return self.reduction.cells(lambda twice: f'"{HalfInt(twice)}"')
+
+    def __call__(self, p: tuple[int, ...], types: list[list[int]],
+                 rows: Rows, image: Optional[ExtendedMultiSegment]) -> str:
+        grid = "],[".join(map(",".join, self.reduction.antitableau(types, self.cells)))
+        levi = ",".join(map(list.__getitem__, self.levi, p))
+        if image is None:
+            padic = "null"
+        else:
+            eta = '","'.join("+" if e == 1 else "-" for e in image.eta)
+            padic = f'{{"eta":["{eta}"],"l":[{",".join(map(str, image.l))}{self.image}'
+        return (
+            f'{{"antitableau":[[{grid}]],"lambda":[{self.lam}],"levi":[{levi}],'
+            f'"p":[{",".join(map(str, p))}],"padic_image":{padic},'
+            f'"rows":[{",".join(map(self.rows.__getitem__, rows))}]}}'
+        )
 
 
-class _EntryWriter:
-    """Writes packet entries as payloads.  The entries of one parameter
-    share their lambda and most cell values, so each lambda tuple and each
-    value's string is converted once and shared."""
+class _Entries(list):
+    """Entries written by ``_EntryText``, which ``_dumps`` splices in."""
 
-    def __init__(self) -> None:
-        self.strings = _Strings()
-        self.lam_of: Optional[tuple[HalfInt, ...]] = None
-        self.lam: list[str] = []
 
-    def __call__(self, entry: packets_mod.PacketEntry) -> dict:
-        strings = self.strings
-        if entry.lam is not self.lam_of:
-            self.lam_of, self.lam = entry.lam, [strings[x.twice] for x in entry.lam]
-        return {
-            "p": list(entry.p),
-            "levi": [list(x) for x in entry.levi],
-            "lambda": self.lam,
-            "antitableau": [[strings[x.twice] for x in row] for row in entry.antitableau],
-            "rows": [list(row) for row in entry.rows],
-            "padic_image": _jsonable(entry.padic_image),
-        }
+def _dumps(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
+    the text of ``_Entries`` spliced in."""
+    if isinstance(value, _Entries):
+        return f"[{','.join(value)}]"
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}:{_dumps(value[k])}" for k in sorted(value))
+        return f"{{{','.join(items)}}}"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _render_antitableau(rows: Sequence[Sequence[str]]) -> str:
@@ -181,8 +196,8 @@ def _render_antitableau(rows: Sequence[Sequence[str]]) -> str:
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":  # one compact line, which json's C encoder writes
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    if fmt == "json":  # one compact line
+        print(_dumps(payload))
         return
     for key, value in payload.items():
         if key == "antitableau" and value:
@@ -191,6 +206,8 @@ def _emit(payload: dict, fmt: str) -> None:
         elif key == "packets":
             for rank, entries in value.items():
                 print(f"rank {rank}: {len(entries)} entries")
+        elif isinstance(value, _Entries):
+            print(f"{key}:", *value, sep="\n")
         else:
             print(f"{key}: {value}")
 
@@ -218,7 +235,7 @@ def _cmd_padic(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     p = _require_p(doc, psi)
     ems = to_extended(psi, p)
     payload: dict = {"l_eta": _jsonable(ems)}
-    if all(li >= 0 for li in ems.l):
+    if in_padic_domain(psi) and all(li >= 0 for li in ems.l):
         payload["sign"] = "+" if sign_of(psi, ems) == 1 else "-"
         payload["EF_image"] = _jsonable(project_EF(psi, ems))
     return payload, 0
@@ -228,12 +245,11 @@ def _cmd_packet(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     if "p_rank" not in doc:
         raise InputError("the packet subcommand needs 'p_rank'")
     rank = _json(doc["p_rank"], int, "'p_rank'")
-    entries = packets_mod.compute_packet(psi, rank, verify=args.verify)
-    return {
-        "p_rank": rank,
-        "scanned": packets_mod.count_params(psi, rank),
-        "entries": list(map(_EntryWriter(), entries)),
-    }, 0
+    compiled = packets_mod.CompiledPackets(psi)
+    write = _EntryText(compiled)
+    entries = _Entries(write(*d) for d in compiled.described(rank, args.verify))
+    scanned = packets_mod.count_params(psi, rank)
+    return {"p_rank": rank, "scanned": scanned, "entries": entries}, 0
 
 
 def _cmd_arrangements(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
@@ -250,18 +266,20 @@ def _cmd_transition(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, in
 
 
 def _cmd_av(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
-    report = packets_mod.arthur_vogan(psi, verify=args.verify)
-    write = _EntryWriter()
+    compiled = packets_mod.CompiledPackets(psi)
+    write = _EntryText(compiled)
+    packets = {rank: _Entries() for rank in range(psi.n + 1)}
+    images = []
+    for described in compiled.described(None, args.verify):
+        packets[sum(described[0])].append(write(*described))
+        images.append(described[3])
     payload: dict = {
-        "total": report.total,
-        "packets": {
-            str(rank): list(map(write, entries))
-            for rank, entries in report.packets.items()
-        },
+        "total": len(images),
+        "packets": {str(rank): entries for rank, entries in packets.items()},
     }
-    if report.fibers_ok is not None:
-        payload["fibers_ok"] = report.fibers_ok
-        payload["fiber_sizes"] = sorted(report.fiber_sizes.values())
+    if compiled.in_domain:
+        sizes, payload["fibers_ok"] = packets_mod.fiber_audit(images, psi.n)
+        payload["fiber_sizes"] = sorted(sizes.values())
     return payload, 0
 
 

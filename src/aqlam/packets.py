@@ -13,9 +13,10 @@ decide every vector of the box instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import sub
-from typing import Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .criterion import CompiledCriterion, Witness, check_box_scan, lattice_points
 from .errors import InputError, InvariantViolationError
@@ -66,11 +67,11 @@ class CompiledPackets:
     Compiles once what deciding and describing a vector needs apart from the
     vector: the criterion, the tableau reduction, the shifts lambda, the
     lengths m and, in the comparison domain, the p-adic image.
-    ``packet(rank)`` and ``packets()`` take the survivors from the
-    criterion's lattice-point search (``CompiledCriterion.survivors``) and
-    describe each with ``entry``.  With ``verify`` they scan the box
-    instead: the tableau engine re-decides every vector, and any
-    disagreement with the criterion, or with the search, raises an
+    ``described(rank)`` describes each survivor of the criterion's
+    lattice-point search from integers, and ``entry``, ``packet`` and
+    ``packets`` make ``PacketEntry`` objects of that.  With ``verify`` the
+    box is scanned instead: the tableau engine re-decides every vector, and
+    any disagreement with the criterion, or with the search, raises an
     invariant violation.
     """
 
@@ -83,25 +84,30 @@ class CompiledPackets:
         self.in_domain = in_padic_domain(psi)
         self.image = CompiledImage(psi).image if self.in_domain else None
 
+    def described(self, rank: Optional[int] = None, verify: bool = False) -> Iterator[tuple]:
+        """``(p, types, rows, image)`` for each non-vanishing p of sum ``rank``
+        (of the box for None), lexicographic: the reduction's final types and
+        signed rows, and the p-adic image (None outside the comparison
+        domain).  A p the tableau engine zeroes raises an invariant violation."""
+        return self._describe(self._survivors(rank, verify))
+
+    def _describe(self, vectors: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
+        run, image = self.reduction.run, self.image
+        for p in vectors:
+            result = run(p)
+            if isinstance(result, Witness):
+                raise InvariantViolationError(
+                    f"the criterion passes p={p} but the tableau engine zeroes it: {result}"
+                )
+            yield p, *result, image(p) if image else None
+
+    def _entry(self, p: tuple[int, ...], types: list, rows: Rows, image) -> PacketEntry:
+        levi = tuple(zip(p, map(sub, self.m, p)))
+        return PacketEntry(p, levi, self.lam, self.reduction.antitableau(types), rows, image)
+
     def entry(self, p: tuple[int, ...]) -> PacketEntry:
-        """The entry of a non-vanishing vector: the antitableau and rows
-        read straight from the reduction's final types, the Levi data and
-        the p-adic image from the compiled pieces.  A vector the tableau
-        engine zeroes raises ``InvariantViolationError``."""
-        result = self.reduction.run(p)
-        if isinstance(result, Witness):
-            raise InvariantViolationError(
-                f"the criterion passes p={p} but the tableau engine zeroes it: {result}"
-            )
-        types, rows = result
-        return PacketEntry(
-            p=p,
-            levi=tuple(zip(p, map(sub, self.m, p))),
-            lam=self.lam,
-            antitableau=self.reduction.antitableau(types),
-            rows=rows,
-            padic_image=self.image(p) if self.image else None,
-        )
+        """The entry of a non-vanishing vector (see ``described``)."""
+        return self._entry(*next(self._describe([p])))
 
     def _survivors(self, rank: Optional[int], verify: bool) -> list[tuple[int, ...]]:
         """The non-vanishing vectors of sum ``rank`` (of the box for None),
@@ -132,14 +138,14 @@ class CompiledPackets:
     def packet(self, rank: int, verify: bool = False) -> list[PacketEntry]:
         """Entries for exactly the non-vanishing vectors of sum ``rank``,
         lexicographic."""
-        return [self.entry(p) for p in self._survivors(rank, verify)]
+        return [self._entry(*d) for d in self.described(rank, verify)]
 
     def packets(self, verify: bool = False) -> dict[int, list[PacketEntry]]:
         """``packet(rank)`` for every rank 0..n, from one search of the
         whole box bucketed by the sum."""
         out: dict[int, list[PacketEntry]] = {rank: [] for rank in range(self.psi.n + 1)}
-        for p in self._survivors(None, verify):
-            out[sum(p)].append(self.entry(p))
+        for d in self.described(None, verify):
+            out[sum(d[0])].append(self._entry(*d))
         return out
 
 
@@ -198,10 +204,13 @@ def arthur_vogan(psi: GoodParityParameter, verify: bool = False) -> AVReport:
     packets = compiled.packets(verify)
     if not compiled.in_domain:
         return AVReport(packets, None, None)
-    sizes: dict[ExtendedMultiSegment, int] = {}
-    for entries in packets.values():
-        for entry in entries:
-            sizes[entry.padic_image] = sizes.get(entry.padic_image, 0) + 1
-    want = 2 if psi.n % 2 else 1
-    ok = all(count == want for count in sizes.values())
-    return AVReport(packets, sizes, ok)
+    images = (entry.padic_image for entries in packets.values() for entry in entries)
+    return AVReport(packets, *fiber_audit(images, psi.n))
+
+
+def fiber_audit(images: Iterable[Hashable], n: int) -> tuple[dict, bool]:
+    """How many survivors share each p-adic image, and whether every image
+    has the preimages it should: two (p and m - p) for n odd, one for n
+    even."""
+    sizes, want = Counter(images), 2 if n % 2 else 1
+    return sizes, all(count == want for count in sizes.values())

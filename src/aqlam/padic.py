@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import prod
 from typing import Sequence
 
 from .arrangements import (
@@ -119,36 +120,38 @@ def project_EF(
 
 
 class CompiledImage:
-    """``project_EF(psi, to_extended(psi, p))`` for reference vectors p,
-    compiled once per parameter.
+    """``project_EF(psi, to_extended(psi, p))`` for reference vectors p in
+    the box, compiled once per parameter.
 
     On the reference order the sign eta_i carries (-1)^(M_i + 1), with M_i
     the partial length sum m_1 + ... + m_i, and the sign product of
-    ``sign_of`` reads only m_i // 2 and m_i mod 2; for n odd a negative
-    product flips every sign.  ``image(p)`` applies these parameter-level
-    parities to p; ``to_extended`` and ``project_EF`` stay the reference
-    definitions, and tests hold the two equal.
+    ``sign_of`` is a product of one factor per component, read from m_i // 2,
+    m_i mod 2, l_i and eta_i; for n odd a negative product flips every sign
+    not fixed by 2 l_i = m_i.  So each entry value p_i has its l_i, its
+    eta_i, its flipped eta_i and its factor in a table, and ``image(p)``
+    reads p's columns of it; ``to_extended`` and ``project_EF`` stay the
+    reference definitions, and tests hold the two equal.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
-        self.m = tuple(s.m for s in psi.segments)
-        self.signs = tuple(_sgnpow(acc + 1) for acc in accumulate(self.m))
         self.n_odd = psi.n % 2 == 1
         self.sigma = tuple(range(1, psi.r + 1))
+        lengths, self.table = [s.m for s in psi.segments], []
+        for m, acc in zip(lengths, accumulate(lengths)):
+            sign = _sgnpow(acc + 1)
+            column = []
+            for p_i in range(m + 1):
+                l_i = min(p_i, m - p_i)
+                e_i = 1 if 2 * l_i == m else (-sign if 2 * p_i < m else sign)
+                factor = _sgnpow(m // 2 + l_i) * (e_i if m % 2 else 1)
+                column.append((l_i, e_i, 1 if 2 * l_i == m else -e_i, factor))
+            self.table.append(column)
 
     def image(self, p: Sequence[int]) -> ExtendedMultiSegment:
-        l, eta, parity, odd_sign = [], [], 0, 1
-        for p_i, m, sign in zip(p, self.m, self.signs):
-            l_i = min(p_i, m - p_i)
-            e_i = 1 if 2 * l_i == m else (-sign if 2 * p_i < m else sign)
-            l.append(l_i)
-            eta.append(e_i)
-            parity += m // 2 + l_i
-            if m % 2:
-                odd_sign *= e_i
-        if self.n_odd and _sgnpow(parity) * odd_sign == -1:
-            eta = [1 if 2 * l_i == m else -e_i for l_i, e_i, m in zip(l, eta, self.m)]
-        return ExtendedMultiSegment(tuple(l), tuple(eta), self.sigma)
+        l, eta, flipped, factors = zip(*map(list.__getitem__, self.table, p))
+        if self.n_odd and prod(factors) == -1:
+            eta = flipped
+        return ExtendedMultiSegment(l, eta, self.sigma)
 
 
 def _forward_swap(

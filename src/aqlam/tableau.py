@@ -23,9 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, zip_longest
 from operator import add, gt, sub
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from .arrangements import (
     Permutation,
@@ -116,50 +116,46 @@ def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
     for comp, p, seg in zip(pv.sigma, pv.entries, segments):
         if not 0 <= p <= seg.m:
             raise InputError(f"entry {p} for component {comp} outside box [0, {seg.m}]")
-    types, rows = _build(pv.entries, [seg.m for seg in segments])
-    columns = tuple(
-        Column(seg, tuple(L[: k + 1]))
-        for k, (seg, L) in enumerate(zip(segments, types), start=1)
-    )
-    return TableauState(columns, rows, pv.sigma)
+    plus = minus = [0] * (len(segments) + 2)
+    columns = []
+    for k, (p, seg) in enumerate(zip(pv.entries, segments), start=1):
+        L, plus, minus = _column(plus, minus, p, seg.m, k)
+        columns.append(Column(seg, tuple(L[: k + 1])))
+    return TableauState(tuple(columns), _rows(plus, minus), pv.sigma)
 
 
-def _build(entries: Sequence[int], lengths: Sequence[int]) -> tuple[list[list[int]], Rows]:
-    """The types and the signed rows (longest first, '+' rows before '-'
-    rows of one length) of the tableau with these entries.
+def _column(plus: list[int], minus: list[int], p: int, m: int, k: int) -> tuple:
+    """Add column k, of length m with p pluses, to a tableau whose rows are
+    kept as counts by length and end sign (``plus[t]`` rows of length t end
+    in '+'): the column's types, padded with m to the size r + 2 of the
+    counts, and the new counts.  The p longest minus-ending rows take a '+',
+    the q = m - p longest plus-ending rows a '-', and what is left of p and
+    q opens new rows; after rows of length t, m - p - q boxes have landed on
+    rows of length at least t: that is L_{k,k-t}."""
+    size = len(plus)
+    q = m - p
+    L = [0]
+    new_plus, new_minus = [0] * size, [0] * size
+    for t in range(k - 1, 0, -1):
+        to_plus, to_minus = min(minus[t], p), min(plus[t], q)
+        p, q = p - to_plus, q - to_minus
+        L.append(m - p - q)
+        new_plus[t + 1] += to_plus
+        new_minus[t] += minus[t] - to_plus
+        new_minus[t + 1] += to_minus
+        new_plus[t] += plus[t] - to_minus
+    new_plus[1] += p
+    new_minus[1] += q
+    return L + [m] * (size - k), new_plus, new_minus
 
-    The rows are kept as counts by length and end sign: L_{k,i} counts the
-    boxes of column k that land on rows of length at least k - i.  Each
-    column's types come padded to r + 2 entries with its length m.
-    """
-    r = len(entries)
-    plus = [0] * (r + 2)  # plus[t]: rows of length t ending in '+'
-    minus = [0] * (r + 2)
-    types = []
-    for k, (p, m) in enumerate(zip(entries, lengths), start=1):
-        # the p longest minus-ending rows take a '+', the q = m - p longest
-        # plus-ending rows a '-'; what is left of p and q opens new rows.
-        # After rows of length t, m - p - q boxes have landed on rows of
-        # length at least t: that is L_{k,k-t}.
-        q = m - p
-        L = [0]
-        new_plus, new_minus = [0] * (r + 2), [0] * (r + 2)
-        for t in range(k - 1, 0, -1):
-            to_plus, to_minus = min(minus[t], p), min(plus[t], q)
-            p, q = p - to_plus, q - to_minus
-            L.append(m - p - q)
-            new_plus[t + 1] += to_plus
-            new_minus[t] += minus[t] - to_plus
-            new_minus[t + 1] += to_minus
-            new_plus[t] += plus[t] - to_minus
-        types.append(L + [m] * (r + 2 - k))
-        new_plus[1] += p
-        new_minus[1] += q
-        plus, minus = new_plus, new_minus
+
+def _rows(plus: Sequence[int], minus: Sequence[int]) -> Rows:
+    """The signed rows the counts of ``_column`` describe: longest first,
+    '+' rows before '-' rows of one length."""
     rows: list[tuple[int, str]] = []
-    for t in range(r, 0, -1):
+    for t in range(len(plus) - 2, 0, -1):
         rows += [(t, "+")] * plus[t] + [(t, "-")] * minus[t]
-    return types, tuple(rows)
+    return tuple(rows)
 
 
 def _padded(L: Sequence[int], size: int) -> list[int]:
@@ -296,33 +292,31 @@ def _descends(gap: int, left: Sequence[int], right: Sequence[int]) -> bool:
     return max(map(sub, left, right)) <= gap
 
 
-def _cells(ends: Sequence[tuple[int, int]]) -> list[list[HalfInt]]:
+def _cells(ends: Sequence[tuple[int, int]], write: Callable = HalfInt) -> list[list]:
     """For each column with doubled segment ends (b, e), its entries b,
-    b - 1, ..., e; the columns share one ``HalfInt`` per value."""
+    b - 1, ..., e, each written by ``write`` from its double; the columns
+    share one written value per value."""
     top = max(b for b, _ in ends)
-    table = [HalfInt(top - 2 * u) for u in range((top - min(e for _, e in ends)) // 2 + 1)]
+    table = [write(top - 2 * u) for u in range((top - min(e for _, e in ends)) // 2 + 1)]
     return [table[(top - b) // 2 : (top - e) // 2 + 1] for b, e in ends]
 
 
-def _antitableau_grid(
-    cells: Sequence[Sequence[HalfInt]], types: Sequence[Sequence[int]]
-) -> tuple[tuple[HalfInt, ...], ...]:
+def _antitableau_grid(cells: Sequence[Sequence], types: Sequence[Sequence[int]]) -> tuple:
     """Reconstruct the filled rows from column types.
 
     Grid column c stacks, for k = c..r, the entries of component k+1-c of
     state column k: b(nu_k) - u for u = L_{k,i-1} .. L_{k,i} - 1, with
-    i = k+1-c; ``cells[k-1][u]`` holds b(nu_k) - u.
+    i = k+1-c; ``cells[k-1][u]`` holds b(nu_k) - u.  The code counts c and
+    k from 0.
     """
     r = len(types)
-    grid_cols: list[list[HalfInt]] = []
-    for c in range(1, r + 1):
-        col: list[HalfInt] = []
-        for k in range(c, r + 1):
-            i = k + 1 - c
-            L = types[k - 1]
-            col += cells[k - 1][L[i - 1] : L[i]]
-        grid_cols.append(col)
-    # row t holds entry t of every column that long (a HalfInt is truthy)
+    grid_cols = [
+        list(chain.from_iterable(
+            cells[k][types[k][k - c] : types[k][k - c + 1]] for k in range(c, r)
+        ))
+        for c in range(r)
+    ]
+    # row t holds entry t of every column that long (a cell is truthy)
     return tuple(tuple(filter(None, row)) for row in zip_longest(*grid_cols))
 
 
@@ -360,15 +354,18 @@ class CompiledReduction:
     vector there (affine forms, see ``transition.transported_forms``), and
     the segments of every rewrite, since a rewrite always turns its two
     segments into their max/min pair whatever the types.  ``reduce(p)``
-    transports p, checks the box, builds the integer types and runs the
-    compiled rewrites on them.  The schedule and the output cells are
-    compiled on the first vector that passes the box check.
+    transports p, checks the box, builds the integer types column by column
+    and runs each column's compiled rewrites as it arrives.  The schedule
+    and the output cells are compiled on the first vector that passes the
+    box check.
 
-    ``run(p)`` is that core: it returns the final integer types and signed
-    rows (or the zero witness), and ``antitableau(types)`` reads the filled
-    rows out of them.  ``reduce`` wraps the two in a ``Reduction`` with its
-    ``TableauState``; a caller that needs only the antitableau and the rows,
-    such as ``packets.CompiledPackets``, skips building the state.
+    The state after k columns depends only on the first k canonical
+    entries, so an instance keeps the states of the last vector it ran and
+    resumes the next at its first canonical entry that differs (which makes
+    it unfit for sharing between threads).  ``run(p)`` returns the final
+    types and rows, or the zero witness; ``antitableau(types)`` reads the
+    filled rows out of the types, and ``reduce`` wraps both in a
+    ``Reduction`` with its ``TableauState``.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -376,6 +373,9 @@ class CompiledReduction:
         self.sigma = appropriate_arrangement(psi)
         self.lengths = tuple(psi.seg(comp).m for comp in self.sigma)
         self.reference = tuple(range(1, psi.r + 1))
+        # _states[k]: the types and row counts after the first k entries of _last
+        self._last: Sequence[int] = ()
+        self._states: list[tuple] = [([], [0] * (psi.r + 2), [0] * (psi.r + 2))]
 
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
@@ -383,13 +383,15 @@ class CompiledReduction:
         return transported_forms(relation_table(self.psi), m, self.sigma, self.sigma)
 
     @cached_property
-    def _schedule(self) -> tuple[tuple[_Step, ...], tuple[tuple[int, int], ...]]:
+    def _schedule(self) -> tuple[tuple[tuple[_Step, ...], ...], tuple[tuple[int, int], ...]]:
         """Trapa's insertion order run on the doubled segment ends: column
         k = 2..r bubbles leftward through the rewrite, up to a left segment
-        that precedes it.  Returns the steps and the final ends."""
+        that precedes it.  Returns the steps of each column k = 1..r and
+        the final ends."""
         ends = [(s.b.twice, s.e.twice) for s in map(self.psi.seg, self.sigma)]
-        steps = []
+        columns: list[tuple[_Step, ...]] = [()]
         for k in range(2, len(ends) + 1):
+            steps = []
             for pos in range(k - 1, 0, -1):
                 left, right = ends[pos - 1], ends[pos]
                 rel = Segment.relate_twice(*left, *right, Relation.CONTAINS)
@@ -409,7 +411,8 @@ class CompiledReduction:
                 steps.append(
                     _Step(pos, True, rel is Relation.CONTAINS, m, sing, gap, moves)
                 )
-        return tuple(steps), tuple(ends)
+            columns.append(tuple(steps))
+        return tuple(columns), tuple(ends)
 
     @cached_property
     def _output(self) -> tuple[tuple[Segment, ...], tuple[int, ...], list[list[HalfInt]]]:
@@ -420,6 +423,11 @@ class CompiledReduction:
         gaps = tuple((left[0] - right[0]) // 2 for left, right in zip(ends, ends[1:]))
         return segments, gaps, _cells(ends)
 
+    def cells(self, write: Callable[[int], Any]) -> list[list]:
+        """The antitableau cells with each value written by ``write`` from
+        its double, for ``antitableau(types, cells)``."""
+        return _cells(self._schedule[1], write)
+
     def _start(self, p: Sequence[int] | ParamVector) -> Union[Witness, Sequence[int]]:
         """p's entries on the canonical arrangement, or the first of them in
         arrangement order that leaves its box, as a "B" witness."""
@@ -429,7 +437,10 @@ class CompiledReduction:
             p = p.entries if isinstance(p, ParamVector) else tuple(p)
             if len(p) != self.psi.r:
                 raise InputError(f"expected {self.psi.r} entries, got {len(p)}")
-            entries = [affine_value(form, p) for form in self._forms]
+            if self.sigma == self.reference:  # the transport is the identity
+                entries = p
+            else:
+                entries = [affine_value(form, p) for form in self._forms]
         for comp, entry, m in zip(self.sigma, entries, self.lengths):
             if not 0 <= entry <= m:
                 return Witness("B", (comp,), self.sigma, (entry, m))
@@ -438,32 +449,48 @@ class CompiledReduction:
     def run(
         self, p: Sequence[int] | ParamVector
     ) -> Union[Witness, tuple[list[list[int]], Rows]]:
-        """The core of ``reduce``: p's final types (padded, see ``_build``)
-        and signed rows, or the witness that p is zero.  Every self-check of
-        the rewrites and the final antitableau check run here."""
+        """The core of ``reduce``: p's final types (padded, see ``_column``;
+        kept for the next vector, so read them only) and signed rows, or the
+        witness that p is zero.  Resumes after the longest prefix of
+        canonical entries shared with the last vector run; every column built
+        runs the overlap test and the self-checks of its rewrites, and every
+        result the final antitableau check."""
         entries = self._start(p)
         if isinstance(entries, Witness):
             return entries
-        types, rows = _build(entries, self.lengths)
-        steps, _ = self._schedule
-        for pos, rewrite, contains, m, sing, gap, moves in steps:
-            left, right = types[pos - 1], types[pos]
-            ov = _overlap(left, right, pos, m)
-            if ov < sing:
-                return Witness("overlap", (pos, pos + 1), self.sigma, (ov, sing))
-            if rewrite:
-                types[pos - 1], types[pos] = _rewrite(
-                    left, right, pos, pos + 1, gap, contains, moves
-                )
+        states, last = self._states, self._last
+        start = 0
+        while start < len(states) - 1 and entries[start] == last[start]:
+            start += 1
+        del states[start + 1 :]
+        self._last = entries
+        types, plus, minus = states[start]
+        schedule = self._schedule[0]
+        for k in range(start + 1, len(entries) + 1):
+            L, plus, minus = _column(plus, minus, entries[k - 1], self.lengths[k - 1], k)
+            types = [*types, L]
+            for pos, rewrite, contains, m, sing, gap, moves in schedule[k - 1]:
+                left, right = types[pos - 1], types[pos]
+                ov = _overlap(left, right, pos, m)
+                if ov < sing:
+                    return Witness("overlap", (pos, pos + 1), self.sigma, (ov, sing))
+                if rewrite:
+                    types[pos - 1], types[pos] = _rewrite(
+                        left, right, pos, pos + 1, gap, contains, moves
+                    )
+            states.append((types, plus, minus))
         if not all(map(_descends, self._output[1], types, types[1:])):
             raise InvariantViolationError(
                 f"reduction finished on a non-antitableau state for p={p}"
             )
-        return types, rows
+        return types, _rows(plus, minus)
 
-    def antitableau(self, types: Sequence[Sequence[int]]) -> tuple[tuple[HalfInt, ...], ...]:
-        """The antitableau that final types from ``run`` describe."""
-        return _antitableau_grid(self._output[2], types)
+    def antitableau(
+        self, types: Sequence[Sequence[int]], cells: Optional[list] = None
+    ) -> tuple[tuple, ...]:
+        """The antitableau that final types from ``run`` describe, with the
+        entries of ``cells`` (by default the ``HalfInt`` ones)."""
+        return _antitableau_grid(cells or self._output[2], types)
 
     def reduce(self, p: Sequence[int] | ParamVector) -> Reduction:
         """Reduce p (reference entries, or a vector on any admissible

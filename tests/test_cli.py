@@ -1,17 +1,23 @@
 """End-to-end runs of every subcommand through run(argv)."""
 
+import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 from aqlam import cli, criterion
+from aqlam import packets as packets_mod
 from aqlam.cli import run
 
+from conftest import random_parameter
 from test_packets import loosen_pair
 
 DOC_A = {
@@ -30,6 +36,8 @@ DOC_R5 = {
         {"a": 9, "m": 6}, {"a": 6, "m": 3},
     ],
 }
+# an end of -3/2: outside the comparison domain of the p-adic side
+DOC_NEGATIVE_END = {"components": [{"a": 1, "m": 5}, {"a": 0, "m": 2}], "p": [2, 1]}
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 DOC_HALF = {
     "segments": [
@@ -46,6 +54,18 @@ def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def run_stdin(argv, doc):
+    """The exit code and stdout of ``run`` on argv, with doc on stdin."""
+    out = io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run([*argv[:1], "-", *argv[1:]])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
 
 
 def run_json(capsys, argv):
@@ -111,6 +131,15 @@ class TestPadic:
         assert payload["l_eta"]["eta"] == ["-", "+", "+"]
         assert "EF_image" in payload
 
+    def test_outside_the_comparison_domain_prints_l_eta_only(self, tmp_path, capsys):
+        # as ``av`` reports no image there and ``padic_nonvanishing`` refuses it
+        code, payload = run_json(capsys, ["padic", write_doc(tmp_path, DOC_NEGATIVE_END)])
+        assert code == 0
+        assert payload == {"l_eta": {"eta": ["-", "+"], "l": [2, 1], "sigma": [1, 2]}}
+        code, payload = run_json(capsys, ["av", write_doc(tmp_path, DOC_NEGATIVE_END)])
+        assert payload["total"] > 0
+        assert all(e["padic_image"] is None for es in payload["packets"].values() for e in es)
+
 
 class TestPacket:
     def test_fixture_counts(self, tmp_path, capsys):
@@ -121,6 +150,14 @@ class TestPacket:
         assert payload["scanned"] == 21
         assert len(payload["entries"]) == 9
         assert any(e["p"] == [2, 2, 2] for e in payload["entries"])
+
+    def test_text_format_prints_one_entry_per_line(self, tmp_path, capsys):
+        path = write_doc(tmp_path, DOC_A)
+        code, payload = run_json(capsys, ["packet", path])
+        assert run(["packet", path, "--format", "text"]) == code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["p_rank: 6", "scanned: 21", "entries:"]
+        assert [json.loads(line) for line in lines[3:]] == payload["entries"]
 
     def test_missing_rank_is_input_error(self, tmp_path, capsys):
         code = run(["packet", write_doc(tmp_path, DOC_B)])
@@ -294,3 +331,78 @@ class TestFlags:
         path = write_doc(tmp_path, DOC_A)
         assert run(["arrangements", path, "--max-r", "2"]) == 3
         assert run(["arrangements", path, "--max-r", "3"]) == 0
+
+
+def recorded_runs():
+    """(argv, doc) pairs whose output bytes are on record: fixtures A to D
+    and the r=5 parameter with ``av``, ``av --verify``, ``av --format text``
+    and ``packet`` at every rank; 300 seeded random parameters at r <= 6,
+    m <= 4 with ``av``, ``av --verify`` where the box is at most 300, and
+    ``packet`` at every rank of every tenth."""
+    for doc in (DOC_A, DOC_B, DOC_HALF, DOC_D, DOC_R5):
+        doc = {k: v for k, v in doc.items() if k not in ("p", "p_rank")}
+        yield from _recorded(doc, verify=True, ranks=True)
+        yield ["av", "--format", "text"], doc
+    rng = random.Random(71)
+    for t in range(300):
+        psi = random_parameter(rng, rng.randint(1, 6), m_max=4)
+        doc = {"segments": [{"b": str(s.b), "e": str(s.e)} for s in psi.segments]}
+        box = math.prod(s.m + 1 for s in psi.segments)
+        yield from _recorded(doc, verify=box <= 300, ranks=t % 10 == 0)
+
+
+def _recorded(doc, verify, ranks):
+    yield ["av"], doc
+    if verify:
+        yield ["av", "--verify"], doc
+    if ranks:
+        n = cli._parse_parameter(doc, False).n
+        for rank in range(n + 1):
+            yield ["packet"], {**doc, "p_rank": rank}
+
+
+class TestOutputRecord:
+    # sha256 of the exit codes and stdout of ``recorded_runs()``, recorded
+    # before survivors were described by resuming reductions and written
+    # straight to JSON text
+    RECORD = "2d350f3b9ae44a3da7770ac41f57dc04de48aafe233823e1e4a553b5c1943b5d"
+
+    def test_matches_the_record(self):
+        lines = [f"{argv} {run_stdin(argv, doc)}" for argv, doc in recorded_runs()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (897, self.RECORD)
+
+
+def entry_payload(entry):
+    """The JSON payload of a packet entry, built from the library's
+    ``PacketEntry``."""
+    image = entry.padic_image
+    return {
+        "p": list(entry.p),
+        "levi": [list(pair) for pair in entry.levi],
+        "lambda": [str(x) for x in entry.lam],
+        "antitableau": [[str(x) for x in row] for row in entry.antitableau],
+        "rows": [[length, sign] for length, sign in entry.rows],
+        "padic_image": None if image is None else {
+            "l": list(image.l),
+            "eta": ["+" if e == 1 else "-" for e in image.eta],
+            "sigma": list(image.sigma),
+        },
+    }
+
+
+def test_entry_text_is_the_json_of_the_payload():
+    rng = random.Random(73)
+    # fixtures A to D, the r=5 parameter and one outside the comparison domain
+    docs = [DOC_A, DOC_B, DOC_HALF, DOC_D, DOC_R5, DOC_NEGATIVE_END]
+    psis = [cli._parse_parameter(doc, False) for doc in docs]
+    psis += [random_parameter(rng, rng.randint(1, 6), m_max=4) for _ in range(40)]
+    written = 0
+    for psi in psis:
+        compiled = packets_mod.CompiledPackets(psi)
+        write = cli._EntryText(compiled)
+        for described in compiled.described():
+            payload = entry_payload(compiled._entry(*described))
+            assert write(*described) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            written += 1
+    assert written > 1000

@@ -9,6 +9,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqlam import GoodParityParameter, HalfInt, intersection_size, tableau
 from aqlam.arrangements import appropriate_arrangement, enumerate_admissible
@@ -362,8 +364,9 @@ class TestCompiledReduction:
                 elif fast.zero.kind == "B":
                     assert oracle.zero == fast.zero
 
-    # Types that no tableau has, fed to the compiled rewrites in place of
-    # the built ones: each trips one self-check.
+    # Types that no tableau has, built by the per-column builder in place of
+    # the true ones and fed to the compiled rewrites: each trips one
+    # self-check.
     @pytest.mark.parametrize("segments, types, message", [
         ((seg(4, 4), seg(3, 2)), [[0, -2, -2, -2], [0, -2, -2, -2]],
          "types not weakly increasing"),
@@ -375,8 +378,92 @@ class TestCompiledReduction:
          "non-antitableau state"),
     ])
     def test_corrupted_types_raise(self, monkeypatch, segments, types, message):
-        compiled = CompiledReduction(GoodParityParameter(segments))
-        p = next(p for p in box(compiled.psi) if compiled.reduce(p).nonzero)
-        monkeypatch.setattr(tableau, "_build", lambda entries, lengths: (types, ()))
+        psi = GoodParityParameter(segments)
+        compiled = CompiledReduction(psi)
+        p = next(p for p in box(psi) if compiled.reduce(p).nonzero)
+        monkeypatch.setattr(
+            tableau, "_column", lambda plus, minus, p, m, k: (types[k - 1], plus, minus)
+        )
         with pytest.raises(InvariantViolationError, match=message):
-            compiled.reduce(p)
+            CompiledReduction(psi).reduce(p)
+
+
+def _outcome(compiled, p):
+    """``compiled.reduce(p)``, or the type and message of what it raised."""
+    try:
+        return compiled.reduce(p)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _resume_sequence(rng, psi):
+    """Vectors for one ``CompiledReduction`` in turn: the box in
+    lexicographic order (a sample of it for a large box), repeats, vectors
+    leaving the box, a vector of the wrong length, each zero vector followed
+    by one that keeps its prefix and changes its last entry, and the same
+    vectors on other admissible arrangements."""
+    vectors = list(box(psi))
+    if len(vectors) > 200:
+        start = rng.randrange(len(vectors) - 100)
+        vectors = vectors[start : start + 100] + rng.sample(vectors, 60)
+    sequence = []
+    for p in vectors:
+        sequence.append(p)
+        if rng.random() < 0.1:
+            sequence.append(p)
+        if rng.random() < 0.1:
+            bad = list(p)
+            k = rng.randrange(psi.r)
+            bad[k] = psi.m(k + 1) + 1 if rng.random() < 0.5 else -1
+            sequence.append(tuple(bad))
+        if not CompiledReduction(psi).reduce(p).nonzero:
+            sequence.append((*p[:-1], rng.randint(0, psi.m(psi.r))))
+    sequence.append(vectors[0] + (0,))
+    others = [s for s in enumerate_admissible(psi) if s != tuple(range(1, psi.r + 1))]
+    for sigma in rng.sample(others, min(3, len(others))):
+        for p in rng.sample(vectors, min(10, len(vectors))):
+            sequence.append(phi(psi, ParamVector.reference(p), sigma))
+    return sequence
+
+
+class TestResume:
+    """A ``CompiledReduction`` resumes each vector from the states of the
+    last one; the outcome must be that of a fresh instance."""
+
+    def check(self, psi, sequence):
+        shared = CompiledReduction(psi)
+        for p in sequence:
+            assert _outcome(shared, p) == _outcome(CompiledReduction(psi), p), (psi, p)
+
+    def test_seeded_sequences(self, psi_A, psi_B, psi_C, psi_D):
+        rng = random.Random(81)
+        r5 = GoodParityParameter.from_components(
+            [(14, 3), (12, 5), (11, 4), (9, 6), (6, 3)]
+        )
+        assert CompiledReduction(r5).sigma != tuple(range(1, 6))  # not the reference
+        psis = [psi_A, psi_B, psi_C, psi_D, r5]
+        psis += [random_parameter(rng, rng.randint(2, 6), m_max=3) for _ in range(12)]
+        for psi in psis:
+            self.check(psi, _resume_sequence(rng, psi))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(2, 5))
+    def test_random_sequences(self, rng, r):
+        psi = random_parameter(rng, r, m_max=3)
+        lengths = [psi.m(i) for i in range(1, r + 1)]
+        sequence = [
+            tuple(rng.randint(-1, m + 1) if rng.random() < 0.05 else rng.randint(0, m)
+                  for m in lengths)
+            for _ in range(30)
+        ]
+        self.check(psi, sequence)
+
+    def test_a_shared_prefix_is_not_rebuilt(self, psi_A, monkeypatch):
+        want = trapa_reduce(psi_A, (2, 2, 3))
+        compiled = CompiledReduction(psi_A)
+        compiled.reduce((2, 2, 2))
+        built, column = [], tableau._column
+        monkeypatch.setattr(tableau, "_column", lambda *args: built.append(args[-1]) or column(*args))
+        assert compiled.reduce((2, 2, 3)) == want and want.nonzero
+        assert compiled.reduce((2, 2, 3)) == want
+        assert built == [3]  # column 3 once; the repeat builds none
