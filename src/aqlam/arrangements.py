@@ -32,15 +32,6 @@ def perm_inverse(sigma: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def perm_inversions(sigma: Permutation) -> int:
-    return sum(
-        1
-        for h in range(len(sigma))
-        for k in range(h + 1, len(sigma))
-        if sigma[h] > sigma[k]
-    )
-
-
 def enumerate_admissible(
     psi: GoodParityParameter, max_r: int = DEFAULT_MAX_R
 ) -> list[Permutation]:

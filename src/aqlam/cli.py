@@ -32,7 +32,7 @@ from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
 from .padic import ExtendedMultiSegment, in_padic_domain, project_EF, sign_of, to_extended
 from .segments import GoodParityParameter, Segment
-from .tableau import Reduction, Rows, trapa_reduce
+from .tableau import CompiledReduction, Reduction, Rows, trapa_reduce
 from .transition import ParamVector, phi
 
 
@@ -106,8 +106,6 @@ def _require_p(doc: dict, psi: GoodParityParameter) -> tuple[int, ...]:
 def _jsonable(value: Any) -> Any:
     if isinstance(value, HalfInt):
         return str(value)
-    if isinstance(value, Segment):
-        return {"b": str(value.b), "e": str(value.e)}
     if isinstance(value, Witness):
         return {
             "kind": value.kind,
@@ -123,8 +121,6 @@ def _jsonable(value: Any) -> Any:
         }
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     return value
 
 
@@ -217,11 +213,11 @@ def _cmd_check(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     verdict = nonvanishing_simplified(psi, p)
     if args.verify:
         full = nonvanishing(psi, p, max_r=args.max_r)
-        reduction = trapa_reduce(psi, p)
-        if len({verdict.nonzero, full.nonzero, reduction.nonzero}) != 1:
+        tableau = not isinstance(CompiledReduction(psi).run(p), Witness)
+        if len({verdict.nonzero, full.nonzero, tableau}) != 1:
             raise InvariantViolationError(
                 f"engines disagree on p={p}: simplified={verdict.nonzero}, "
-                f"full={full.nonzero}, tableau={reduction.nonzero}"
+                f"full={full.nonzero}, tableau={tableau}"
             )
     return _verdict_payload(verdict), 0 if verdict.nonzero else 1
 
@@ -267,11 +263,12 @@ def _cmd_transition(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, in
 
 def _cmd_av(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     compiled = packets_mod.CompiledPackets(psi)
-    write = _EntryText(compiled)
+    # the text view prints only how many entries each rank has
+    write = _EntryText(compiled) if args.format == "json" else None
     packets = {rank: _Entries() for rank in range(psi.n + 1)}
     images = []
     for described in compiled.described(None, args.verify):
-        packets[sum(described[0])].append(write(*described))
+        packets[sum(described[0])].append(write(*described) if write else None)
         images.append(described[3])
     payload: dict = {
         "total": len(images),

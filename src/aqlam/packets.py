@@ -120,11 +120,11 @@ class CompiledPackets:
         scanned = []
         for p in lattice_points(self.m, rank):
             verdict = self.criterion.verdict(p)
-            reduction = self.reduction.reduce(p)
-            if reduction.nonzero != verdict.nonzero:
+            tableau = not isinstance(self.reduction.run(p), Witness)
+            if tableau != verdict.nonzero:
                 raise InvariantViolationError(
                     f"engines disagree on p={p}: criterion says "
-                    f"{verdict.nonzero}, tableau says {reduction.nonzero}"
+                    f"{verdict.nonzero}, tableau says {tableau}"
                 )
             if verdict.nonzero:
                 scanned.append(p)

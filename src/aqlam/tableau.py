@@ -1,15 +1,22 @@
 """Signed-tableau construction and the reduce-to-antitableau-or-zero engine.
 
-This is the second, independent decision procedure.  A parameter vector is
-turned into a signed tableau column by column; each column carries a
-cumulative box-count type L_{k,i}, and its filling type
+This is the second, independent decision procedure (Trapa's algorithm).  A
+parameter vector is turned into a signed tableau column by column; each
+column carries a cumulative box-count type L_{k,i}, and its filling type
 nu_{k;i} = b(nu_k) + 1 - L_{k,i} follows from it.  The local rewrite on two
 adjacent columns (``trapa_op``) either certifies zero (overlap <
 singularity) or performs an elementary operation on the filling segments,
 implemented through closed-form type equations.  Iterating the rewrite
-yields an antitableau exactly when the parameter is non-vanishing.  The
-engine computes on the integer types; half-integers appear only in
-``Column.fills`` and in the entries of the antitableau it returns.
+yields an antitableau exactly when the parameter is non-vanishing.
+
+Every operation computes on one state: the columns' segments as doubled
+ends (b, e), and their types as lists of ints padded with the column length
+(see ``_column``).  ``_pair_step`` derives the step of two adjacent columns
+from their ends alone, ``_run_step`` runs it on their types, and
+``_columns`` reads ``Column`` objects, with their ``Segment`` and
+``HalfInt`` values, out of a state; ``_state`` reads the state of the
+columns that public functions take.  Half-integers appear only in these
+read-outs and in the entries of the antitableau.
 
 A rewrite always turns its two segments into their max/min pair, whatever
 the types, so the whole rewrite schedule depends only on the parameter.
@@ -23,43 +30,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain, count, zip_longest
 from operator import add, gt, sub
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .arrangements import (
-    Permutation,
-    appropriate_arrangement,
-    enumerate_admissible,
-)
+from .arrangements import Permutation, appropriate_arrangement, enumerate_admissible
 from .criterion import Witness
 from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
-from .segments import (
-    GoodParityParameter,
-    Relation,
-    Segment,
-    intersection_size,
-    relation_table,
-)
-from .transition import (
-    AffineForm,
-    ParamVector,
-    affine_value,
-    phi,
-    transported_forms,
-)
+from .segments import GoodParityParameter, Relation, Segment, relation_table
+from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
 
 Rows = tuple[tuple[int, str], ...]
+End = tuple[int, int]  # a segment's doubled ends (2b, 2e)
 
 
 @dataclass(frozen=True)
 class Column:
-    """One skew column: its segment and cumulative type L_{k,i}.
+    """One skew column, as read out of a state: its segment and cumulative
+    type L_{k,i}.
 
     ``L[i]`` counts the boxes of the column lying in its first i
-    components; L[0] = 0 and L[height] = m.  The types are the data that
-    every rewrite works on; ``fills`` reads the filling types out.
+    components; L[0] = 0 and L[height] = m.  ``fills`` reads the filling
+    types out.
     """
 
     segment: Segment
@@ -82,10 +75,22 @@ class Column:
         return tuple(HalfInt(top - 2 * self.L_at(i)) for i in range(self.height + 1))
 
 
-def _gap(left: Column, right: Column) -> int:
-    """b(left) - b(right), floored: nu_{left;i} >= nu_{right;j} exactly when
-    the gap is at least L_{left,i} - L_{right,j}."""
-    return (left.segment.b.twice - right.segment.b.twice) // 2
+def _state(columns: Sequence[Column], size: int) -> tuple[list[End], list[list[int]]]:
+    """The state of columns: their segments' ends, and their types
+    padded with the column length to at least ``size`` entries."""
+    ends = [(c.segment.b.twice, c.segment.e.twice) for c in columns]
+    return ends, [[*c.L, *[c.L[-1]] * (size - len(c.L))] for c in columns]
+
+
+def _columns(
+    ends: Sequence[End], types: Sequence[Sequence[int]], heights: Optional[Iterable[int]] = None
+) -> tuple[Column, ...]:
+    """The read-out of a state: a ``Column`` of each height (by default
+    1, 2, ...), its segment from its ends and its types cut to the height."""
+    return tuple(
+        Column(Segment(HalfInt(b), HalfInt(e)), tuple(L[: h + 1]))
+        for (b, e), L, h in zip(ends, types, heights or count(1))
+    )
 
 
 @dataclass(frozen=True)
@@ -116,12 +121,20 @@ def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
     for comp, p, seg in zip(pv.sigma, pv.entries, segments):
         if not 0 <= p <= seg.m:
             raise InputError(f"entry {p} for component {comp} outside box [0, {seg.m}]")
-    plus = minus = [0] * (len(segments) + 2)
-    columns = []
-    for k, (p, seg) in enumerate(zip(pv.entries, segments), start=1):
-        L, plus, minus = _column(plus, minus, p, seg.m, k)
-        columns.append(Column(seg, tuple(L[: k + 1])))
-    return TableauState(tuple(columns), _rows(plus, minus), pv.sigma)
+    types, rows = _build(pv.entries, [seg.m for seg in segments])
+    ends = [(seg.b.twice, seg.e.twice) for seg in segments]
+    return TableauState(_columns(ends, types), rows, pv.sigma)
+
+
+def _build(entries: Sequence[int], lengths: Sequence[int]) -> tuple[list[list[int]], Rows]:
+    """The padded types of the columns (see ``_column``) and the signed rows
+    of the tableau with these entries and column lengths."""
+    plus = minus = [0] * (len(entries) + 2)
+    types = []
+    for k, (p, m) in enumerate(zip(entries, lengths), start=1):
+        L, plus, minus = _column(plus, minus, p, m, k)
+        types.append(L)
+    return types, _rows(plus, minus)
 
 
 def _column(plus: list[int], minus: list[int], p: int, m: int, k: int) -> tuple:
@@ -158,17 +171,13 @@ def _rows(plus: Sequence[int], minus: Sequence[int]) -> Rows:
     return tuple(rows)
 
 
-def _padded(L: Sequence[int], size: int) -> list[int]:
-    """The types L continued by their last value, the column length."""
-    return [*L, *[L[-1]] * (size - len(L))]
-
-
 def overlap(state: TableauState, k: int) -> int:
     """Overlap of columns at positions k and k+1 (1-based), clamped at 0."""
     if not 1 <= k < len(state.columns):
         raise InputError(f"column position {k} out of range")
     left, right = state.columns[k - 1], state.columns[k]
-    return _overlap(left.L, _padded(right.L, left.height + 1), left.height, left.segment.m)
+    _, (lt, rt) = _state((left, right), left.height + 1)
+    return _overlap(lt, rt, left.height, left.segment.m)
 
 
 def _overlap(left: Sequence[int], right: Sequence[int], height: int, m: int) -> int:
@@ -187,59 +196,81 @@ def trapa_op(
     realized by the closed-form type equations.  The merged shape
     L'_{right,i} + L'_{left,i-1} is conserved.
     """
-    ls, rs = left.segment, right.segment
-    rel = ls.relate(rs, Relation.CONTAINS)
-    if rel is Relation.PRECEDED_BY:
-        raise InputError(f"right segment {rs} precedes left {ls}")
-    size = max(left.height, right.height) + 2
-    lt, rt = _padded(left.L, size), _padded(right.L, size)
-    ov = _overlap(lt, rt, left.height, ls.m)
-    sing = intersection_size(ls, rs)
-    if ov < sing:
-        return TrapaZero(ov, sing)
-    if rel is Relation.PRECEDES:
-        return left, right
-    (lb, le), (rb, re), moves = _elementary(
-        (ls.b.twice, ls.e.twice), (rs.b.twice, rs.e.twice)
-    )
-    new_left, new_right = _rewrite(
-        lt, rt, left.height, right.height, _gap(left, right),
-        rel is Relation.CONTAINS, moves,
-    )
-    return (
-        Column(Segment(HalfInt(lb), HalfInt(le)), tuple(new_left[: left.height + 1])),
-        Column(Segment(HalfInt(rb), HalfInt(re)), tuple(new_right[: right.height + 1])),
-    )
+    heights = left.height, right.height
+    ends, types = _state((left, right), max(heights) + 2)
+    step = _pair_step(*ends)
+    if step is None:
+        raise InputError(f"right segment {right.segment} precedes left {left.segment}")
+    ov, result = _run_step(step, *types, *heights)
+    if result is None:
+        return TrapaZero(ov, step.sing)
+    return _columns(step.ends, result, heights)
 
 
-def _elementary(
-    left: tuple[int, int], right: tuple[int, int]
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int, int, int]]:
-    """The elementary operation on two segments given by their doubled ends
-    (b, e): the left one becomes their coordinatewise max, the right one
-    their min.  Also returns how far it moves the left b and e and the right
-    b and e, in whole steps."""
+class _Step(NamedTuple):
+    """The step on two adjacent columns, which depends only on their
+    segments (see ``_pair_step``)."""
+
+    rewrite: bool  # False: the left segment precedes, and the step is the overlap test
+    contains: bool  # the left segment contains the right one, or equals it
+    m: int  # length of the left segment
+    sing: int  # intersection size of the two segments
+    # b(left) - b(right), floored: nu_{left;i} >= nu_{right;j} exactly when
+    # the gap is at least L_{left,i} - L_{right,j}
+    gap: int
+    ends: tuple[End, End]  # of the segments after it
+    moves: tuple[int, int, int, int]  # of the left b and e, the right b and e
+
+
+def _pair_step(left: End, right: End) -> Optional[_Step]:
+    """The step on two adjacent columns whose segments have the doubled
+    ends ``left`` and ``right``, or None when the right segment
+    precedes the left one.  When the left segment precedes, the step is the
+    overlap test alone; otherwise the elementary operation makes the left
+    segment their coordinatewise max and the right one their min, moving
+    the ends by ``moves`` whole steps."""
     (lb, le), (rb, re) = left, right
-    new_left, new_right = (max(lb, rb), max(le, re)), (min(lb, rb), min(le, re))
-    moves = (
-        (new_left[0] - lb) // 2, (new_left[1] - le) // 2,
-        (new_right[0] - rb) // 2, (new_right[1] - re) // 2,
-    )
-    return new_left, new_right, moves
+    rel = Segment.relate_twice(lb, le, rb, re, Relation.CONTAINS)
+    if rel is Relation.PRECEDED_BY:
+        return None
+    rewrite = rel is not Relation.PRECEDES
+    if rewrite:
+        ends = (max(lb, rb), max(le, re)), (min(lb, rb), min(le, re))
+    else:
+        ends = left, right
+    (nlb, nle), (nrb, nre) = ends
+    moves = ((nlb - lb) // 2, (nle - le) // 2, (nrb - rb) // 2, (nre - re) // 2)
+    sing = Segment.intersection_twice(lb, le, rb, re)
+    m, gap = (lb - le) // 2 + 1, (lb - rb) // 2
+    return _Step(rewrite, rel is Relation.CONTAINS, m, sing, gap, ends, moves)
+
+
+def _run_step(
+    step: _Step, left: list[int], right: list[int], hl: int, hr: int
+) -> tuple[int, Optional[tuple[list[int], list[int]]]]:
+    """Run a step on the types of columns of heights hl and hr, padded to at
+    least max(hl, hr) + 2 entries: their overlap, and their types after the
+    step (the same lists when the left segment precedes), or None when the
+    overlap falls below the singularity and certifies zero."""
+    rewrite, contains, m, sing, gap, _, moves = step
+    ov = _overlap(left, right, hl, m)
+    if ov < sing:
+        return ov, None
+    if not rewrite:
+        return ov, (left, right)
+    return ov, _rewrite(left, right, hl, hr, gap, contains, moves)
 
 
 def _rewrite(
     left: list[int], right: list[int], hl: int, hr: int, gap: int,
     contains: bool, moves: tuple[int, int, int, int],
 ) -> tuple[list[int], list[int]]:
-    """The types of two adjacent columns after the elementary operation.
+    """The types of two adjacent columns after the elementary operation of
+    a step (see ``_run_step``): ``gap`` and ``moves`` are the step's, and
+    ``contains`` says the left segment contains the right one.
 
-    ``left`` and ``right`` are the types of columns of heights hl and hr,
-    padded to at least max(hl, hr) + 2 entries, ``gap`` is ``_gap`` of their
-    tops and ``contains`` says the left segment contains the right one.
     Self-checks: the merged shape L_right(i) + L_left(i-1) is conserved,
-    and the shifts move the segment ends by ``moves`` (those of
-    ``_elementary``).
+    and the shifts move the segment ends by ``moves``.
     """
     # d_j = nu_{left;j} - nu_{right;j}; the right column's fills move by
     # s_i = min(0, d_j over j < i) for a container on the left, over j >= i
@@ -281,18 +312,22 @@ def _shifted(types: list[int], shifts: Sequence[int]) -> list[int]:
 def validate_antitableau(state: TableauState) -> bool:
     """True iff nu_{k;i} >= nu_{k+1;i} for all adjacent columns and all i."""
     return all(
-        _descends(_gap(left, right), _padded(left.L, right.height + 1), right.L)
-        for left, right in zip(state.columns, state.columns[1:])
+        _descends(*_state(pair, pair[1].height + 1))
+        for pair in zip(state.columns, state.columns[1:])
     )
 
 
-def _descends(gap: int, left: Sequence[int], right: Sequence[int]) -> bool:
-    """nu_{left;i} >= nu_{right;i}, that is gap >= L_left(i) - L_right(i),
-    for every i both type lists reach."""
-    return max(map(sub, left, right)) <= gap
+def _descends(ends: Sequence[End], types: Sequence[Sequence[int]]) -> bool:
+    """nu_{k;i} >= nu_{k+1;i} for all adjacent columns of a state and every
+    i both type lists reach, that is gap >= L_{k,i} - L_{k+1,i} with the gap
+    of their tops as in ``_Step``."""
+    for (lb, _), (rb, _), left, right in zip(ends, ends[1:], types, types[1:]):
+        if max(map(sub, left, right)) > (lb - rb) // 2:
+            return False
+    return True
 
 
-def _cells(ends: Sequence[tuple[int, int]], write: Callable = HalfInt) -> list[list]:
+def _cells(ends: Sequence[End], write: Callable = HalfInt) -> list[list]:
     """For each column with doubled segment ends (b, e), its entries b,
     b - 1, ..., e, each written by ``write`` from its double; the columns
     share one written value per value."""
@@ -334,18 +369,6 @@ class Reduction:
         return self.zero is None
 
 
-class _Step(NamedTuple):
-    """One step of the compiled insertion schedule, on positions pos, pos+1."""
-
-    pos: int
-    rewrite: bool  # False: the left segment precedes, and the insertion ends
-    contains: bool  # the left segment contains the right one
-    m: int  # length of the left segment
-    sing: int  # intersection size of the two segments
-    gap: int  # ``_gap`` of their tops
-    moves: tuple[int, int, int, int]  # of the ends, see ``_elementary``
-
-
 class CompiledReduction:
     """Trapa's reduction for one parameter, ready for many vectors.
 
@@ -383,45 +406,34 @@ class CompiledReduction:
         return transported_forms(relation_table(self.psi), m, self.sigma, self.sigma)
 
     @cached_property
-    def _schedule(self) -> tuple[tuple[tuple[_Step, ...], ...], tuple[tuple[int, int], ...]]:
+    def _schedule(self) -> tuple[tuple[tuple[tuple[int, _Step], ...], ...], tuple[End, ...]]:
         """Trapa's insertion order run on the doubled segment ends: column
         k = 2..r bubbles leftward through the rewrite, up to a left segment
-        that precedes it.  Returns the steps of each column k = 1..r and
-        the final ends."""
+        that precedes it.  Returns the (position, step) pairs of each column
+        k = 1..r and the final ends."""
         ends = [(s.b.twice, s.e.twice) for s in map(self.psi.seg, self.sigma)]
-        columns: list[tuple[_Step, ...]] = [()]
+        columns: list[tuple[tuple[int, _Step], ...]] = [()]
         for k in range(2, len(ends) + 1):
             steps = []
             for pos in range(k - 1, 0, -1):
-                left, right = ends[pos - 1], ends[pos]
-                rel = Segment.relate_twice(*left, *right, Relation.CONTAINS)
-                if rel is Relation.PRECEDED_BY:
+                step = _pair_step(ends[pos - 1], ends[pos])
+                if step is None:
                     # the canonical arrangement and the rewrites rule it out
                     raise InvariantViolationError(
                         f"insertion at position {pos} met a left segment"
                         f" preceded by the right one in {self.psi}"
                     )
-                m = (left[0] - left[1]) // 2 + 1
-                sing = Segment.intersection_twice(*left, *right)
-                gap = (left[0] - right[0]) // 2
-                if rel is Relation.PRECEDES:
-                    steps.append(_Step(pos, False, False, m, sing, gap, (0, 0, 0, 0)))
+                steps.append((pos, step))
+                if not step.rewrite:
                     break
-                ends[pos - 1], ends[pos], moves = _elementary(left, right)
-                steps.append(
-                    _Step(pos, True, rel is Relation.CONTAINS, m, sing, gap, moves)
-                )
+                ends[pos - 1], ends[pos] = step.ends
             columns.append(tuple(steps))
         return tuple(columns), tuple(ends)
 
     @cached_property
-    def _output(self) -> tuple[tuple[Segment, ...], tuple[int, ...], list[list[HalfInt]]]:
-        """The final columns' segments, the gaps between their tops, and
-        their antitableau cells."""
-        ends = self._schedule[1]
-        segments = tuple(Segment(HalfInt(b), HalfInt(e)) for b, e in ends)
-        gaps = tuple((left[0] - right[0]) // 2 for left, right in zip(ends, ends[1:]))
-        return segments, gaps, _cells(ends)
+    def _output(self) -> list[list[HalfInt]]:
+        """The final columns' antitableau cells."""
+        return _cells(self._schedule[1])
 
     def cells(self, write: Callable[[int], Any]) -> list[list]:
         """The antitableau cells with each value written by ``write`` from
@@ -469,17 +481,13 @@ class CompiledReduction:
         for k in range(start + 1, len(entries) + 1):
             L, plus, minus = _column(plus, minus, entries[k - 1], self.lengths[k - 1], k)
             types = [*types, L]
-            for pos, rewrite, contains, m, sing, gap, moves in schedule[k - 1]:
-                left, right = types[pos - 1], types[pos]
-                ov = _overlap(left, right, pos, m)
-                if ov < sing:
-                    return Witness("overlap", (pos, pos + 1), self.sigma, (ov, sing))
-                if rewrite:
-                    types[pos - 1], types[pos] = _rewrite(
-                        left, right, pos, pos + 1, gap, contains, moves
-                    )
+            for pos, step in schedule[k - 1]:
+                ov, result = _run_step(step, types[pos - 1], types[pos], pos, pos + 1)
+                if result is None:
+                    return Witness("overlap", (pos, pos + 1), self.sigma, (ov, step.sing))
+                types[pos - 1], types[pos] = result
             states.append((types, plus, minus))
-        if not all(map(_descends, self._output[1], types, types[1:])):
+        if not _descends(self._schedule[1], types):
             raise InvariantViolationError(
                 f"reduction finished on a non-antitableau state for p={p}"
             )
@@ -490,7 +498,7 @@ class CompiledReduction:
     ) -> tuple[tuple, ...]:
         """The antitableau that final types from ``run`` describe, with the
         entries of ``cells`` (by default the ``HalfInt`` ones)."""
-        return _antitableau_grid(cells or self._output[2], types)
+        return _antitableau_grid(cells or self._output, types)
 
     def reduce(self, p: Sequence[int] | ParamVector) -> Reduction:
         """Reduce p (reference entries, or a vector on any admissible
@@ -499,11 +507,7 @@ class CompiledReduction:
         if isinstance(result, Witness):
             return Reduction(result)
         types, rows = result
-        columns = tuple(
-            Column(seg, tuple(L[: k + 1]))
-            for k, (seg, L) in enumerate(zip(self._output[0], types), start=1)
-        )
-        state = TableauState(columns, rows, self.sigma)
+        state = TableauState(_columns(self._schedule[1], types), rows, self.sigma)
         return Reduction(None, self.antitableau(types), rows, state)
 
 
@@ -526,8 +530,8 @@ def reduce_with_schedule(
     p: Sequence[int] | ParamVector,
     rng: random.Random,
 ) -> Reduction:
-    """Like trapa_reduce, but applies ``trapa_op`` to the columns in a random
-    valid order.
+    """Like trapa_reduce, but applies the local rewrite to the columns in a
+    random valid order.
 
     Used to exercise confluence: the final antitableau must not depend on
     the schedule.  Only the transport and the box check are shared with
@@ -538,36 +542,31 @@ def reduce_with_schedule(
     if isinstance(entries, Witness):
         return Reduction(entries)
     sigma = compiled.sigma
-    state = build_tableau(psi, ParamVector(tuple(entries), sigma))
-    columns = list(state.columns)
+    ends = [(s.b.twice, s.e.twice) for s in map(psi.seg, sigma)]
+    types, rows = _build(entries, compiled.lengths)
     while True:
-        pending: list[tuple[int, Union[TrapaZero, tuple[Column, Column]]]] = []
-        for pos in range(1, len(columns)):
-            left, right = columns[pos - 1], columns[pos]
-            rel = left.segment.relate(right.segment, Relation.CONTAINS)
-            if rel is Relation.PRECEDED_BY:
+        pending = []  # (position, step, overlap, new types) of every step that acts
+        for pos in range(1, len(ends)):
+            step = _pair_step(ends[pos - 1], ends[pos])
+            if step is None:
                 continue
-            result = trapa_op(left, right)
-            if isinstance(result, TrapaZero) or (
-                (result[0].segment, result[0].L, result[1].segment, result[1].L)
-                != (left.segment, left.L, right.segment, right.L)
+            ov, result = _run_step(step, types[pos - 1], types[pos], pos, pos + 1)
+            if result is None or (step.ends, result) != (
+                (ends[pos - 1], ends[pos]), (types[pos - 1], types[pos])
             ):
-                pending.append((pos, result))
+                pending.append((pos, step, ov, result))
         if not pending:
             break
-        pos, result = pending[rng.randrange(len(pending))]
-        if isinstance(result, TrapaZero):
-            return Reduction(
-                Witness("overlap", (pos, pos + 1), sigma, (result.overlap, result.sing))
-            )
-        columns[pos - 1], columns[pos] = result
-    final = TableauState(tuple(columns), state.rows, sigma)
-    if not validate_antitableau(final):
+        pos, step, ov, result = pending[rng.randrange(len(pending))]
+        if result is None:
+            return Reduction(Witness("overlap", (pos, pos + 1), sigma, (ov, step.sing)))
+        (ends[pos - 1], ends[pos]), (types[pos - 1], types[pos]) = step.ends, result
+    if not _descends(ends, types):
         raise InvariantViolationError(
             f"reduction finished on a non-antitableau state for p={p}"
         )
-    cells = _cells([(c.segment.b.twice, c.segment.e.twice) for c in columns])
-    return Reduction(None, _antitableau_grid(cells, [c.L for c in columns]), final.rows, final)
+    state = TableauState(_columns(ends, types), rows, sigma)
+    return Reduction(None, _antitableau_grid(_cells(ends), types), rows, state)
 
 
 def last_column_type(
@@ -601,64 +600,43 @@ def upper_bound_check(
     i = j_0 > j_1 > ... walk down the prefix columns from the newest to
     column h, accumulating type differences.
     """
-    prefix = list(prefix)
-    r = len(prefix) + 1
-    for a, b in zip(prefix, prefix[1:]):
-        hi = max(a.height, b.height) + 1
-        gap = _gap(a, b)
-        if any(gap < a.L_at(i) - b.L_at(i) for i in range(hi + 1)):
-            raise InputError("prefix columns are not an antitableau")
-    rels = [
-        c.segment.relate(last.segment, Relation.CONTAINS) for c in prefix
-    ]
+    columns = [*prefix, last]
+    ends, types = _state(columns, max(c.height for c in columns) + 2)
+    if not _descends(ends[:-1], types[:-1]):
+        raise InputError("prefix columns are not an antitableau")
+    rels = [Segment.relate_twice(*end, *ends[-1], Relation.CONTAINS) for end in ends[:-1]]
     if h is None:
         h = sum(1 for rel in rels if rel is Relation.PRECEDES)
-    if rels[:h] != [Relation.PRECEDES] * h or any(
+    if h < 0 or rels[:h] != [Relation.PRECEDES] * h or any(
         rel is not Relation.CONTAINED for rel in rels[h:]
     ):
         raise InputError(
             "prefix must split into preceding segments followed by contained ones"
         )
-    steps = r - h - 1  # chain length for inequality (a)
-
     # A chain step j0 -> j1 in column k adds mu_{k;j0} - mu_{k;j1}, which is
     # the type difference L_{k,j1} - L_{k,j0}: the chain minima are integers.
-    floor = -steps - 1
+    # Every type at index 0 or below is 0, so chain ends at or below 0 are
+    # one state, 0, where a chain stays and carries its value.
+    contained = types[h : len(prefix)][::-1]  # newest first
+    anchor, top = types[h - 1], types[-1]
+    gap = (ends[h - 1][0] - ends[-1][0]) // 2
     for i in range(last.height + 1):
-        # (a) full chains of length `steps`, then anchor at column h;
-        # with no preceding column there is no anchor and (a) is vacuous
-        if h:
-            level = {i: 0}
-            for s in range(1, steps + 1):
-                L = prefix[r - s - 1].L_at
-                nxt: dict[int, int] = {}
-                for j0, acc in level.items():
-                    for j1 in range(floor, j0):
-                        cand = acc + L(j1) - L(j0)
-                        if j1 not in nxt or cand < nxt[j1]:
-                            nxt[j1] = cand
-                level = nxt
-            # mu_last(i) > min(acc + mu_{h;j}), with both tops taken out
-            anchor = prefix[h - 1]
-            low = min(acc - anchor.L_at(j) for j, acc in level.items())
-            if _gap(anchor, last) < -last.L_at(i) - low:
-                return False
-        # (b) chains of any length 1..steps ending exactly at 0
-        bound_b: Optional[int] = None
-        level = {i: 0}
-        for s in range(1, steps + 1):
-            L = prefix[r - s - 1].L_at
-            nxt = {}
+        level = {i: 0}  # chain end -> least sum over chains of the steps so far
+        for L in contained:
+            nxt: dict[int, int] = {}
             for j0, acc in level.items():
-                if j0 > 0:
-                    cand = acc - L(j0)
-                    if bound_b is None or cand < bound_b:
-                        bound_b = cand
-                for j1 in range(1, j0):
-                    cand = acc + L(j1) - L(j0)
+                for j1 in range(j0) if j0 else (0,):
+                    cand = acc + L[j1] - L[j0]
                     if j1 not in nxt or cand < nxt[j1]:
                         nxt[j1] = cand
             level = nxt
-        if bound_b is not None and -last.L_at(i) > bound_b:
+        # (a) full chains, then anchor at column h: mu_last(i) >
+        # min(acc + mu_{h;j}), with both tops taken out; with no preceding
+        # column there is no anchor and (a) is vacuous
+        if h and gap < -top[i] - min(acc - anchor[j] for j, acc in level.items()):
+            return False
+        # (b) chains of any length that step down to 0 (from i = 0 the
+        # empty chain, which passes since L_last(0) = 0)
+        if 0 in level and -top[i] > level[0]:
             return False
     return True

@@ -8,7 +8,6 @@ from aqlam.arrangements import (
     appropriate_arrangement,
     enumerate_admissible,
     lex_first_adjacent,
-    perm_inversions,
     predecessor_masks,
     sigma_pairs,
     transposition_path,
@@ -17,6 +16,16 @@ from aqlam.errors import InputError, ResourceLimitError
 from aqlam.segments import arrangement_is_admissible, relation_table
 
 from conftest import parameter_family, random_parameter, seg
+
+
+def perm_inversions(sigma):
+    """The number of pairs h < k with sigma(h) > sigma(k)."""
+    return sum(
+        1
+        for h in range(len(sigma))
+        for k in range(h + 1, len(sigma))
+        if sigma[h] > sigma[k]
+    )
 
 
 def brute_force_admissible(psi):

@@ -211,6 +211,18 @@ class TestAV:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("internal error: ")
 
+    def test_text_view_writes_no_entry_text(self, capsys, monkeypatch):
+        # it prints only how many entries each rank has
+        want = run_stdin(["av", "--format", "text"], DOC_R5)
+
+        def refuse(self, *described):
+            raise AssertionError("an entry's JSON text was written")
+
+        monkeypatch.setattr(cli._EntryText, "__call__", refuse)
+        assert run_stdin(["av", "--format", "text"], DOC_R5) == want
+        assert want[0] == 0 and run_stdin(["av"], DOC_R5)[0] == 4  # the JSON view calls it
+        assert "AssertionError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["av"], ["av", "--verify"], ["packet"]])
     def test_node_budget_exits_three(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.setattr(criterion, "MAX_DFS_NODES", 20)

@@ -297,6 +297,53 @@ class TestUpperBound:
         with pytest.raises(InputError):
             upper_bound_check([lo, hi], Column(seg(3, 1), (0, 1)))
 
+    def test_rejects_a_negative_h(self, psi_A):
+        columns = trapa_reduce(psi_A, (2, 2, 2)).state.columns
+        for prefix in (columns[:1], columns[:2]):
+            with pytest.raises(InputError, match="prefix must split"):
+                upper_bound_check(prefix, columns[len(prefix)], -1)
+
+    # sha256 of the newline-joined ``repr`` of ``outcome`` over
+    # ``upper_bound_inputs()`` with h = None and every h from 0 to r,
+    # recorded before the check was rewritten on padded types (24,915
+    # outcomes: 6,538 verdicts, the rest ``InputError`` messages)
+    RECORD = "e92d4d32c3a272b46531f2cc86aabd445eca82dfaaff8eb4e7421ee5bcba42e2"
+
+    @staticmethod
+    def outcome(prefix, last, h):
+        """``upper_bound_check(prefix, last, h)``, or the message of the
+        ``InputError`` it raised."""
+        try:
+            return upper_bound_check(prefix, last, h)
+        except InputError as exc:
+            return str(exc)
+
+    @classmethod
+    def upper_bound_inputs(cls):
+        """(prefix, last) pairs from ``compiled_inputs()``: for each vector
+        whose canonical tableau exists, its built columns, and the columns
+        after inserting all but the last unless that certifies zero."""
+        for psi, vectors in compiled_inputs():
+            sigma = appropriate_arrangement(psi)
+            for p in vectors:
+                try:
+                    built = build_tableau(psi, phi(psi, ParamVector.reference(p), sigma))
+                except InputError:
+                    continue
+                yield built.columns[:-1], built.columns[-1]
+                reduced = cls.reduced_prefix(psi, p)
+                if reduced is not None:
+                    yield reduced[:-1], reduced[-1]
+
+    def test_matches_the_record(self):
+        lines = [
+            repr(self.outcome(prefix, last, h))
+            for prefix, last in self.upper_bound_inputs()
+            for h in (None, *range(len(prefix) + 2))
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (24915, self.RECORD)
+
 
 def test_exhaustive_r2_against_criterion():
     for b1 in range(1, 6):
@@ -351,6 +398,20 @@ class TestCompiledReduction:
             lines += [repr(compiled.reduce(p)) for p in vectors]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == (3533, self.RECORD)
+
+    # sha256 of the newline-joined ``repr`` of ``reduce_with_schedule(psi, p,
+    # random.Random(n))`` for the n-th vector of ``compiled_inputs()``,
+    # recorded before the oracle ran on integer ends and types
+    SCHEDULE_RECORD = "e7fad039d36e3f4d18cd2f9c09cad8995ac697a9d7771812a0fec0cd5d8d5c5d"
+
+    def test_schedule_oracle_matches_its_record(self):
+        vectors = ((psi, p) for psi, vectors in compiled_inputs() for p in vectors)
+        lines = [
+            repr(reduce_with_schedule(psi, p, random.Random(n)))
+            for n, (psi, p) in enumerate(vectors)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (3533, self.SCHEDULE_RECORD)
 
     def test_agrees_with_the_schedule_oracle(self):
         rng = random.Random(6)
