@@ -141,7 +141,9 @@ def _reduction_payload(reduction: Reduction) -> dict:
 class _EntryText:
     """Writes a survivor of one parameter as the compact, key-sorted JSON of
     its entry, from pieces written once per parameter: the quoted cells, the
-    lambda, the image's sigma, and each Levi pair and signed row."""
+    lambda, the image's sigma, and each Levi pair and signed row.  Survivors
+    of one parameter often share their final types, so each antitableau's
+    text is written once per final types."""
 
     def __init__(self, compiled: packets_mod.CompiledPackets) -> None:
         self.reduction = compiled.reduction
@@ -150,14 +152,19 @@ class _EntryText:
         r = compiled.psi.r
         self.rows = {(t, s): f'[{t},"{s}"]' for t in range(1, r + 1) for s in "+-"}
         self.image = f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}'
+        self.grids: dict[tuple, str] = {}  # final types -> antitableau text
 
     @functools.cached_property
     def cells(self) -> list[list[str]]:
         return self.reduction.cells(lambda twice: f'"{HalfInt(twice)}"')
 
-    def __call__(self, p: tuple[int, ...], types: list[list[int]],
+    def __call__(self, p: tuple[int, ...], types: tuple[tuple[int, ...], ...],
                  rows: Rows, image: Optional[ExtendedMultiSegment]) -> str:
-        grid = "],[".join(map(",".join, self.reduction.antitableau(types, self.cells)))
+        grid = self.grids.get(types)
+        if grid is None:
+            grid = self.grids[types] = "],[".join(
+                map(",".join, self.reduction.antitableau(types, self.cells))
+            )
         levi = ",".join(map(list.__getitem__, self.levi, p))
         if image is None:
             padic = "null"

@@ -101,7 +101,7 @@ class CompiledPackets:
                 )
             yield p, *result, image(p) if image else None
 
-    def _entry(self, p: tuple[int, ...], types: list, rows: Rows, image) -> PacketEntry:
+    def _entry(self, p: tuple[int, ...], types: tuple, rows: Rows, image) -> PacketEntry:
         levi = tuple(zip(p, map(sub, self.m, p)))
         return PacketEntry(p, levi, self.lam, self.reduction.antitableau(types), rows, image)
 

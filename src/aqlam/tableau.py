@@ -10,7 +10,7 @@ implemented through closed-form type equations.  Iterating the rewrite
 yields an antitableau exactly when the parameter is non-vanishing.
 
 Every operation computes on one state: the columns' segments as doubled
-ends (b, e), and their types as lists of ints padded with the column length
+ends (b, e), and their types as tuples of ints padded with the column length
 (see ``_column``).  ``_pair_step`` derives the step of two adjacent columns
 from their ends alone, ``_run_step`` runs it on their types, and
 ``_columns`` reads ``Column`` objects, with their ``Segment`` and
@@ -22,7 +22,8 @@ A rewrite always turns its two segments into their max/min pair, whatever
 the types, so the whole rewrite schedule depends only on the parameter.
 ``CompiledReduction`` works it out once, together with the transport to the
 canonical arrangement; reducing a vector then builds its types and runs the
-compiled steps on them.
+compiled steps on them, each step's outcome computed once per parameter for
+each pair of types it meets.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .transition import AffineForm, ParamVector, affine_value, phi, transported_
 
 Rows = tuple[tuple[int, str], ...]
 End = tuple[int, int]  # a segment's doubled ends (2b, 2e)
+Types = tuple[int, ...]  # a column's types, padded (see ``_column``)
 
 
 @dataclass(frozen=True)
@@ -75,21 +77,26 @@ class Column:
         return tuple(HalfInt(top - 2 * self.L_at(i)) for i in range(self.height + 1))
 
 
-def _state(columns: Sequence[Column], size: int) -> tuple[list[End], list[list[int]]]:
+def _state(columns: Sequence[Column], size: int) -> tuple[list[End], list[Types]]:
     """The state of columns: their segments' ends, and their types
     padded with the column length to at least ``size`` entries."""
     ends = [(c.segment.b.twice, c.segment.e.twice) for c in columns]
-    return ends, [[*c.L, *[c.L[-1]] * (size - len(c.L))] for c in columns]
+    return ends, [(*c.L, *(c.L[-1],) * (size - len(c.L))) for c in columns]
+
+
+def _segments(ends: Iterable[End]) -> tuple[Segment, ...]:
+    """The segments with these doubled ends."""
+    return tuple(Segment(HalfInt(b), HalfInt(e)) for b, e in ends)
 
 
 def _columns(
-    ends: Sequence[End], types: Sequence[Sequence[int]], heights: Optional[Iterable[int]] = None
+    segments: Sequence[Segment], types: Sequence[Types], heights: Optional[Iterable[int]] = None
 ) -> tuple[Column, ...]:
     """The read-out of a state: a ``Column`` of each height (by default
-    1, 2, ...), its segment from its ends and its types cut to the height."""
+    1, 2, ...), with its segment and its types cut to the height."""
     return tuple(
-        Column(Segment(HalfInt(b), HalfInt(e)), tuple(L[: h + 1]))
-        for (b, e), L, h in zip(ends, types, heights or count(1))
+        Column(segment, L[: h + 1])
+        for segment, L, h in zip(segments, types, heights or count(1))
     )
 
 
@@ -122,11 +129,10 @@ def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
         if not 0 <= p <= seg.m:
             raise InputError(f"entry {p} for component {comp} outside box [0, {seg.m}]")
     types, rows = _build(pv.entries, [seg.m for seg in segments])
-    ends = [(seg.b.twice, seg.e.twice) for seg in segments]
-    return TableauState(_columns(ends, types), rows, pv.sigma)
+    return TableauState(_columns(segments, types), rows, pv.sigma)
 
 
-def _build(entries: Sequence[int], lengths: Sequence[int]) -> tuple[list[list[int]], Rows]:
+def _build(entries: Sequence[int], lengths: Sequence[int]) -> tuple[list[Types], Rows]:
     """The padded types of the columns (see ``_column``) and the signed rows
     of the tableau with these entries and column lengths."""
     plus = minus = [0] * (len(entries) + 2)
@@ -159,7 +165,7 @@ def _column(plus: list[int], minus: list[int], p: int, m: int, k: int) -> tuple:
         new_plus[t] += plus[t] - to_minus
     new_plus[1] += p
     new_minus[1] += q
-    return L + [m] * (size - k), new_plus, new_minus
+    return (*L, *(m,) * (size - k)), new_plus, new_minus
 
 
 def _rows(plus: Sequence[int], minus: Sequence[int]) -> Rows:
@@ -204,7 +210,7 @@ def trapa_op(
     ov, result = _run_step(step, *types, *heights)
     if result is None:
         return TrapaZero(ov, step.sing)
-    return _columns(step.ends, result, heights)
+    return _columns(_segments(step.ends), result, heights)
 
 
 class _Step(NamedTuple):
@@ -246,11 +252,11 @@ def _pair_step(left: End, right: End) -> Optional[_Step]:
 
 
 def _run_step(
-    step: _Step, left: list[int], right: list[int], hl: int, hr: int
-) -> tuple[int, Optional[tuple[list[int], list[int]]]]:
+    step: _Step, left: Types, right: Types, hl: int, hr: int
+) -> tuple[int, Optional[tuple[Types, Types]]]:
     """Run a step on the types of columns of heights hl and hr, padded to at
     least max(hl, hr) + 2 entries: their overlap, and their types after the
-    step (the same lists when the left segment precedes), or None when the
+    step (the same tuples when the left segment precedes), or None when the
     overlap falls below the singularity and certifies zero."""
     rewrite, contains, m, sing, gap, _, moves = step
     ov = _overlap(left, right, hl, m)
@@ -262,9 +268,9 @@ def _run_step(
 
 
 def _rewrite(
-    left: list[int], right: list[int], hl: int, hr: int, gap: int,
+    left: Types, right: Types, hl: int, hr: int, gap: int,
     contains: bool, moves: tuple[int, int, int, int],
-) -> tuple[list[int], list[int]]:
+) -> tuple[Types, Types]:
     """The types of two adjacent columns after the elementary operation of
     a step (see ``_run_step``): ``gap`` and ``moves`` are the step's, and
     ``contains`` says the left segment contains the right one.
@@ -299,30 +305,37 @@ def _rewrite(
     return new_left, new_right
 
 
-def _shifted(types: list[int], shifts: Sequence[int]) -> list[int]:
+def _shifted(types: Types, shifts: Sequence[int]) -> Types:
     """The types of a column whose filling types move by the shifts s_i:
     L_i + s_0 - s_i, which must stay weakly increasing, padded like types."""
     s0 = shifts[0]
     L = [t + s0 - s for t, s in zip(types, shifts)]
     if any(map(gt, L, L[1:])):
         raise InvariantViolationError(f"types not weakly increasing: {tuple(L)}")
-    return L + [L[-1]] * (len(types) - len(L))
+    return (*L, *(L[-1],) * (len(types) - len(L)))
 
 
 def validate_antitableau(state: TableauState) -> bool:
     """True iff nu_{k;i} >= nu_{k+1;i} for all adjacent columns and all i."""
-    return all(
-        _descends(*_state(pair, pair[1].height + 1))
-        for pair in zip(state.columns, state.columns[1:])
-    )
+    for pair in zip(state.columns, state.columns[1:]):
+        ends, types = _state(pair, pair[1].height + 1)
+        if not _descends(_gaps(ends), types):
+            return False
+    return True
 
 
-def _descends(ends: Sequence[End], types: Sequence[Sequence[int]]) -> bool:
+def _gaps(ends: Sequence[End]) -> tuple[int, ...]:
+    """The gap of each two adjacent columns with these doubled ends: b(left)
+    - b(right), floored, as in ``_Step``."""
+    return tuple((lb - rb) // 2 for (lb, _), (rb, _) in zip(ends, ends[1:]))
+
+
+def _descends(gaps: Sequence[int], types: Sequence[Types]) -> bool:
     """nu_{k;i} >= nu_{k+1;i} for all adjacent columns of a state and every
-    i both type lists reach, that is gap >= L_{k,i} - L_{k+1,i} with the gap
-    of their tops as in ``_Step``."""
-    for (lb, _), (rb, _), left, right in zip(ends, ends[1:], types, types[1:]):
-        if max(map(sub, left, right)) > (lb - rb) // 2:
+    i both type tuples reach, that is gap >= L_{k,i} - L_{k+1,i} with the
+    gaps of ``_gaps``."""
+    for gap, left, right in zip(gaps, types, types[1:]):
+        if max(map(sub, left, right)) > gap:
             return False
     return True
 
@@ -336,7 +349,7 @@ def _cells(ends: Sequence[End], write: Callable = HalfInt) -> list[list]:
     return [table[(top - b) // 2 : (top - e) // 2 + 1] for b, e in ends]
 
 
-def _antitableau_grid(cells: Sequence[Sequence], types: Sequence[Sequence[int]]) -> tuple:
+def _antitableau_grid(cells: Sequence[Sequence], types: Sequence[Types]) -> tuple:
     """Reconstruct the filled rows from column types.
 
     Grid column c stacks, for k = c..r, the entries of component k+1-c of
@@ -384,11 +397,15 @@ class CompiledReduction:
 
     The state after k columns depends only on the first k canonical
     entries, so an instance keeps the states of the last vector it ran and
-    resumes the next at its first canonical entry that differs (which makes
-    it unfit for sharing between threads).  ``run(p)`` returns the final
-    types and rows, or the zero witness; ``antitableau(types)`` reads the
-    filled rows out of the types, and ``reduce`` wraps both in a
-    ``Reduction`` with its ``TableauState``.
+    resumes the next at its first canonical entry that differs.  A step's
+    outcome depends only on the step and the types it meets, so an instance
+    also keeps the outcome of each step of column k at each position it has
+    run, keyed on (k, position, left types, right types), and runs a step
+    only on types it has not met there.  Both make an instance unfit for
+    sharing between threads.  ``run(p)`` returns the final types and rows,
+    or the zero witness; ``antitableau(types)`` reads the filled rows out of
+    the types, and ``reduce`` wraps both in a ``Reduction`` with its
+    ``TableauState``.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -398,7 +415,9 @@ class CompiledReduction:
         self.reference = tuple(range(1, psi.r + 1))
         # _states[k]: the types and row counts after the first k entries of _last
         self._last: Sequence[int] = ()
-        self._states: list[tuple] = [([], [0] * (psi.r + 2), [0] * (psi.r + 2))]
+        self._states: list[tuple] = [((), [0] * (psi.r + 2), [0] * (psi.r + 2))]
+        # (k, position, left types, right types) -> the step's outcome
+        self._outcomes: dict[tuple, tuple[int, Optional[tuple[Types, Types]]]] = {}
 
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
@@ -435,6 +454,16 @@ class CompiledReduction:
         """The final columns' antitableau cells."""
         return _cells(self._schedule[1])
 
+    @cached_property
+    def _final_segments(self) -> tuple[Segment, ...]:
+        """The final columns' segments, for the read-out of ``reduce``."""
+        return _segments(self._schedule[1])
+
+    @cached_property
+    def _final_gaps(self) -> tuple[int, ...]:
+        """The final columns' gaps, for the antitableau check of ``run``."""
+        return _gaps(self._schedule[1])
+
     def cells(self, write: Callable[[int], Any]) -> list[list]:
         """The antitableau cells with each value written by ``write`` from
         its double, for ``antitableau(types, cells)``."""
@@ -460,13 +489,13 @@ class CompiledReduction:
 
     def run(
         self, p: Sequence[int] | ParamVector
-    ) -> Union[Witness, tuple[list[list[int]], Rows]]:
-        """The core of ``reduce``: p's final types (padded, see ``_column``;
-        kept for the next vector, so read them only) and signed rows, or the
-        witness that p is zero.  Resumes after the longest prefix of
-        canonical entries shared with the last vector run; every column built
-        runs the overlap test and the self-checks of its rewrites, and every
-        result the final antitableau check."""
+    ) -> Union[Witness, tuple[tuple[Types, ...], Rows]]:
+        """The core of ``reduce``: p's final types (padded, see ``_column``)
+        and signed rows, or the witness that p is zero.  Resumes after the
+        longest prefix of canonical entries shared with the last vector run;
+        every step of a column built takes its outcome from the instance's
+        memo or runs the overlap test and the self-checks of its rewrite, and
+        every result passes the final antitableau check."""
         entries = self._start(p)
         if isinstance(entries, Witness):
             return entries
@@ -477,24 +506,30 @@ class CompiledReduction:
         del states[start + 1 :]
         self._last = entries
         types, plus, minus = states[start]
-        schedule = self._schedule[0]
+        schedule, outcomes = self._schedule[0], self._outcomes
         for k in range(start + 1, len(entries) + 1):
             L, plus, minus = _column(plus, minus, entries[k - 1], self.lengths[k - 1], k)
             types = [*types, L]
             for pos, step in schedule[k - 1]:
-                ov, result = _run_step(step, types[pos - 1], types[pos], pos, pos + 1)
+                left, right = types[pos - 1], types[pos]
+                key = (k, pos, left, right)
+                outcome = outcomes.get(key)
+                if outcome is None:
+                    outcome = outcomes[key] = _run_step(step, left, right, pos, pos + 1)
+                ov, result = outcome
                 if result is None:
                     return Witness("overlap", (pos, pos + 1), self.sigma, (ov, step.sing))
                 types[pos - 1], types[pos] = result
+            types = tuple(types)
             states.append((types, plus, minus))
-        if not _descends(self._schedule[1], types):
+        if not _descends(self._final_gaps, types):
             raise InvariantViolationError(
                 f"reduction finished on a non-antitableau state for p={p}"
             )
         return types, _rows(plus, minus)
 
     def antitableau(
-        self, types: Sequence[Sequence[int]], cells: Optional[list] = None
+        self, types: Sequence[Types], cells: Optional[list] = None
     ) -> tuple[tuple, ...]:
         """The antitableau that final types from ``run`` describe, with the
         entries of ``cells`` (by default the ``HalfInt`` ones)."""
@@ -507,7 +542,7 @@ class CompiledReduction:
         if isinstance(result, Witness):
             return Reduction(result)
         types, rows = result
-        state = TableauState(_columns(self._schedule[1], types), rows, self.sigma)
+        state = TableauState(_columns(self._final_segments, types), rows, self.sigma)
         return Reduction(None, self.antitableau(types), rows, state)
 
 
@@ -561,11 +596,11 @@ def reduce_with_schedule(
         if result is None:
             return Reduction(Witness("overlap", (pos, pos + 1), sigma, (ov, step.sing)))
         (ends[pos - 1], ends[pos]), (types[pos - 1], types[pos]) = step.ends, result
-    if not _descends(ends, types):
+    if not _descends(_gaps(ends), types):
         raise InvariantViolationError(
             f"reduction finished on a non-antitableau state for p={p}"
         )
-    state = TableauState(_columns(ends, types), rows, sigma)
+    state = TableauState(_columns(_segments(ends), types), rows, sigma)
     return Reduction(None, _antitableau_grid(_cells(ends), types), rows, state)
 
 
@@ -602,7 +637,7 @@ def upper_bound_check(
     """
     columns = [*prefix, last]
     ends, types = _state(columns, max(c.height for c in columns) + 2)
-    if not _descends(ends[:-1], types[:-1]):
+    if not _descends(_gaps(ends[:-1]), types[:-1]):
         raise InputError("prefix columns are not an antitableau")
     rels = [Segment.relate_twice(*end, *ends[-1], Relation.CONTAINS) for end in ends[:-1]]
     if h is None:

@@ -409,12 +409,17 @@ def test_entry_text_is_the_json_of_the_payload():
     docs = [DOC_A, DOC_B, DOC_HALF, DOC_D, DOC_R5, DOC_NEGATIVE_END]
     psis = [cli._parse_parameter(doc, False) for doc in docs]
     psis += [random_parameter(rng, rng.randint(1, 6), m_max=4) for _ in range(40)]
-    written = 0
+    written = grids = 0
     for psi in psis:
         compiled = packets_mod.CompiledPackets(psi)
         write = cli._EntryText(compiled)
-        for described in compiled.described():
-            payload = entry_payload(compiled._entry(*described))
-            assert write(*described) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        described = list(compiled.described())
+        for d in described:
+            payload = entry_payload(compiled._entry(*d))
+            want = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            # the second call reads the antitableau text from the memo
+            assert write(*d) == want == write(*d)
             written += 1
-    assert written > 1000
+        assert len(write.grids) == len({types for _, types, _, _ in described})
+        grids += len(write.grids)
+    assert written > 1000 and grids < written / 2  # survivors share final types

@@ -7,6 +7,7 @@ constraint engine or a brute-force enumeration.
 
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from aqlam import GoodParityParameter, HalfInt, intersection_size, tableau
 from aqlam.arrangements import appropriate_arrangement, enumerate_admissible
-from aqlam.criterion import Witness, nonvanishing
+from aqlam.criterion import CompiledCriterion, Witness, nonvanishing, nonvanishing_simplified
 from aqlam.errors import InputError, InvariantViolationError
 from aqlam.segments import Relation
 from aqlam.tableau import (
@@ -443,7 +444,7 @@ class TestCompiledReduction:
         compiled = CompiledReduction(psi)
         p = next(p for p in box(psi) if compiled.reduce(p).nonzero)
         monkeypatch.setattr(
-            tableau, "_column", lambda plus, minus, p, m, k: (types[k - 1], plus, minus)
+            tableau, "_column", lambda plus, minus, p, m, k: (tuple(types[k - 1]), plus, minus)
         )
         with pytest.raises(InvariantViolationError, match=message):
             CompiledReduction(psi).reduce(p)
@@ -528,3 +529,75 @@ class TestResume:
         assert compiled.reduce((2, 2, 3)) == want and want.nonzero
         assert compiled.reduce((2, 2, 3)) == want
         assert built == [3]  # column 3 once; the repeat builds none
+
+
+class TestStepMemo:
+    """A ``CompiledReduction`` keeps each step's outcome keyed on (column,
+    position, left types, right types); a kept outcome must be the one the
+    step would compute."""
+
+    def test_a_revisited_zero_vector_keeps_its_witness(self, psi_B, monkeypatch):
+        warm = CompiledReduction(psi_B)
+        zero = next(
+            p for p in box(psi_B)
+            if getattr(CompiledReduction(psi_B).run(p), "kind", None) == "overlap"
+        )
+        other = next(p for p in box(psi_B) if p[0] != zero[0])
+        want = CompiledReduction(psi_B).run(zero)
+        assert warm.run(zero) == want
+        warm.run(other)  # no prefix left to resume from
+        ran, run_step = [], tableau._run_step
+        monkeypatch.setattr(tableau, "_run_step", lambda *args: ran.append(args) or run_step(*args))
+        assert warm.run(zero) == want
+        assert ran == []  # every step of the revisit came from the memo
+
+    def test_a_repeated_step_runs_once(self, monkeypatch):
+        psi = GoodParityParameter.from_components(
+            [(14, 3), (12, 5), (11, 4), (9, 6), (6, 3)]
+        )
+        vectors = list(box(psi))
+        want = [_outcome(CompiledReduction(psi), p) for p in vectors]
+        compiled = CompiledReduction(psi)
+        ran, run_step = [], tableau._run_step
+        monkeypatch.setattr(tableau, "_run_step", lambda *args: ran.append(args) or run_step(*args))
+        # the box twice: the second pass rebuilds a column whenever an entry
+        # before it changes, and finds every step it meets in the memo
+        for _ in range(2):
+            assert [_outcome(compiled, p) for p in vectors] == want
+        steps = [(id(step), left, right) for step, left, right, _, _ in ran]
+        assert len(set(steps)) == len(steps) == len(compiled._outcomes) > 0
+
+    def test_corrupted_types_raise_after_true_ones(self, monkeypatch):
+        # a warm instance has no outcome for types it never met: the
+        # corrupted ones of test_corrupted_types_raise still trip a check
+        psi = GoodParityParameter((seg(4, 4), seg(3, 2)))
+        compiled = CompiledReduction(psi)
+        p = next(p for p in box(psi) if compiled.reduce(p).nonzero)
+        for q in box(psi):
+            compiled.run(q)
+        compiled.run(next(q for q in box(psi) if q[0] != p[0]))  # nothing to resume
+        types = [(0, 0, -2, -2), (0, 0, 1, 1)]
+        monkeypatch.setattr(tableau, "_column", lambda plus, minus, p, m, k: (types[k - 1], plus, minus))
+        with pytest.raises(InvariantViolationError, match="merged shape not conserved"):
+            compiled.reduce(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 16))
+def test_simplified_criterion_agrees_with_a_warm_reduction(rng, r):
+    """The simplified criterion against the compiled reduction at r up to 16,
+    on some survivors of a random rank, a neighbour of each that differs in
+    one entry, and random box vectors, all run in turn through one instance,
+    so that later vectors resume the states and reuse the step outcomes of
+    earlier ones."""
+    psi = random_parameter(rng, r)
+    compiled = CompiledReduction(psi)
+    lengths = [psi.m(i) for i in range(1, r + 1)]
+    vectors = [tuple(rng.randint(0, m) for m in lengths) for _ in range(4)]
+    for p in islice(CompiledCriterion(psi).survivors(rng.randint(0, psi.n)), 8):
+        k = rng.randrange(r)
+        vectors += [p, (*p[:k], rng.randint(0, lengths[k]), *p[k + 1 :])]
+        vectors.append(tuple(rng.randint(0, m) for m in lengths))
+    for p in vectors:
+        tableau_nonzero = not isinstance(compiled.run(p), Witness)
+        assert nonvanishing_simplified(psi, p).nonzero == tableau_nonzero, (psi, p)
