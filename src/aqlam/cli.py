@@ -23,7 +23,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from . import packets as packets_mod
 from .arrangements import DEFAULT_MAX_R, enumerate_admissible
@@ -141,36 +141,40 @@ def _reduction_payload(reduction: Reduction) -> dict:
 class _EntryText:
     """Writes a survivor of one parameter as the compact, key-sorted JSON of
     its entry, from pieces written once per parameter: the quoted cells, the
-    lambda, the image's sigma, and each Levi pair and signed row.  Survivors
-    of one parameter often share their final types, so each antitableau's
-    text is written once per final types."""
+    lambda, each Levi pair and signed row, and the image's sigma and each
+    row of its table.  Survivors of one parameter often share their final
+    types, so each antitableau's text is written once per final types."""
 
     def __init__(self, compiled: packets_mod.CompiledPackets) -> None:
-        self.reduction = compiled.reduction
+        self.reduction, self.compiled_image = compiled.reduction, compiled.image
         self.lam = ",".join(f'"{x}"' for x in compiled.lam)
         self.levi = [[f"[{v},{m - v}]" for v in range(m + 1)] for m in compiled.m]
         r = compiled.psi.r
         self.rows = {(t, s): f'[{t},"{s}"]' for t in range(1, r + 1) for s in "+-"}
-        self.image = f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}'
+        self.sigma = f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}'
+        quoted, table = {1: '"+"', -1: '"-"'}, compiled.image.table if compiled.image else []
+        self.padic = [[(str(l), quoted[e], quoted[f], x) for l, e, f, x in c] for c in table]
         self.grids: dict[tuple, str] = {}  # final types -> antitableau text
 
     @functools.cached_property
     def cells(self) -> list[list[str]]:
         return self.reduction.cells(lambda twice: f'"{HalfInt(twice)}"')
 
+    def image(self, p: tuple[int, ...]) -> str:
+        """The JSON text of p's p-adic image ("null" outside the domain)."""
+        if self.compiled_image is None:
+            return "null"
+        l, eta = self.compiled_image.pick(p, self.padic)
+        return f'{{"eta":[{",".join(eta)}],"l":[{",".join(l)}{self.sigma}'
+
     def __call__(self, p: tuple[int, ...], types: tuple[tuple[int, ...], ...],
-                 rows: Rows, image: Optional[ExtendedMultiSegment]) -> str:
+                 rows: Rows, padic: str) -> str:  # padic: from image(p)
         grid = self.grids.get(types)
         if grid is None:
             grid = self.grids[types] = "],[".join(
                 map(",".join, self.reduction.antitableau(types, self.cells))
             )
         levi = ",".join(map(list.__getitem__, self.levi, p))
-        if image is None:
-            padic = "null"
-        else:
-            eta = '","'.join("+" if e == 1 else "-" for e in image.eta)
-            padic = f'{{"eta":["{eta}"],"l":[{",".join(map(str, image.l))}{self.image}'
         return (
             f'{{"antitableau":[[{grid}]],"lambda":[{self.lam}],"levi":[{levi}],'
             f'"p":[{",".join(map(str, p))}],"padic_image":{padic},'
@@ -179,18 +183,21 @@ class _EntryText:
 
 
 class _Entries(list):
-    """Entries written by ``_EntryText``, which ``_dumps`` splices in."""
+    """Entries written by ``_EntryText``, which ``_chunks`` splices in."""
 
 
-def _dumps(value: Any) -> str:
-    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
-    the text of ``_Entries`` spliced in."""
+def _chunks(value: Any) -> Iterator[str]:
+    """The compact, key-sorted JSON text of value in pieces, ``_Entries`` spliced in."""
     if isinstance(value, _Entries):
-        return f"[{','.join(value)}]"
-    if isinstance(value, dict):
-        items = (f"{json.dumps(k)}:{_dumps(value[k])}" for k in sorted(value))
-        return f"{{{','.join(items)}}}"
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        yield from ("[", ",".join(value), "]")
+    elif isinstance(value, dict):
+        yield "{"
+        for i, k in enumerate(sorted(value)):
+            yield f"{',' if i else ''}{json.dumps(k)}:"
+            yield from _chunks(value[k])
+        yield "}"
+    else:
+        yield json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _render_antitableau(rows: Sequence[Sequence[str]]) -> str:
@@ -200,7 +207,7 @@ def _render_antitableau(rows: Sequence[Sequence[str]]) -> str:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":  # one compact line
-        print(_dumps(payload))
+        print("".join(_chunks(payload)))
         return
     for key, value in payload.items():
         if key == "antitableau" and value:
@@ -250,7 +257,8 @@ def _cmd_packet(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     rank = _json(doc["p_rank"], int, "'p_rank'")
     compiled = packets_mod.CompiledPackets(psi)
     write = _EntryText(compiled)
-    entries = _Entries(write(*d) for d in compiled.described(rank, args.verify))
+    described = compiled.described(rank, args.verify)
+    entries = _Entries(write(*d, write.image(d[0])) for d in described)
     scanned = packets_mod.count_params(psi, rank)
     return {"p_rank": rank, "scanned": scanned, "entries": entries}, 0
 
@@ -270,13 +278,14 @@ def _cmd_transition(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, in
 
 def _cmd_av(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     compiled = packets_mod.CompiledPackets(psi)
-    # the text view prints only how many entries each rank has
-    write = _EntryText(compiled) if args.format == "json" else None
+    write = _EntryText(compiled)
+    as_json = args.format == "json"  # the text view prints only the entry counts
     packets = {rank: _Entries() for rank in range(psi.n + 1)}
-    images = []
-    for described in compiled.described(None, args.verify):
-        packets[sum(described[0])].append(write(*described) if write else None)
-        images.append(described[3])
+    images = []  # the JSON text of each survivor's image
+    for p, types, rows in compiled.described(None, args.verify):
+        image = write.image(p)
+        packets[sum(p)].append(write(p, types, rows, image) if as_json else None)
+        images.append(image)
     payload: dict = {
         "total": len(images),
         "packets": {str(rank): entries for rank, entries in packets.items()},

@@ -82,27 +82,28 @@ class CompiledPackets:
         self.lam = lambda_values(psi)
         self.m = self.criterion.m
         self.in_domain = in_padic_domain(psi)
-        self.image = CompiledImage(psi).image if self.in_domain else None
+        self.image = CompiledImage(psi) if self.in_domain else None
 
     def described(self, rank: Optional[int] = None, verify: bool = False) -> Iterator[tuple]:
-        """``(p, types, rows, image)`` for each non-vanishing p of sum ``rank``
-        (of the box for None), lexicographic: the reduction's final types and
-        signed rows, and the p-adic image (None outside the comparison
-        domain).  A p the tableau engine zeroes raises an invariant violation."""
+        """``(p, types, rows)`` for each non-vanishing p of sum ``rank`` (of
+        the box for None), lexicographic: the reduction's final types and
+        signed rows.  A p the tableau engine zeroes raises an invariant
+        violation."""
         return self._describe(self._survivors(rank, verify))
 
     def _describe(self, vectors: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
-        run, image = self.reduction.run, self.image
+        run = self.reduction.run
         for p in vectors:
             result = run(p)
             if isinstance(result, Witness):
                 raise InvariantViolationError(
                     f"the criterion passes p={p} but the tableau engine zeroes it: {result}"
                 )
-            yield p, *result, image(p) if image else None
+            yield p, *result
 
-    def _entry(self, p: tuple[int, ...], types: tuple, rows: Rows, image) -> PacketEntry:
+    def _entry(self, p: tuple[int, ...], types: tuple, rows: Rows) -> PacketEntry:
         levi = tuple(zip(p, map(sub, self.m, p)))
+        image = self.image.image(p) if self.image else None
         return PacketEntry(p, levi, self.lam, self.reduction.antitableau(types), rows, image)
 
     def entry(self, p: tuple[int, ...]) -> PacketEntry:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .arrangements import (
     DEFAULT_MAX_R,
@@ -128,9 +128,9 @@ class CompiledImage:
     ``sign_of`` is a product of one factor per component, read from m_i // 2,
     m_i mod 2, l_i and eta_i; for n odd a negative product flips every sign
     not fixed by 2 l_i = m_i.  So each entry value p_i has its l_i, its
-    eta_i, its flipped eta_i and its factor in a table, and ``image(p)``
-    reads p's columns of it; ``to_extended`` and ``project_EF`` stay the
-    reference definitions, and tests hold the two equal.
+    eta_i, its flipped eta_i and its factor in a row of ``table`` (signs
+    checked once), and ``pick(p)`` reads p's rows; ``to_extended`` and
+    ``project_EF`` stay the reference definitions, and tests hold them equal.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -146,12 +146,18 @@ class CompiledImage:
                 factor = _sgnpow(m // 2 + l_i) * (e_i if m % 2 else 1)
                 column.append((l_i, e_i, 1 if 2 * l_i == m else -e_i, factor))
             self.table.append(column)
+        if any(e not in (1, -1) for column in self.table for row in column for e in row[1:3]):
+            raise InvariantViolationError("eta entries must be +1 or -1")
+
+    def pick(self, p: Sequence[int], table: Optional[list[list[tuple]]] = None) -> tuple:
+        """p's l and eta, read from the rows of ``table``: by default
+        ``self.table``, or a copy of it with l and the signs written in some
+        other form and the factors kept."""
+        l, eta, flipped, factors = zip(*map(list.__getitem__, table or self.table, p))
+        return l, flipped if self.n_odd and prod(factors) == -1 else eta
 
     def image(self, p: Sequence[int]) -> ExtendedMultiSegment:
-        l, eta, flipped, factors = zip(*map(list.__getitem__, self.table, p))
-        if self.n_odd and prod(factors) == -1:
-            eta = flipped
-        return ExtendedMultiSegment(l, eta, self.sigma)
+        return ExtendedMultiSegment(*self.pick(p), self.sigma)
 
 
 def _forward_swap(

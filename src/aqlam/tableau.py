@@ -22,8 +22,8 @@ A rewrite always turns its two segments into their max/min pair, whatever
 the types, so the whole rewrite schedule depends only on the parameter.
 ``CompiledReduction`` works it out once, together with the transport to the
 canonical arrangement; reducing a vector then builds its types and runs the
-compiled steps on them, each step's outcome computed once per parameter for
-each pair of types it meets.
+compiled steps on them, each column's outcome once per parameter for each
+types before it and its own, and the final check once per final types.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, count, zip_longest
+from itertools import accumulate, count, zip_longest
 from operator import add, gt, sub
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -358,12 +358,12 @@ def _antitableau_grid(cells: Sequence[Sequence], types: Sequence[Types]) -> tupl
     k from 0.
     """
     r = len(types)
-    grid_cols = [
-        list(chain.from_iterable(
-            cells[k][types[k][k - c] : types[k][k - c + 1]] for k in range(c, r)
-        ))
-        for c in range(r)
-    ]
+    grid_cols = []
+    for c in range(r):
+        col: list = []
+        for k in range(c, r):
+            col += cells[k][types[k][k - c] : types[k][k - c + 1]]
+        grid_cols.append(col)
     # row t holds entry t of every column that long (a cell is truthy)
     return tuple(tuple(filter(None, row)) for row in zip_longest(*grid_cols))
 
@@ -397,15 +397,14 @@ class CompiledReduction:
 
     The state after k columns depends only on the first k canonical
     entries, so an instance keeps the states of the last vector it ran and
-    resumes the next at its first canonical entry that differs.  A step's
-    outcome depends only on the step and the types it meets, so an instance
-    also keeps the outcome of each step of column k at each position it has
-    run, keyed on (k, position, left types, right types), and runs a step
-    only on types it has not met there.  Both make an instance unfit for
-    sharing between threads.  ``run(p)`` returns the final types and rows,
-    or the zero witness; ``antitableau(types)`` reads the filled rows out of
-    the types, and ``reduce`` wraps both in a ``Reduction`` with its
-    ``TableauState``.
+    resumes the next at its first canonical entry that differs.  A
+    column's outcome depends only on its types and those before it, so an
+    instance numbers the types it reaches, checking final ones once, and
+    keeps each column's outcome keyed on (number of the types before, its
+    types).  Both make an instance unfit for sharing between threads.
+    ``run(p)`` returns the final types and rows, or the zero witness;
+    ``antitableau(types)`` reads the filled rows out of the types, and
+    ``reduce`` wraps both in a ``Reduction`` with its ``TableauState``.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -413,11 +412,13 @@ class CompiledReduction:
         self.sigma = appropriate_arrangement(psi)
         self.lengths = tuple(psi.seg(comp).m for comp in self.sigma)
         self.reference = tuple(range(1, psi.r + 1))
-        # _states[k]: the types and row counts after the first k entries of _last
+        # _states[k]: the types, their number and row counts after k entries of _last
         self._last: Sequence[int] = ()
-        self._states: list[tuple] = [((), [0] * (psi.r + 2), [0] * (psi.r + 2))]
-        # (k, position, left types, right types) -> the step's outcome
-        self._outcomes: dict[tuple, tuple[int, Optional[tuple[Types, Types]]]] = {}
+        self._states: list[tuple] = [((), 0, [0] * (psi.r + 2), [0] * (psi.r + 2))]
+        # types -> (the same types, kept once, and their number)
+        self._numbered: dict[tuple[Types, ...], tuple] = {(): ((), 0)}
+        # (number of the types before column k, its types) -> _insert's outcome
+        self._outcomes: dict[tuple[int, Types], Union[Witness, tuple]] = {}
 
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
@@ -459,11 +460,6 @@ class CompiledReduction:
         """The final columns' segments, for the read-out of ``reduce``."""
         return _segments(self._schedule[1])
 
-    @cached_property
-    def _final_gaps(self) -> tuple[int, ...]:
-        """The final columns' gaps, for the antitableau check of ``run``."""
-        return _gaps(self._schedule[1])
-
     def cells(self, write: Callable[[int], Any]) -> list[list]:
         """The antitableau cells with each value written by ``write`` from
         its double, for ``antitableau(types, cells)``."""
@@ -492,10 +488,8 @@ class CompiledReduction:
     ) -> Union[Witness, tuple[tuple[Types, ...], Rows]]:
         """The core of ``reduce``: p's final types (padded, see ``_column``)
         and signed rows, or the witness that p is zero.  Resumes after the
-        longest prefix of canonical entries shared with the last vector run;
-        every step of a column built takes its outcome from the instance's
-        memo or runs the overlap test and the self-checks of its rewrite, and
-        every result passes the final antitableau check."""
+        longest prefix of canonical entries shared with the last vector run,
+        and takes each column's outcome from the instance's memo or ``_insert``."""
         entries = self._start(p)
         if isinstance(entries, Witness):
             return entries
@@ -505,28 +499,37 @@ class CompiledReduction:
             start += 1
         del states[start + 1 :]
         self._last = entries
-        types, plus, minus = states[start]
-        schedule, outcomes = self._schedule[0], self._outcomes
+        types, number, plus, minus = states[start]
+        outcomes = self._outcomes
         for k in range(start + 1, len(entries) + 1):
             L, plus, minus = _column(plus, minus, entries[k - 1], self.lengths[k - 1], k)
-            types = [*types, L]
-            for pos, step in schedule[k - 1]:
-                left, right = types[pos - 1], types[pos]
-                key = (k, pos, left, right)
-                outcome = outcomes.get(key)
-                if outcome is None:
-                    outcome = outcomes[key] = _run_step(step, left, right, pos, pos + 1)
-                ov, result = outcome
-                if result is None:
-                    return Witness("overlap", (pos, pos + 1), self.sigma, (ov, step.sing))
-                types[pos - 1], types[pos] = result
-            types = tuple(types)
-            states.append((types, plus, minus))
-        if not _descends(self._final_gaps, types):
-            raise InvariantViolationError(
-                f"reduction finished on a non-antitableau state for p={p}"
-            )
+            key = (number, L)
+            outcome = outcomes.get(key)
+            if outcome is None:
+                outcome = outcomes[key] = self._insert(types, L, k)
+            if isinstance(outcome, Witness):
+                return outcome
+            types, number = outcome
+            states.append((types, number, plus, minus))
         return types, _rows(plus, minus)
+
+    def _insert(self, types: tuple[Types, ...], L: Types, k: int) -> Union[Witness, tuple]:
+        """Column k, of types L, after columns of these types: the types after
+        its compiled steps and their number, or the overlap witness.  Final
+        types are numbered only once they pass the antitableau check."""
+        new = [*types, L]
+        for pos, step in self._schedule[0][k - 1]:
+            ov, result = _run_step(step, new[pos - 1], new[pos], pos, pos + 1)
+            if result is None:
+                return Witness("overlap", (pos, pos + 1), self.sigma, (ov, step.sing))
+            new[pos - 1], new[pos] = result
+        after = tuple(new)
+        known = self._numbered.get(after)
+        if known is None:
+            if k == len(self.lengths) and not _descends(_gaps(self._schedule[1]), after):
+                raise InvariantViolationError(f"a non-antitableau state at the end: {after}")
+            known = self._numbered[after] = after, len(self._numbered)
+        return known
 
     def antitableau(
         self, types: Sequence[Types], cells: Optional[list] = None

@@ -16,6 +16,8 @@ import pytest
 from aqlam import cli, criterion
 from aqlam import packets as packets_mod
 from aqlam.cli import run
+from aqlam.packets import fiber_audit
+from aqlam.padic import project_EF, to_extended
 
 from conftest import random_parameter
 from test_packets import loosen_pair
@@ -385,22 +387,30 @@ class TestOutputRecord:
         assert (len(lines), digest) == (897, self.RECORD)
 
 
+def image_payload(image):
+    """The JSON payload of a p-adic image, None for no image."""
+    return None if image is None else {
+        "l": list(image.l),
+        "eta": ["+" if e == 1 else "-" for e in image.eta],
+        "sigma": list(image.sigma),
+    }
+
+
 def entry_payload(entry):
     """The JSON payload of a packet entry, built from the library's
     ``PacketEntry``."""
-    image = entry.padic_image
     return {
         "p": list(entry.p),
         "levi": [list(pair) for pair in entry.levi],
         "lambda": [str(x) for x in entry.lam],
         "antitableau": [[str(x) for x in row] for row in entry.antitableau],
         "rows": [[length, sign] for length, sign in entry.rows],
-        "padic_image": None if image is None else {
-            "l": list(image.l),
-            "eta": ["+" if e == 1 else "-" for e in image.eta],
-            "sigma": list(image.sigma),
-        },
+        "padic_image": image_payload(entry.padic_image),
     }
+
+
+def compact(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def test_entry_text_is_the_json_of_the_payload():
@@ -410,16 +420,28 @@ def test_entry_text_is_the_json_of_the_payload():
     psis = [cli._parse_parameter(doc, False) for doc in docs]
     psis += [random_parameter(rng, rng.randint(1, 6), m_max=4) for _ in range(40)]
     written = grids = 0
+    kinds = set()  # n mod 2 in the comparison domain, None outside it
     for psi in psis:
         compiled = packets_mod.CompiledPackets(psi)
         write = cli._EntryText(compiled)
         described = list(compiled.described())
+        texts, objects = [], []
         for d in described:
-            payload = entry_payload(compiled._entry(*d))
-            want = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            p = d[0]
+            image, want = write.image(p), compact(entry_payload(compiled._entry(*d)))
             # the second call reads the antitableau text from the memo
-            assert write(*d) == want == write(*d)
+            assert write(*d, image) == want == write(*d, image)
+            reference = project_EF(psi, to_extended(psi, p)) if compiled.in_domain else None
+            assert image == compact(image_payload(reference)), (psi, p)
+            texts.append(image)
+            objects.append(reference)
             written += 1
-        assert len(write.grids) == len({types for _, types, _, _ in described})
+        kinds.add(psi.n % 2 if compiled.in_domain else None)
+        if compiled.in_domain:
+            by_text, by_object = fiber_audit(texts, psi.n), fiber_audit(objects, psi.n)
+            assert sorted(by_text[0].values()) == sorted(by_object[0].values())
+            assert by_text[1] is by_object[1] is True
+        assert len(write.grids) == len({types for _, types, _ in described})
         grids += len(write.grids)
+    assert kinds == {0, 1, None}
     assert written > 1000 and grids < written / 2  # survivors share final types

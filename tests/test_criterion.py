@@ -1,6 +1,9 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqlam import GoodParityParameter, intersection_size
 from aqlam.arrangements import sigma_pairs
@@ -94,6 +97,20 @@ def test_engines_agree_on_random_instances():
             nonvanishing(psi, p).nonzero
             == nonvanishing_simplified(psi, p).nonzero
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_simplified_criterion_agrees_with_the_full_oracle(rng, r):
+    """The simplified criterion against the full oracle, which checks every
+    admissible arrangement, at r up to 6: on random box vectors, mostly
+    zero, and on some survivors of a random rank."""
+    psi = random_parameter(rng, r)
+    vectors = [random_entry_vector(rng, psi) for _ in range(6)]
+    vectors += islice(CompiledCriterion(psi).survivors(rng.randint(0, psi.n)), 4)
+    for p in vectors:
+        full = nonvanishing(psi, p)
+        assert nonvanishing_simplified(psi, p).nonzero == full.nonzero, (psi, p, full)
 
 
 def test_verdict_witness_reports_transported_values(psi_B):

@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from aqlam import GoodParityParameter
+from aqlam import GoodParityParameter, padic
 from aqlam.criterion import CompiledCriterion, cond_C, nonvanishing
-from aqlam.errors import InputError
+from aqlam.errors import InputError, InvariantViolationError
 from aqlam.padic import (
     CompiledImage,
     ExtendedMultiSegment,
@@ -251,3 +251,11 @@ def test_compiled_image_is_project_EF_of_to_extended():
             assert image(p) == project_EF(psi, to_extended(psi, p)), (psi, p)
             compared += 1
     assert compared > 10_000
+
+
+def test_compiled_image_checks_its_signs_once(psi_A, monkeypatch):
+    # the +1/-1 check of ExtendedMultiSegment, made on the table's rows
+    # when it is built, since the CLI writes images without building one
+    monkeypatch.setattr(padic, "_sgnpow", lambda exponent: 0)
+    with pytest.raises(InvariantViolationError, match="eta entries must be"):
+        CompiledImage(psi_A)

@@ -532,9 +532,11 @@ class TestResume:
 
 
 class TestStepMemo:
-    """A ``CompiledReduction`` keeps each step's outcome keyed on (column,
-    position, left types, right types); a kept outcome must be the one the
-    step would compute."""
+    """A ``CompiledReduction`` keeps the outcome of each column's steps keyed
+    on (number of the types before the column, the column's types), and
+    numbers final types once they pass the antitableau check; a kept
+    outcome must be the one the steps would compute, and no types may skip
+    the check."""
 
     def test_a_revisited_zero_vector_keeps_its_witness(self, psi_B, monkeypatch):
         warm = CompiledReduction(psi_B)
@@ -549,23 +551,44 @@ class TestStepMemo:
         ran, run_step = [], tableau._run_step
         monkeypatch.setattr(tableau, "_run_step", lambda *args: ran.append(args) or run_step(*args))
         assert warm.run(zero) == want
-        assert ran == []  # every step of the revisit came from the memo
+        assert ran == []  # every column of the revisit came from the memo
 
-    def test_a_repeated_step_runs_once(self, monkeypatch):
+    def test_a_repeated_column_runs_its_steps_once(self, monkeypatch):
         psi = GoodParityParameter.from_components(
             [(14, 3), (12, 5), (11, 4), (9, 6), (6, 3)]
         )
         vectors = list(box(psi))
         want = [_outcome(CompiledReduction(psi), p) for p in vectors]
         compiled = CompiledReduction(psi)
+        keys, inside, insert = [], [], compiled._insert
+
+        def insert_once(types, L, k):
+            keys.append((types, L))
+            inside.append(True)
+            try:
+                return insert(types, L, k)
+            finally:
+                inside.pop()
+
         ran, run_step = [], tableau._run_step
-        monkeypatch.setattr(tableau, "_run_step", lambda *args: ran.append(args) or run_step(*args))
+        checked, descends = [], tableau._descends
+        built, column = [], tableau._column
+        monkeypatch.setattr(compiled, "_insert", insert_once)
+        monkeypatch.setattr(tableau, "_run_step", lambda *a: ran.append(bool(inside)) or run_step(*a))
+        monkeypatch.setattr(tableau, "_descends", lambda *a: checked.append(a[1]) or descends(*a))
+        monkeypatch.setattr(tableau, "_column", lambda *a: built.append(a[-1]) or column(*a))
         # the box twice: the second pass rebuilds a column whenever an entry
-        # before it changes, and finds every step it meets in the memo
-        for _ in range(2):
-            assert [_outcome(compiled, p) for p in vectors] == want
-        steps = [(id(step), left, right) for step, left, right, _, _ in ran]
-        assert len(set(steps)) == len(steps) == len(compiled._outcomes) > 0
+        # before it changes, and meets only column keys it has met
+        assert [_outcome(compiled, p) for p in vectors] == want
+        first = len(keys), len(ran), len(built)
+        assert [_outcome(compiled, p) for p in vectors] == want
+        assert (len(keys), len(ran)) == first[:2] and len(built) > first[2]
+        # steps run only inside the first run of a column key
+        assert ran and all(ran)
+        assert len(set(keys)) == len(keys) == len(compiled._outcomes) < first[2]
+        # the final check once for each final types
+        final = {result.state.columns for result in want if getattr(result, "nonzero", False)}
+        assert len(set(checked)) == len(checked) == len(final) > 0
 
     def test_corrupted_types_raise_after_true_ones(self, monkeypatch):
         # a warm instance has no outcome for types it never met: the
@@ -581,6 +604,20 @@ class TestStepMemo:
         with pytest.raises(InvariantViolationError, match="merged shape not conserved"):
             compiled.reduce(p)
 
+    def test_corrupted_final_types_raise_after_true_ones(self, monkeypatch):
+        # final types are numbered only once they pass the antitableau
+        # check, so a warm instance checks final types it never met
+        psi = GoodParityParameter((seg(7, 3), seg(4, 3)))
+        compiled = CompiledReduction(psi)
+        p = next(p for p in box(psi) if compiled.reduce(p).nonzero)
+        for q in box(psi):
+            compiled.run(q)
+        compiled.run(next(q for q in box(psi) if q[0] != p[0]))  # nothing to resume
+        types = [(0, -2, 2, 2), (0, -2, -2, -2)]
+        monkeypatch.setattr(tableau, "_column", lambda plus, minus, p, m, k: (types[k - 1], plus, minus))
+        with pytest.raises(InvariantViolationError, match="non-antitableau state"):
+            compiled.reduce(p)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(2, 16))
@@ -588,8 +625,8 @@ def test_simplified_criterion_agrees_with_a_warm_reduction(rng, r):
     """The simplified criterion against the compiled reduction at r up to 16,
     on some survivors of a random rank, a neighbour of each that differs in
     one entry, and random box vectors, all run in turn through one instance,
-    so that later vectors resume the states and reuse the step outcomes of
-    earlier ones."""
+    so that later vectors resume the states and reuse the column outcomes
+    of earlier ones."""
     psi = random_parameter(rng, r)
     compiled = CompiledReduction(psi)
     lengths = [psi.m(i) for i in range(1, r + 1)]
