@@ -141,14 +141,16 @@ def _reduction_payload(reduction: Reduction) -> dict:
 class _EntryText:
     """Writes a survivor of one parameter as the compact, key-sorted JSON of
     its entry, from pieces written once per parameter: the quoted cells, the
-    lambda, each Levi pair and signed row, and the image's sigma and each
-    row of its table.  Survivors of one parameter often share their final
-    types, so each antitableau's text is written once per final types."""
+    lambda, each entry value, Levi pair and signed row, and the image's
+    sigma and each row of its table.  Survivors of one parameter often
+    share their final types, so each antitableau's text is written once per
+    final types."""
 
     def __init__(self, compiled: packets_mod.CompiledPackets) -> None:
         self.reduction, self.compiled_image = compiled.reduction, compiled.image
         self.lam = ",".join(f'"{x}"' for x in compiled.lam)
         self.levi = [[f"[{v},{m - v}]" for v in range(m + 1)] for m in compiled.m]
+        self.digits = [str(v) for v in range(max(compiled.m) + 1)]
         r = compiled.psi.r
         self.rows = {(t, s): f'[{t},"{s}"]' for t in range(1, r + 1) for s in "+-"}
         self.sigma = f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}'
@@ -177,7 +179,7 @@ class _EntryText:
         levi = ",".join(map(list.__getitem__, self.levi, p))
         return (
             f'{{"antitableau":[[{grid}]],"lambda":[{self.lam}],"levi":[{levi}],'
-            f'"p":[{",".join(map(str, p))}],"padic_image":{padic},'
+            f'"p":[{",".join(map(self.digits.__getitem__, p))}],"padic_image":{padic},'
             f'"rows":[{",".join(map(self.rows.__getitem__, rows))}]}}'
         )
 

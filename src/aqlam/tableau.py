@@ -156,13 +156,14 @@ def _column(plus: list[int], minus: list[int], p: int, m: int, k: int) -> tuple:
     L = [0]
     new_plus, new_minus = [0] * size, [0] * size
     for t in range(k - 1, 0, -1):
-        to_plus, to_minus = min(minus[t], p), min(plus[t], q)
+        pt, mt = plus[t], minus[t]
+        to_plus, to_minus = mt if mt < p else p, pt if pt < q else q
         p, q = p - to_plus, q - to_minus
         L.append(m - p - q)
         new_plus[t + 1] += to_plus
-        new_minus[t] += minus[t] - to_plus
+        new_minus[t] += mt - to_plus
         new_minus[t + 1] += to_minus
-        new_plus[t] += plus[t] - to_minus
+        new_plus[t] += pt - to_minus
     new_plus[1] += p
     new_minus[1] += q
     return (*L, *(m,) * (size - k)), new_plus, new_minus
@@ -412,6 +413,7 @@ class CompiledReduction:
         self.sigma = appropriate_arrangement(psi)
         self.lengths = tuple(psi.seg(comp).m for comp in self.sigma)
         self.reference = tuple(range(1, psi.r + 1))
+        self._identity = self.sigma == self.reference  # the transport is the identity
         # _states[k]: the types, their number and row counts after k entries of _last
         self._last: Sequence[int] = ()
         self._states: list[tuple] = [((), 0, [0] * (psi.r + 2), [0] * (psi.r + 2))]
@@ -456,6 +458,10 @@ class CompiledReduction:
         return _cells(self._schedule[1])
 
     @cached_property
+    def _final_gaps(self) -> tuple[int, ...]:
+        return _gaps(self._schedule[1])
+
+    @cached_property
     def _final_segments(self) -> tuple[Segment, ...]:
         """The final columns' segments, for the read-out of ``reduce``."""
         return _segments(self._schedule[1])
@@ -474,10 +480,7 @@ class CompiledReduction:
             p = p.entries if isinstance(p, ParamVector) else tuple(p)
             if len(p) != self.psi.r:
                 raise InputError(f"expected {self.psi.r} entries, got {len(p)}")
-            if self.sigma == self.reference:  # the transport is the identity
-                entries = p
-            else:
-                entries = [affine_value(form, p) for form in self._forms]
+            entries = p if self._identity else [affine_value(form, p) for form in self._forms]
         for comp, entry, m in zip(self.sigma, entries, self.lengths):
             if not 0 <= entry <= m:
                 return Witness("B", (comp,), self.sigma, (entry, m))
@@ -524,11 +527,11 @@ class CompiledReduction:
                 return Witness("overlap", (pos, pos + 1), self.sigma, (ov, step.sing))
             new[pos - 1], new[pos] = result
         after = tuple(new)
-        known = self._numbered.get(after)
-        if known is None:
-            if k == len(self.lengths) and not _descends(_gaps(self._schedule[1]), after):
-                raise InvariantViolationError(f"a non-antitableau state at the end: {after}")
-            known = self._numbered[after] = after, len(self._numbered)
+        fresh = after, len(self._numbered)
+        known = self._numbered.setdefault(after, fresh)
+        if known is fresh and k == len(self.lengths) and not _descends(self._final_gaps, after):
+            del self._numbered[after]
+            raise InvariantViolationError(f"a non-antitableau state at the end: {after}")
         return known
 
     def antitableau(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import islice
 
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqlam import GoodParityParameter, intersection_size
-from aqlam.arrangements import sigma_pairs
+from aqlam.arrangements import appropriate_arrangement, enumerate_admissible, sigma_pairs
 from aqlam import criterion
 from aqlam.criterion import (
     CompiledCriterion,
+    PairConstraint,
+    _c_values,
+    _interval,
     affine_value,
     check_box_scan,
     cond_B,
@@ -192,8 +196,30 @@ def search_family():
     return [*sweep_family(), *randoms]
 
 
+def reordered_family():
+    """Parameters whose reference order is admissible but not the canonical
+    one, so the transport to the canonical arrangement is not the identity:
+    [6,3] before [5,3], alone and with [4,2] and [2,1], then seeded random
+    r = 2..7 parameters, each in a random admissible order that the
+    canonical one is not."""
+    out = [
+        GoodParityParameter((seg(6, 4), seg(5, 3))),
+        GoodParityParameter((seg(6, 4), seg(5, 3), seg(4, 3), seg(2, 2))),
+    ]
+    rng = random.Random(83)
+    m_max = {2: 5, 3: 4, 4: 3, 5: 3, 6: 2, 7: 2}
+    while len(out) < 80:
+        r = rng.randint(2, 7)
+        psi = random_parameter(rng, r, m_max=m_max[r])
+        order = rng.choice(enumerate_admissible(psi))
+        psi = GoodParityParameter(tuple(psi.seg(i) for i in order))
+        if appropriate_arrangement(psi) != tuple(range(1, r + 1)):
+            out.append(psi)
+    return out
+
+
 def test_survivors_are_the_box_filtered_by_the_verdict():
-    for psi in search_family():
+    for psi in [*search_family(), *reordered_family()]:
         compiled = CompiledCriterion(psi)
         passing = [p for p in box(psi) if compiled.verdict(p).nonzero]
         assert list(compiled.survivors()) == passing, psi
@@ -222,3 +248,107 @@ def test_node_budget_is_checked_as_nodes_are_visited(monkeypatch):
     # a rank prunes nodes: rank 0 visits one node per entry
     monkeypatch.setattr(criterion, "MAX_DFS_NODES", 2)
     assert list(lattice_points((2, 3), 0)) == [(0, 0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(1, 12))
+def test_condition_c_is_two_bounds_on_the_sum(data, m_i, m_j):
+    """min(p_i, q_j) + min(q_i, p_j) >= sing exactly when sing <= p_i + p_j
+    <= m_i + m_j - sing, for entries inside the box or outside it."""
+    sing = data.draw(st.integers(0, min(m_i, m_j)))
+    p_i = data.draw(st.integers(-4, m_i + 4))
+    p_j = data.draw(st.integers(-4, m_j + 4))
+    holds = _c_values(p_i, m_i, p_j, m_j, sing)[4] >= sing
+    assert holds == (sing <= p_i + p_j <= m_i + m_j - sing)
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 4))
+def test_the_search_takes_any_coefficient_of_the_last_entry(rng, r):
+    """On the parameters the suite draws, S gives the last entry its forms
+    read the coefficient 1; made-up forms give it any sign and size, or
+    cancel it, and the search still yields the box vectors that pass."""
+    psi = random_parameter(rng, r, m_max=3)
+    compiled = CompiledCriterion(psi)
+
+    def form():
+        terms = sorted(rng.sample(range(r), rng.randint(0, r)))
+        return rng.randint(-3, 3), tuple((k, rng.randint(-2, 2)) for k in terms)
+
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        m_i, m_j = rng.randint(1, 4), rng.randint(1, 4)
+        sing = rng.randint(0, min(m_i, m_j))
+        pairs.append(PairConstraint(1, 1, (), form(), form(), m_i, m_j, sing))
+    compiled.pairs = tuple(pairs)
+    assert list(compiled.survivors()) == [
+        p for p in box(psi)
+        if all(_c_values(affine_value(c.form_i, p), c.m_i,
+                         affine_value(c.form_j, p), c.m_j, c.sing)[4] >= c.sing
+               for c in pairs)
+    ]
+
+def per_value_nodes(compiled, rank=None):
+    """The nodes of the lattice-point search as it ran before it stepped
+    through intervals: for each node, (k, the entries set before p_k, the
+    box or rank range lo..hi of p_k, and the values of that range for
+    which every pair bucketed at p_k passes ``_c_values``)."""
+    m, r = compiled.m, len(compiled.m)
+    buckets = [[] for _ in m]
+    for c in compiled.pairs:
+        buckets[max((k for k, _ in c.form_i[1] + c.form_j[1]), default=0)].append(c)
+    p = [0] * r
+
+    def visit(k, remaining):
+        if rank is None:
+            lo, hi = 0, m[k]
+        else:
+            lo, hi = max(0, remaining - sum(m[k + 1 :])), min(m[k], remaining)
+        before, passing = p[:k] + [0] * (r - k), []
+        for v in range(lo, hi + 1):
+            p[k] = v
+            if all(
+                _c_values(affine_value(c.form_i, p), c.m_i,
+                          affine_value(c.form_j, p), c.m_j, c.sing)[4] >= c.sing
+                for c in buckets[k]
+            ):
+                passing.append(v)
+        yield k, before, lo, hi, passing
+        for v in passing if k + 1 < r else ():
+            p[k] = v
+            yield from visit(k + 1, remaining - v)
+
+    return visit(0, 0 if rank is None else rank)
+
+
+def test_each_node_interval_is_the_values_the_per_value_test_passes():
+    for psi in [*search_family(), *reordered_family()]:
+        compiled = CompiledCriterion(psi)
+        checks = compiled._checks
+        for rank in (None, *range(psi.n + 1)):
+            for k, before, lo, hi, passing in per_value_nodes(compiled, rank):
+                assert list(_interval(checks[k], before, lo, hi)) == passing, (psi, rank, before)
+
+
+# sha256 of the ``repr`` of the list of the least ``MAX_DFS_NODES`` at which
+# ``survivors()`` completes, for each parameter of ``search_family()`` then
+# ``reordered_family()``, found by bisecting the budget before the search
+# stepped through intervals (1,394 parameters, 91,779 nodes in all)
+NODE_RECORD = "b3e101caccad636334e630ab0418806a8c215d47ab48dce916063619eeb82400"
+
+
+def test_each_search_completes_at_its_recorded_budget_and_not_one_node_below(monkeypatch):
+    family = [*search_family(), *reordered_family()]
+    budgets = [
+        sum(hi - lo + 1 for _, _, lo, hi, _ in per_value_nodes(CompiledCriterion(psi)))
+        for psi in family
+    ]
+    digest = hashlib.sha256(repr(budgets).encode()).hexdigest()
+    assert (len(budgets), sum(budgets), digest) == (1394, 91779, NODE_RECORD)
+    for psi, budget in zip(family, budgets):
+        monkeypatch.setattr(criterion, "MAX_DFS_NODES", budget)
+        list(CompiledCriterion(psi).survivors())
+        monkeypatch.setattr(criterion, "MAX_DFS_NODES", budget - 1)
+        with pytest.raises(ResourceLimitError):
+            list(CompiledCriterion(psi).survivors())
