@@ -17,8 +17,10 @@ therefore works it out once per parameter: the relation table, the neighbor
 pairs, one placement per pair, and the two transported entries at that
 placement as integer affine forms in the reference p (the symbolic
 transport ``transition.transported_forms``, which the tableau engine's
-``CompiledReduction`` shares).  Deciding a vector is
-then the box check plus one inequality per pair, at any r.
+``CompiledReduction`` shares).  The pairs are built in order, each the
+first time a walk over them reaches it, so a vanishing vector builds them
+only up to its first failing pair.  Deciding a vector is then the box check
+plus one inequality per pair, at any r.
 
 Each inequality is exactly sing <= S <= m_i + m_j - sing on the sum S of
 its two forms, which reads the reference entries only up to some p_k.
@@ -266,8 +268,11 @@ class CompiledCriterion:
     Holds the relation table, and for every neighbor pair its placement
     (the lexicographically first admissible arrangement placing the pair
     adjacently, in closed form) and the transported entries as affine
-    forms.  The pairs are built on the first vector that passes the box
-    check.
+    forms.  The pairs are built in ``neighbor_pairs`` order, each the first
+    time a walk over them reaches it: ``verdict`` stops at the first failing
+    pair, and ``pairs`` (which ``survivors`` reads) walks them all.  The
+    lazy build mutates the instance, so share one between threads only
+    behind a lock.
 
     ``verdict(p)`` decides one vector and names a violated condition;
     ``survivors(rank)`` finds every non-vanishing vector of a rank (or of
@@ -280,26 +285,42 @@ class CompiledCriterion:
         self.psi = psi
         self.m = tuple(s.m for s in psi.segments)
         self.reference = tuple(range(1, psi.r + 1))
+        self._built: list[PairConstraint] = []  # the pairs walked so far
 
     @cached_property
     def table(self) -> RelationTable:
         return relation_table(self.psi)
 
     @cached_property
-    def pairs(self) -> tuple[PairConstraint, ...]:
-        table, psi = self.table, self.psi
-        masks = predecessor_masks(table)
+    def _neighbors(self) -> list[tuple[int, int]]:
+        return neighbor_pairs(self.table)
+
+    @cached_property
+    def _masks(self) -> list[int]:
+        return predecessor_masks(self.table)
+
+    def _pair(self, i: int, j: int) -> PairConstraint:
+        """Compile condition C of the neighbor pair (i, j) at its placement."""
+        sigma = adjacent_placement(self._masks, i, j)
+        if sigma is None:  # pragma: no cover - impossible for neighbors
+            raise InputError(f"neighbor pair ({i},{j}) has no placement")
         m = (0,) + self.m
-        out = []
-        for i, j in neighbor_pairs(table):
-            sigma = adjacent_placement(masks, i, j)
-            if sigma is None:  # pragma: no cover - impossible for neighbors
-                raise InputError(f"neighbor pair ({i},{j}) has no placement")
-            sing = intersection_size(psi.seg(i), psi.seg(j))
-            out.append(PairConstraint(
-                i, j, sigma, *transported_forms(table, m, sigma, (i, j)), m[i], m[j], sing
-            ))
-        return tuple(out)
+        forms = transported_forms(self.table, m, sigma, (i, j))
+        sing = intersection_size(self.psi.seg(i), self.psi.seg(j))
+        return PairConstraint(i, j, sigma, *forms, m[i], m[j], sing)
+
+    def _walk(self) -> Iterator[PairConstraint]:
+        """The pairs in ``neighbor_pairs`` order, each built the first time
+        any walk reaches it and kept."""
+        built = self._built
+        for n, (i, j) in enumerate(self._neighbors):
+            if n == len(built):
+                built.append(self._pair(i, j))
+            yield built[n]
+
+    @cached_property
+    def pairs(self) -> tuple[PairConstraint, ...]:
+        return tuple(self._walk())
 
     @cached_property
     def _checks(self) -> tuple[tuple[PairCheck, ...], ...]:
@@ -334,7 +355,7 @@ class CompiledCriterion:
         for i, (p_i, m_i) in enumerate(zip(p, self.m), start=1):
             if not 0 <= p_i <= m_i:
                 return Verdict(False, Witness("B", (i,), self.reference, (p_i, m_i)))
-        for pair in self.pairs:  # condition C, as the bounds of ``_checks``
+        for pair in self._walk():  # condition C, as the bounds of ``_checks``
             p_i, p_j = affine_value(pair.form_i, p), affine_value(pair.form_j, p)
             if not pair.sing <= p_i + p_j <= pair.m_i + pair.m_j - pair.sing:
                 values = _c_values(p_i, pair.m_i, p_j, pair.m_j, pair.sing)

@@ -16,7 +16,7 @@ from .errors import InputError
 HalfIntLike = Union["HalfInt", int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HalfInt:
     """An integer or half-integer, stored as its doubled value.
 

@@ -17,7 +17,7 @@ from .errors import InputError
 from .halfint import HalfInt, HalfIntLike
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A decreasing half-integer interval [b, e] with unit step.
 
@@ -129,7 +129,7 @@ _INVERSE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoodParityParameter:
     """An ordered, admissible list of segments (the parameter psi).
 

@@ -26,7 +26,7 @@ from aqlam.errors import InputError, ResourceLimitError
 from aqlam.packets import enumerate_params
 from aqlam.segments import arrangement_is_admissible, neighbors
 from aqlam.tableau import trapa_reduce
-from aqlam.transition import ParamVector, phi
+from aqlam.transition import ParamVector, phi, transported_forms
 
 from conftest import box, random_entry_vector, random_parameter, seg
 from test_acceptance import sweep_family
@@ -352,3 +352,76 @@ def test_each_search_completes_at_its_recorded_budget_and_not_one_node_below(mon
         monkeypatch.setattr(criterion, "MAX_DFS_NODES", budget - 1)
         with pytest.raises(ResourceLimitError):
             list(CompiledCriterion(psi).survivors())
+
+
+def one_shot_inputs():
+    """Seeded one-shot verdicts: ten parameters per r = 2..16 on each grid,
+    lengths up to 2 or 5, each with two random box vectors and one vector
+    one step outside the box."""
+    rng = random.Random(97)
+    for r in range(2, 17):
+        for half_grid in (False, True):
+            for _ in range(10):
+                psi = random_parameter(rng, r, m_max=rng.choice((2, 5)), half_grid=half_grid)
+                vectors = [random_entry_vector(rng, psi) for _ in range(2)]
+                p = list(random_entry_vector(rng, psi))
+                k = rng.randrange(r)
+                p[k] = psi.m(k + 1) + 1 if rng.random() < 0.5 else -1
+                yield psi, [*vectors, tuple(p)]
+
+
+# sha256 of the newline-joined ``repr`` of ``nonvanishing_simplified(psi, p)``
+# over ``one_shot_inputs()``, recorded before the pairs were built lazily
+# (900 verdicts: 504 "C" and 300 "B" witnesses, 96 nonzero)
+ONE_SHOT_RECORD = "c41e6f172ea5a950c84b91a5f5c3c5c9fa09674d28a7d3e48d9b34ea38aaa1f4"
+
+
+def test_one_shot_verdicts_match_their_record():
+    lines = [
+        repr(nonvanishing_simplified(psi, p))
+        for psi, vectors in one_shot_inputs()
+        for p in vectors
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (900, ONE_SHOT_RECORD)
+
+
+def test_verdicts_first_leave_the_pairs_and_survivors_of_a_fresh_instance():
+    rng = random.Random(89)
+    for psi in [*search_family(), *reordered_family()]:
+        warm = CompiledCriterion(psi)
+        for _ in range(2):
+            warm.verdict(random_entry_vector(rng, psi))
+        assert warm.pairs == CompiledCriterion(psi).pairs, psi
+        rank = rng.randint(0, psi.n)
+        assert list(warm.survivors(rank)) == list(CompiledCriterion(psi).survivors(rank))
+
+
+def test_a_verdict_builds_the_pairs_only_up_to_its_first_failing_one(monkeypatch):
+    built = []
+
+    def counted(table, m, sigma, targets):
+        built.append(targets)
+        return transported_forms(table, m, sigma, targets)
+
+    monkeypatch.setattr(criterion, "transported_forms", counted)
+    seen = set()
+    for psi, vectors in one_shot_inputs():
+        order = [(c.i, c.j) for c in CompiledCriterion(psi).pairs]
+        for p in vectors:
+            compiled = CompiledCriterion(psi)
+            built.clear()
+            verdict = compiled.verdict(p)
+            if verdict.nonzero:
+                walked = len(order)
+            elif verdict.witness.kind == "B":
+                walked = 0
+            else:
+                walked = order.index(verdict.witness.indices) + 1
+            seen.add(walked == len(order))
+            assert built == order[:walked], (psi, p)
+            built.clear()
+            assert compiled.verdict(p) == verdict and built == []
+            compiled.pairs  # the rest of the walk, each pair once
+            assert built == order[walked:]
+    assert seen == {False, True}  # walks that stopped early, and whole walks

@@ -72,16 +72,15 @@ class TestEnumerate:
 
 
 def loosen_pair(monkeypatch, i, j):
-    """Drop condition C of the pair (i, j) from every compiled criterion."""
-    compile_pairs = CompiledCriterion.pairs.func
+    """Drop condition C of the pair (i, j) from every compiled criterion, at
+    the per-pair builder that both ``verdict`` and the search read."""
+    compile_pair = CompiledCriterion._pair
 
-    def pairs(self):
-        return tuple(
-            pair._replace(sing=0) if (pair.i, pair.j) == (i, j) else pair
-            for pair in compile_pairs(self)
-        )
+    def pair(self, *ij):
+        built = compile_pair(self, *ij)
+        return built._replace(sing=0) if ij == (i, j) else built
 
-    monkeypatch.setattr(CompiledCriterion, "pairs", property(pairs))
+    monkeypatch.setattr(CompiledCriterion, "_pair", pair)
 
 
 class TestSearchChecks:

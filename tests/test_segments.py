@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -128,6 +129,26 @@ class TestParameter:
     def test_n(self, psi_A):
         assert psi_A.n == 14
         assert psi_A.r == 3
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (HalfInt(7), "twice"),
+        (seg(7, 3), "b"),
+        (GoodParityParameter((seg(7, 3), seg(6, 2))), "segments"),
+    ],
+)
+def test_value_types_are_slotted_and_frozen(value, field):
+    """The value types keep no per-instance dict (every parameter and every
+    segment end is one of them), and stay immutable."""
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+    # a new name is refused too; some CPython versions raise TypeError here,
+    # from the frozen __setattr__'s super() call on the replaced class
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        value.extra = 0
 
 
 def test_neighbors(psi_A):
