@@ -54,6 +54,7 @@ from .segments import (
     GoodParityParameter,
     RangeLabel,
     Relation,
+    RelationMasks,
     Segment,
     intersection_size,
     lambda_values,
@@ -61,6 +62,7 @@ from .segments import (
     neighbors,
     range_classify,
     relation,
+    relation_masks,
     relation_table,
     segment_from_component,
 )
@@ -91,9 +93,10 @@ __all__ = [
     "padic_transition", "project_EF", "sign_of", "to_extended", "AVReport",
     "CompiledPackets", "PacketEntry", "arthur_vogan", "compute_packet",
     "count_params", "enumerate_params", "multiplicity_report",
-    "GoodParityParameter", "RangeLabel", "Relation", "Segment",
-    "intersection_size", "lambda_values", "neighbor_pairs", "neighbors",
-    "range_classify", "relation", "relation_table",
+    "GoodParityParameter", "RangeLabel", "Relation", "RelationMasks",
+    "Segment", "intersection_size", "lambda_values", "neighbor_pairs",
+    "neighbors", "range_classify", "relation", "relation_masks",
+    "relation_table",
     "segment_from_component", "Column", "CompiledReduction", "Reduction",
     "TableauState", "TrapaZero", "build_tableau", "last_column_type",
     "overlap", "reduce_with_schedule", "trapa_op", "trapa_reduce",

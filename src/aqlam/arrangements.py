@@ -14,9 +14,9 @@ from .errors import InputError, ResourceLimitError
 from .segments import (
     GoodParityParameter,
     Relation,
-    RelationTable,
     arrangement_is_admissible,
     relation,
+    relation_masks,
     relation_table,
 )
 
@@ -86,18 +86,6 @@ def sigma_pairs(
     return out
 
 
-def predecessor_masks(table: RelationTable) -> list[int]:
-    """Bit k of ``masks[c]`` is set when component k precedes component c.
-
-    The reference order is admissible, so every predecessor of c has a
-    smaller index than c.
-    """
-    return [
-        sum(1 << k for k, rel in enumerate(row) if rel is Relation.PRECEDED_BY)
-        for row in table
-    ]
-
-
 def lex_first_adjacent(
     psi: GoodParityParameter, i: int, j: int
 ) -> Optional[Permutation]:
@@ -111,22 +99,23 @@ def lex_first_adjacent(
     is none when i precedes a predecessor of j lying after i.
     """
     relation(psi, i, j)  # validates the indices
-    masks = predecessor_masks(relation_table(psi))
-    return adjacent_placement(masks, min(i, j), max(i, j))
+    return adjacent_placement(relation_masks(psi).preceded_by, min(i, j), max(i, j))
 
 
-def adjacent_placement(masks: Sequence[int], i: int, j: int) -> Optional[Permutation]:
-    """``lex_first_adjacent`` for i < j from ``predecessor_masks``; O(r)."""
-    p = max(i, masks[j].bit_length() - 1)
+def adjacent_placement(preceded_by: Sequence[int], i: int, j: int) -> Optional[Permutation]:
+    """``lex_first_adjacent`` for i < j from ``RelationMasks.preceded_by``
+    (bit k of ``preceded_by[c]`` set when k precedes c; the reference order
+    is admissible, so every such k is below c); O(r)."""
+    p = max(i, preceded_by[j].bit_length() - 1)
     ahead, behind = [], []
     for k in range(i + 1, p + 1):
-        if not masks[k] >> i & 1:
+        if not preceded_by[k] >> i & 1:
             ahead.append(k)
-        elif masks[j] >> k & 1:
+        elif preceded_by[j] >> k & 1:
             return None
         else:
             behind.append(k)
-    rest = (*behind, *range(p + 1, j), *range(j + 1, len(masks)))
+    rest = (*behind, *range(p + 1, j), *range(j + 1, len(preceded_by)))
     return (*range(1, i), *ahead, i, j, *rest)
 
 

@@ -13,10 +13,11 @@ Two engines decide whether a parameter vector p gives a non-zero module:
 
 Apart from p, everything the simplified criterion needs depends only on the
 parameter, and the transition maps are affine.  ``CompiledCriterion``
-therefore works it out once per parameter: the relation table, the neighbor
-pairs, one placement per pair, and the two transported entries at that
-placement as integer affine forms in the reference p (the symbolic
-transport ``transition.transported_forms``, which the tableau engine's
+therefore works it out once per parameter: the relation masks (one pass
+over the segment ends, ``segments.relation_masks``), the neighbor pairs,
+one placement per pair, and the two transported entries at that placement
+as integer affine forms in the reference p (the symbolic transport
+``transition.transported_forms``, which the tableau engine's
 ``CompiledReduction`` shares).  The pairs are built in order, each the
 first time a walk over them reaches it, so a vanishing vector builds them
 only up to its first failing pair.  Deciding a vector is then the box check
@@ -43,15 +44,14 @@ from .arrangements import (
     adjacent_placement,
     enumerate_admissible,
     perm_inverse,
-    predecessor_masks,
 )
 from .errors import InputError, ResourceLimitError
 from .segments import (
     GoodParityParameter,
-    RelationTable,
+    RelationMasks,
     intersection_size,
     neighbor_pairs,
-    relation_table,
+    relation_masks,
 )
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
 
@@ -265,14 +265,15 @@ def check_box_scan(m: Sequence[int]) -> None:
 class CompiledCriterion:
     """The simplified criterion for one parameter, ready for many vectors.
 
-    Holds the relation table, and for every neighbor pair its placement
-    (the lexicographically first admissible arrangement placing the pair
-    adjacently, in closed form) and the transported entries as affine
-    forms.  The pairs are built in ``neighbor_pairs`` order, each the first
-    time a walk over them reaches it: ``verdict`` stops at the first failing
-    pair, and ``pairs`` (which ``survivors`` reads) walks them all.  The
-    lazy build mutates the instance, so share one between threads only
-    behind a lock.
+    Holds the parameter's relation masks (``segments.relation_masks``),
+    and for every neighbor pair its placement (the lexicographically first
+    admissible arrangement placing the pair adjacently, in closed form,
+    from the ``preceded_by`` masks) and the transported entries as affine
+    forms (from the ``contains`` masks).  The pairs are built in
+    ``neighbor_pairs`` order, each the first time a walk over them reaches
+    it: ``verdict`` stops at the first failing pair, and ``pairs`` (which
+    ``survivors`` reads) walks them all.  The lazy build mutates the
+    instance, so share one between threads only behind a lock.
 
     ``verdict(p)`` decides one vector and names a violated condition;
     ``survivors(rank)`` finds every non-vanishing vector of a rank (or of
@@ -288,24 +289,20 @@ class CompiledCriterion:
         self._built: list[PairConstraint] = []  # the pairs walked so far
 
     @cached_property
-    def table(self) -> RelationTable:
-        return relation_table(self.psi)
+    def masks(self) -> RelationMasks:
+        return relation_masks(self.psi)
 
     @cached_property
     def _neighbors(self) -> list[tuple[int, int]]:
-        return neighbor_pairs(self.table)
-
-    @cached_property
-    def _masks(self) -> list[int]:
-        return predecessor_masks(self.table)
+        return neighbor_pairs(self.masks)
 
     def _pair(self, i: int, j: int) -> PairConstraint:
         """Compile condition C of the neighbor pair (i, j) at its placement."""
-        sigma = adjacent_placement(self._masks, i, j)
+        sigma = adjacent_placement(self.masks.preceded_by, i, j)
         if sigma is None:  # pragma: no cover - impossible for neighbors
             raise InputError(f"neighbor pair ({i},{j}) has no placement")
         m = (0,) + self.m
-        forms = transported_forms(self.table, m, sigma, (i, j))
+        forms = transported_forms(self.masks.contains, m, sigma, (i, j))
         sing = intersection_size(self.psi.seg(i), self.psi.seg(j))
         return PairConstraint(i, j, sigma, *forms, m[i], m[j], sing)
 

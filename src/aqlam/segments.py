@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .halfint import HalfInt, HalfIntLike
@@ -163,13 +163,14 @@ class GoodParityParameter:
                     raise InputError(
                         f"component {i} violates parity: a+m={s.a + s.m}, n={n}"
                     )
-        for i in range(1, self.r + 1):
-            for j in range(i + 1, self.r + 1):
-                if self.relation(i, j) is Relation.PRECEDED_BY:
-                    raise InputError(
-                        f"reference order inadmissible: component {i} "
-                        f"{self.seg(i)} is preceded by component {j} {self.seg(j)}"
-                    )
+        for i, mask in enumerate(relation_masks(self).preceded_by):
+            later = mask >> i << i  # the predecessors of i placed after it
+            if later:
+                j = (later & -later).bit_length() - 1
+                raise InputError(
+                    f"reference order inadmissible: component {i} "
+                    f"{self.seg(i)} is preceded by component {j} {self.seg(j)}"
+                )
 
     @classmethod
     def from_components(
@@ -218,26 +219,80 @@ def relation(psi: GoodParityParameter, i: int, j: int) -> Relation:
     return psi.seg(i).relate(psi.seg(j), tie)
 
 
-# ``Relation | None``, not ``Optional[Relation]``: typing caches the latter,
-# which would keep this module alive after a re-import.
+class RelationMasks(NamedTuple):
+    """Every relation of a parameter as bitmasks: bit k of ``X[i]`` is set
+    when ``relation(psi, i, k)`` is X.  Indices are 1-based; entry 0 is 0.
+    Fields follow the order of ``Relation``, so each k != i sets its bit in
+    exactly one mask of i, and ``preceded_by`` and ``contained`` are the
+    transposes of ``precedes`` and ``contains``.  The lists are shared by
+    every reader of a compiled parameter; none may change them."""
+
+    precedes: list[int]
+    preceded_by: list[int]
+    contains: list[int]
+    contained: list[int]
+
+
+def relation_masks(psi: GoodParityParameter) -> RelationMasks:
+    """All relations in one pass over the doubled ends (the comparisons of
+    ``Segment.relate_twice``, an exact duplicate counting as earlier
+    Contains)."""
+    segments = psi.segments
+    r = len(segments)
+    precedes, preceded_by = [0] * (r + 1), [0] * (r + 1)
+    contains, contained = [0] * (r + 1), [0] * (r + 1)
+    i = 0
+    for s in segments:
+        i += 1
+        sb, se, bit_i = s.b.twice, s.e.twice, 1 << i
+        j = i
+        for t in segments[i:]:
+            j += 1
+            tb, te = t.b.twice, t.e.twice
+            if se > te and sb > tb:  # i precedes j
+                precedes[i] |= 1 << j
+                preceded_by[j] |= bit_i
+            elif se < te and sb < tb:  # j precedes i
+                preceded_by[i] |= 1 << j
+                precedes[j] |= bit_i
+            elif se <= te and sb >= tb:  # i contains j, or they are equal
+                contains[i] |= 1 << j
+                contained[j] |= bit_i
+            else:
+                contained[i] |= 1 << j
+                contains[j] |= bit_i
+    return RelationMasks(precedes, preceded_by, contains, contained)
+
+
+# ``relation_table``'s read-out of the masks, row i, column k holding
+# ``relation(psi, i, k)``.  ``Relation | None``, not ``Optional[Relation]``:
+# typing caches the latter, which would keep this module alive after a
+# re-import.
 RelationTable = tuple[tuple[Relation | None, ...], ...]
+_PRECEDES, _PRECEDED_BY, _CONTAINS, _CONTAINED = Relation  # read without Enum lookups
 
 
 def relation_table(psi: GoodParityParameter) -> RelationTable:
-    """All relations at once: ``table[i][j] == relation(psi, i, j)``.
+    """All relations at once: ``table[i][j] == relation(psi, i, j)``, read
+    out of ``relation_masks``.
 
     Indices are 1-based like everywhere else; row 0, column 0 and the
-    diagonal hold None.  The lower half is the inverse of the upper half.
+    diagonal hold None.
     """
-    segs = psi.segments
-    r = len(segs)
-    rows = [[None] * (r + 1) for _ in range(r + 1)]
-    for i in range(1, r + 1):
-        s = segs[i - 1]
-        for j in range(i + 1, r + 1):
-            rel = s.relate(segs[j - 1], Relation.CONTAINS)
-            rows[i][j] = rel
-            rows[j][i] = _INVERSE[rel]
+    precedes, _, contains, contained = relation_masks(psi)
+    size = len(precedes)
+    rows = [[None] * size for _ in range(size)]
+    for i in range(1, size):
+        row = rows[i]
+        for k in range(i + 1, size):
+            if precedes[i] >> k & 1:
+                row[k], rows[k][i] = _PRECEDES, _PRECEDED_BY
+            elif contains[i] >> k & 1:
+                row[k], rows[k][i] = _CONTAINS, _CONTAINED
+            elif contained[i] >> k & 1:
+                row[k], rows[k][i] = _CONTAINED, _CONTAINS
+            else:
+                row[k], rows[k][i] = _PRECEDED_BY, _PRECEDES
     return tuple(map(tuple, rows))
 
 
@@ -250,36 +305,42 @@ def intersection_size(s: Segment, t: Segment) -> int:
     return Segment.intersection_twice(s.b.twice, s.e.twice, t.b.twice, t.e.twice)
 
 
+_FIELD = {rel: n for n, rel in enumerate(Relation)}  # Relation -> RelationMasks field
+
+
 def neighbors(psi: GoodParityParameter, i: int, j: int) -> bool:
     """True iff i, j are related with no third component strictly between.
 
     Between-ness is taken in the same relation: a precedence pair is
     blocked by nu_i > nu_k > nu_j, a containment pair by a strictly
-    intermediate containment chain.
+    intermediate containment chain.  Component k lies between when i rel k
+    and k rel j, that is when j rel.inverse k: one AND of the masks.
     """
-    relation(psi, i, j)  # validates the indices
-    return (min(i, j), max(i, j)) in neighbor_pairs(relation_table(psi))
+    rel = relation(psi, i, j)  # validates the indices
+    masks = relation_masks(psi)
+    return not masks[_FIELD[rel]][i] & masks[_FIELD[rel.inverse]][j]
 
 
-def neighbor_pairs(table: RelationTable) -> list[tuple[int, int]]:
-    """All neighbor pairs i < j of a relation table, in lexicographic order.
-
-    Component k lies between i and j when i rel k and k rel j, that is when
-    i rel k and j rel.inverse k; one bitmask per (component, relation)
-    turns that into a single AND per pair.
-    """
-    r = len(table) - 1
-    masks = {rel: [0] * (r + 1) for rel in Relation}
-    for i in range(1, r + 1):
-        for k in range(1, r + 1):
-            if k != i:
-                masks[table[i][k]][i] |= 1 << k
-    return [
-        (i, j)
-        for i in range(1, r + 1)
-        for j in range(i + 1, r + 1)
-        if not masks[table[i][j]][i] & masks[table[i][j].inverse][j]
-    ]
+def neighbor_pairs(masks: RelationMasks) -> list[tuple[int, int]]:
+    """All neighbor pairs i < j, in lexicographic order: the AND of
+    ``neighbors`` for each pair, on the masks of its relation."""
+    precedes, preceded_by, contains, contained = masks
+    end = len(precedes)
+    out = []
+    for i in range(1, end):
+        precedes_i, contains_i, contained_i = precedes[i], contains[i], contained[i]
+        for j in range(i + 1, end):
+            if precedes_i >> j & 1:
+                between = precedes_i & preceded_by[j]
+            elif contains_i >> j & 1:
+                between = contains_i & contained[j]
+            elif contained_i >> j & 1:
+                between = contained_i & contains[j]
+            else:
+                between = preceded_by[i] & precedes[j]
+            if not between:
+                out.append((i, j))
+    return out
 
 
 def lambda_values(psi: GoodParityParameter) -> tuple[HalfInt, ...]:

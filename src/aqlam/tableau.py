@@ -39,7 +39,7 @@ from .arrangements import Permutation, appropriate_arrangement, enumerate_admiss
 from .criterion import Witness
 from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
-from .segments import GoodParityParameter, Relation, Segment, relation_table
+from .segments import GoodParityParameter, Relation, Segment, relation_masks
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
 
 Rows = tuple[tuple[int, str], ...]
@@ -425,7 +425,7 @@ class CompiledReduction:
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
         m = (0, *(s.m for s in self.psi.segments))
-        return transported_forms(relation_table(self.psi), m, self.sigma, self.sigma)
+        return transported_forms(relation_masks(self.psi).contains, m, self.sigma, self.sigma)
 
     @cached_property
     def _schedule(self) -> tuple[tuple[tuple[tuple[int, _Step], ...], ...], tuple[End, ...]]:

@@ -5,9 +5,10 @@ position h comes from component sigma(h).  Swapping two adjacent positions
 (only possible for a containment pair) transforms the two affected entries
 affine-linearly; composites along any transposition path agree (tested as
 a property, not recomputed here).  Because the swaps are affine,
-``transported_forms`` can run them once on symbolic entries: every entry
-after the transport is an integer affine form in the reference entries,
-which both engines compile once per parameter.
+``transported_forms`` can run them once on symbolic entries, taking each
+swap's formula from the containment masks of ``segments.relation_masks``:
+every entry after the transport is an integer affine form in the reference
+entries, which both engines compile once per parameter.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 from .arrangements import Permutation, bubble_path, transposition_path
 from .errors import InputError
-from .segments import GoodParityParameter, Relation, RelationTable, relation
+from .segments import GoodParityParameter, Relation, relation
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,15 @@ def _combine(const: int, *terms: tuple[int, dict[int, int]]) -> dict[int, int]:
 
 
 def transported_forms(
-    table: RelationTable, m: Sequence[int], sigma: Permutation, comps: Sequence[int]
+    contains: Sequence[int], m: Sequence[int], sigma: Permutation, comps: Sequence[int]
 ) -> tuple[AffineForm, ...]:
     """The entries of components ``comps`` after ``phi`` takes the reference
     vector to sigma, as affine forms in the reference entries.
 
-    ``table`` is the parameter's relation table and ``m[i]`` the length of
-    component i (both 1-based); ``comps = sigma`` gives every position in
-    order.  Runs the swaps of ``phi`` (same path, same formulas as
+    ``contains`` is the parameter's ``RelationMasks.contains`` (bit y of
+    ``contains[x]`` set when component x contains y) and ``m[i]`` the
+    length of component i (both 1-based); ``comps = sigma`` gives every
+    position in order.  Runs the swaps of ``phi`` (same path, same formulas as
     ``phi_adjacent``) on symbolic entries; a position no swap has touched
     still holds its reference entry.
     """
@@ -123,7 +125,7 @@ def transported_forms(
         x, y = images[h - 1], images[h]
         f = forms.get(h) or {0: 0, h: 1}
         g = forms.get(h + 1) or {0: 0, h + 1: 1}
-        if table[x][y] is Relation.CONTAINS:  # (q_{h+1}, p_h + p_{h+1} - q_{h+1})
+        if contains[x] >> y & 1:  # (q_{h+1}, p_h + p_{h+1} - q_{h+1})
             new = _combine(m[y], (-1, g)), _combine(-m[y], (1, f), (2, g))
         else:  # contained first: (p_h + p_{h+1} - q_h, q_h)
             new = _combine(-m[x], (2, f), (1, g)), _combine(m[x], (-1, f))

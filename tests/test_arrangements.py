@@ -8,12 +8,11 @@ from aqlam.arrangements import (
     appropriate_arrangement,
     enumerate_admissible,
     lex_first_adjacent,
-    predecessor_masks,
     sigma_pairs,
     transposition_path,
 )
 from aqlam.errors import InputError, ResourceLimitError
-from aqlam.segments import arrangement_is_admissible, relation_table
+from aqlam.segments import arrangement_is_admissible, relation_masks
 
 from conftest import parameter_family, random_parameter, seg
 
@@ -99,7 +98,7 @@ def test_predecessor_masks():
     rng = random.Random(19)
     for _ in range(40):
         psi = random_parameter(rng, rng.randint(2, 8))
-        masks = predecessor_masks(relation_table(psi))
+        masks = relation_masks(psi).preceded_by
         for c, k in itertools.permutations(range(1, psi.r + 1), 2):
             precedes = psi.relation(k, c) is Relation.PRECEDES
             assert bool(masks[c] >> k & 1) == precedes

@@ -386,6 +386,32 @@ def test_one_shot_verdicts_match_their_record():
     assert (len(lines), digest) == (900, ONE_SHOT_RECORD)
 
 
+def pairs_inputs():
+    """Seeded parameters for the pairs record: ten per r = 2..16 on each
+    grid, lengths up to 2 or 5 (exact duplicates are common), then
+    ``reordered_family()``."""
+    rng = random.Random(101)
+    for r in range(2, 17):
+        for half_grid in (False, True):
+            for _ in range(10):
+                yield random_parameter(rng, r, m_max=rng.choice((2, 5)), half_grid=half_grid)
+    yield from reordered_family()
+
+
+# sha256 of the newline-joined ``repr`` of the compiled pairs, each as the
+# tuple (i, j, sigma, form_i, form_j, m_i, m_j, sing), over ``pairs_inputs()``,
+# recorded before the relation was kept as bitmasks (380 parameters, 7,129
+# pairs)
+PAIRS_RECORD = "36fd2dfaad15726825fb4906f7c862aae7acc00d92dbd24f40f734c47ce67327"
+
+
+def test_compiled_pairs_match_their_record():
+    compiled = [CompiledCriterion(psi).pairs for psi in pairs_inputs()]
+    lines = [repr([tuple(c) for c in pairs]) for pairs in compiled]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), sum(map(len, compiled)), digest) == (380, 7129, PAIRS_RECORD)
+
+
 def test_verdicts_first_leave_the_pairs_and_survivors_of_a_fresh_instance():
     rng = random.Random(89)
     for psi in [*search_family(), *reordered_family()]:
@@ -400,9 +426,9 @@ def test_verdicts_first_leave_the_pairs_and_survivors_of_a_fresh_instance():
 def test_a_verdict_builds_the_pairs_only_up_to_its_first_failing_one(monkeypatch):
     built = []
 
-    def counted(table, m, sigma, targets):
+    def counted(contains, m, sigma, targets):
         built.append(targets)
-        return transported_forms(table, m, sigma, targets)
+        return transported_forms(contains, m, sigma, targets)
 
     monkeypatch.setattr(criterion, "transported_forms", counted)
     seen = set()

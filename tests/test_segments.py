@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqlam import (
     GoodParityParameter,
@@ -15,12 +18,14 @@ from aqlam import (
     neighbors,
     range_classify,
     relation,
+    relation_masks,
     relation_table,
     segment_from_component,
 )
+from aqlam.arrangements import enumerate_admissible
 from aqlam.errors import InputError
 
-from conftest import parameter_family, seg
+from conftest import parameter_family, random_parameter, seg, sorted_reference
 
 
 def entries(s: Segment) -> set:
@@ -165,6 +170,20 @@ def test_neighbors_blocked():
     assert not neighbors(psi, 1, 3)
 
 
+def defined_neighbor_pairs(psi):
+    """Neighbor pairs straight from the definition: no k with i rel k rel j."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(1, psi.r + 1), 2)
+        if not any(
+            relation(psi, i, k) is relation(psi, i, j)
+            and relation(psi, k, j) is relation(psi, i, j)
+            for k in range(1, psi.r + 1)
+            if k not in (i, j)
+        )
+    ]
+
+
 def test_relation_table_and_neighbor_pairs_match_the_definitions():
     for psi in parameter_family(range(1, 5), 3, (2, 3, 4)):
         table = relation_table(psi)
@@ -174,18 +193,57 @@ def test_relation_table_and_neighbor_pairs_match_the_definitions():
             for i in range(1, r + 1)
             for j in range(1, r + 1)
         )
-        # neighbors straight from the definition: no k with i rel k rel j
-        expected = [
-            (i, j)
-            for i, j in itertools.combinations(range(1, r + 1), 2)
-            if not any(
-                relation(psi, i, k) is relation(psi, i, j)
-                and relation(psi, k, j) is relation(psi, i, j)
-                for k in range(1, r + 1)
-                if k not in (i, j)
-            )
-        ]
-        assert neighbor_pairs(table) == expected
+        assert neighbor_pairs(relation_masks(psi)) == defined_neighbor_pairs(psi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 16),
+    copies=st.integers(0, 4),
+    reorder=st.booleans(),
+)
+def test_relation_masks_hold_each_relation_once(seed, r, copies, reorder):
+    """Each k != i sets its bit in exactly the mask of relation(psi, i, k),
+    with exact duplicate segments forced in and, for r <= 7, the reference
+    order replaced by a random admissible one."""
+    rng = random.Random(seed)
+    segments = list(random_parameter(rng, r).segments)
+    for _ in range(copies):
+        segments[rng.randrange(r)] = rng.choice(segments)
+    psi = GoodParityParameter(sorted_reference(segments))
+    if reorder and r <= 7:
+        order = rng.choice(enumerate_admissible(psi))
+        psi = GoodParityParameter(tuple(psi.seg(i) for i in order))
+    masks = relation_masks(psi)
+    everyone = (1 << r + 1) - 2  # bits 1..r
+    for i in range(r + 1):
+        rows = [rel_masks[i] for rel_masks in masks]
+        if i == 0:
+            assert rows == [0] * 4
+            continue
+        assert sum(rows) == everyone ^ 1 << i  # disjoint, and cover k != i
+        for k in range(1, r + 1):
+            if k != i:
+                held = [rel for rel, row in zip(Relation, rows) if row >> k & 1]
+                assert held == [relation(psi, i, k)]
+    for i, k in itertools.product(range(r + 1), repeat=2):
+        assert masks.preceded_by[i] >> k & 1 == masks.precedes[k] >> i & 1
+        assert masks.contained[i] >> k & 1 == masks.contains[k] >> i & 1
+    assert neighbor_pairs(masks) == defined_neighbor_pairs(psi)
+    for i, j in itertools.permutations(range(1, r + 1), 2):
+        assert neighbors(psi, i, j) == ((min(i, j), max(i, j)) in neighbor_pairs(masks))
+    table = relation_table(psi)
+    assert all(
+        table[i][k] is (relation(psi, i, k) if i != k and i and k else None)
+        for i, k in itertools.product(range(r + 1), repeat=2)
+    )
+
+
+def test_neighbors_validates_its_indices(psi_A):
+    for i, j in ((1, 1), (0, 2), (2, 4)):
+        with pytest.raises(InputError):
+            neighbors(psi_A, i, j)
 
 
 def test_lambda_values(psi_A):

@@ -12,7 +12,7 @@ import pytest
 from aqlam import Relation
 from aqlam.arrangements import enumerate_admissible
 from aqlam.errors import InputError
-from aqlam.segments import relation_table
+from aqlam.segments import relation_masks
 from aqlam.transition import (
     ParamVector,
     affine_value,
@@ -148,9 +148,9 @@ def test_transported_forms_equal_phi_at_every_position():
     for _ in range(150):
         psi = random_parameter(rng, rng.randint(1, 6), m_max=4)
         m = (0, *(s.m for s in psi.segments))
-        table = relation_table(psi)
+        contains = relation_masks(psi).contains
         for sigma in enumerate_admissible(psi):
-            forms = transported_forms(table, m, sigma, sigma)
+            forms = transported_forms(contains, m, sigma, sigma)
             p = random_entry_vector(rng, psi)
             moved = phi(psi, ParamVector.reference(p), sigma)
             assert [affine_value(form, p) for form in forms] == list(moved.entries)
