@@ -9,7 +9,12 @@ representation.
 
 The transition maps, the adjacency conditions and the non-vanishing
 verdict on this side mirror the real side exactly; the commuting squares
-are tested properties.
+are tested properties.  A swap of neighbours is one closed formula for
+both orientations: the change of order of Atobe's extended multi-segments
+when the container comes first, and its inverse, which differs in one
+sign, when the contained one does.  ``ExtendedMultiSegment`` does not know
+psi, so every public function here that takes one first checks that it
+lives on psi: its order is a permutation of 1..r and 2 l_i <= m_i.
 """
 
 from __future__ import annotations
@@ -56,6 +61,17 @@ class ExtendedMultiSegment:
             raise InputError("component counts disagree")
 
 
+def _check(psi: GoodParityParameter, ems: ExtendedMultiSegment) -> None:
+    """Reject data that does not live on psi: an order that is not a
+    permutation of 1..r (so also a wrong component count) or 2 l_i > m_i."""
+    r = psi.r
+    if sorted(ems.sigma) != list(range(1, r + 1)):
+        raise InputError(f"order {ems.sigma} is not a permutation of 1..{r}")
+    for i, (l_i, s) in enumerate(zip(ems.l, psi.segments), start=1):
+        if 2 * l_i > s.m:
+            raise InputError(f"2 l_{i} = {2 * l_i} exceeds m_{i} = {s.m}")
+
+
 def _canonical(
     psi: GoodParityParameter,
     l: Sequence[int],
@@ -95,6 +111,7 @@ def to_extended(
 
 def sign_of(psi: GoodParityParameter, ems: ExtendedMultiSegment) -> int:
     """The sign product prod (-1)^(floor(m_i/2) + l_i) eta_i^(m_i)."""
+    _check(psi, ems)
     if any(li < 0 for li in ems.l):
         raise InputError("sign is undefined on the zero extension (l_i < 0)")
     out = 1
@@ -111,6 +128,7 @@ def project_EF(
 ) -> ExtendedMultiSegment:
     """Quotient to the p-adic parameter space: identity for n even,
     a global eta-normalization (2-1) for n odd."""
+    _check(psi, ems)
     if psi.n % 2 == 0:
         return ems
     s = sign_of(psi, ems)
@@ -160,34 +178,28 @@ class CompiledImage:
         return ExtendedMultiSegment(*self.pick(p), self.sigma)
 
 
-def _forward_swap(
-    psi: GoodParityParameter,
-    ems: ExtendedMultiSegment,
-    i: int,
-    j: int,
-) -> tuple[int, int]:
-    """Transition for the container i moving past the contained j.
-
-    Returns the new (l_i, eta_i); j keeps l_j and flips eta by (-1)^(1+m_i).
-    """
-    m_i, m_j = psi.m(i), psi.m(j)
-    l_i, e_i = ems.l[i - 1], ems.eta[i - 1]
-    l_j, e_j = ems.l[j - 1], ems.eta[j - 1]
-    if e_i == _sgnpow(1 + m_j) * e_j and m_i - 2 * l_i < 2 * (m_j - 2 * l_j):
-        return m_i - l_i - m_j + 2 * l_j, _sgnpow(1 + m_j) * e_i
-    return l_i + _sgnpow(1 + m_j) * e_i * e_j * (m_j - 2 * l_j), _sgnpow(m_j) * e_i
-
-
 def padic_transition(
     psi: GoodParityParameter, ems: ExtendedMultiSegment, h: int
 ) -> ExtendedMultiSegment:
     """Transport across the swap of positions (h, h+1) of ems's order.
 
-    Only containment pairs may swap.  When the container comes first the
-    four-case formula applies directly; when the contained one comes first
-    the map is the inverse of that formula, found by solving both branches
-    and keeping the one that round-trips.
+    Only containment pairs may swap.  Write c for the container, d for the
+    contained component, s(k) = (-1)^k, t = s(1+m_d) when c comes first and
+    t = s(1+m_c) when d does, and g_k = m_k - 2 l_k >= 0.  Then d keeps l_d
+    and takes s(1+m_c) eta_d.  If eta_c eta_d t = 1 and g_c < 2 g_d (branch
+    A), c takes (m_c - l_c - m_d + 2 l_d, s(1+m_d) eta_c); otherwise (branch
+    B) it takes (l_c + eta_c eta_d t g_d, s(m_d) eta_c).
+
+    With c first this is the change of order of the extended multi-segment.
+    With d first it is its inverse in closed form: undoing either branch
+    gives the same expressions with t = s(1+m_c), since the forward map
+    multiplies eta_d by s(1+m_c), and the preimage lies in branch A exactly
+    when eta_c eta_d t = 1 and 0 < g_c <= 2 g_d.  At g_c = 2 g_d both
+    branches give 2 l_c = m_c; at g_c = 0, where the canonical form erased
+    eta_c, flipping eta_c swaps the branches and keeps the image.  So one
+    test serves both orientations.  An erased eta_d (g_d = 0) is not read.
     """
+    _check(psi, ems)
     sigma = ems.sigma
     if not 1 <= h < len(sigma):
         raise InputError(f"swap position {h} out of range 1..{len(sigma) - 1}")
@@ -198,50 +210,17 @@ def padic_transition(
             f"cannot swap positions ({h},{h + 1}): components {i},{j} are "
             f"in precedence, not containment"
         )
-    tau = sigma[: h - 1] + (j, i) + sigma[h + 1 :]
-    l = list(ems.l)
-    eta = list(ems.eta)
-    if rel is Relation.CONTAINS:
-        m_i = psi.m(i)
-        l[i - 1], eta[i - 1] = _forward_swap(psi, ems, i, j)
-        eta[j - 1] = _sgnpow(1 + m_i) * eta[j - 1]
-        return _canonical(psi, l, eta, tau)
-    # contained-first: invert the container-first formula j -> i
-    m_i, m_j = psi.m(i), psi.m(j)
-    l_i, e_i = ems.l[i - 1], ems.eta[i - 1]
-    l_j, e_j = ems.l[j - 1], ems.eta[j - 1]
-    candidates = []
-    # branch A preimage
-    eta_j_pre = _sgnpow(1 + m_i) * e_j
-    candidates.append((m_j - l_j - m_i + 2 * l_i, _sgnpow(1 + m_i) * e_j))
-    # branch B preimage
-    eta_j_b = _sgnpow(m_i) * e_j
-    eta_i_pre = _sgnpow(1 + m_j) * e_i
-    candidates.append(
-        (l_j - _sgnpow(1 + m_i) * eta_j_b * eta_i_pre * (m_i - 2 * l_i), eta_j_b)
-    )
-    eta_i_pre = _sgnpow(1 + m_j) * e_i
-    for l_j_pre, e_j_pre in candidates:
-        if 2 * l_j_pre > m_j:
-            continue
-        pre = _canonical(
-            psi,
-            _replace(ems.l, i - 1, l_i, j - 1, l_j_pre),
-            _replace(ems.eta, i - 1, eta_i_pre, j - 1, e_j_pre),
-            tau,
-        )
-        if padic_transition(psi, pre, h) == ems:
-            return pre
-    raise InvariantViolationError(
-        f"no preimage for swap at position {h} of {ems}"
-    )
-
-
-def _replace(base: tuple, idx1: int, val1, idx2: int, val2) -> tuple:
-    out = list(base)
-    out[idx1] = val1
-    out[idx2] = val2
-    return tuple(out)
+    c, d = (i, j) if rel is Relation.CONTAINS else (j, i)
+    m_c, m_d = psi.m(c), psi.m(d)
+    l, eta = list(ems.l), list(ems.eta)
+    l_c, e_c, l_d, e_d = l[c - 1], eta[c - 1], l[d - 1], eta[d - 1]
+    sign = e_c * e_d * _sgnpow(1 + (m_d if c == i else m_c))
+    eta[d - 1] = _sgnpow(1 + m_c) * e_d
+    if sign == 1 and m_c - 2 * l_c < 2 * (m_d - 2 * l_d):
+        l[c - 1], eta[c - 1] = m_c - l_c - m_d + 2 * l_d, _sgnpow(1 + m_d) * e_c
+    else:
+        l[c - 1], eta[c - 1] = l_c + sign * (m_d - 2 * l_d), _sgnpow(m_d) * e_c
+    return _canonical(psi, l, eta, sigma[: h - 1] + (j, i) + sigma[h + 1 :])
 
 
 def _transport(
@@ -257,6 +236,7 @@ def padic_cond_C(
     psi: GoodParityParameter, ems: ExtendedMultiSegment, i: int, j: int
 ) -> bool:
     """The adjacency condition on (l, eta), by relation and sign case."""
+    _check(psi, ems)
     sigma = ems.sigma
     pos_i, pos_j = sigma.index(i), sigma.index(j)
     if abs(pos_i - pos_j) != 1:
@@ -311,6 +291,7 @@ def padic_nonvanishing(
 ) -> Verdict:
     """Non-vanishing on the p-adic side: l >= 0 and the adjacency
     conditions at every admissible order."""
+    _check(psi, ems)
     if not in_padic_domain(psi):
         raise InputError(
             f"{psi} has a segment end < 0; "

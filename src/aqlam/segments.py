@@ -360,15 +360,17 @@ def lambda_values(psi: GoodParityParameter) -> tuple[HalfInt, ...]:
 def arrangement_is_admissible(
     psi: GoodParityParameter, images: Sequence[int]
 ) -> bool:
-    """No position h < k carries a segment preceded by the one at k."""
+    """No position h < k carries a segment preceded by the one at k: walking
+    from the right, no component's predecessors meet the later ones."""
     r = psi.r
     if sorted(images) != list(range(1, r + 1)):
         raise InputError(f"not a permutation of 1..{r}: {tuple(images)}")
-    table = relation_table(psi)
-    for h in range(r):
-        for k in range(h + 1, r):
-            if table[images[h]][images[k]] is Relation.PRECEDED_BY:
-                return False
+    preceded_by = relation_masks(psi).preceded_by
+    later = 0
+    for comp in reversed(images):
+        if preceded_by[comp] & later:
+            return False
+        later |= 1 << comp
     return True
 
 

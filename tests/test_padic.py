@@ -245,6 +245,32 @@ class TestNonvanishing:
                     )
 
 
+@pytest.mark.parametrize(
+    "l, eta, sigma, match",
+    [
+        ((5, 0), (1, 1), (1, 2), "2 l_1 = 10 exceeds m_1 = 3"),
+        ((0, 4), (1, 1), (1, 2), "2 l_2 = 8 exceeds m_2 = 5"),
+        ((0, 3), (1, 1), (2, 1), "2 l_2 = 6 exceeds m_2 = 5"),
+        ((0, 0, 0), (1, 1, 1), (1, 2, 3), "not a permutation"),
+        ((0, 0), (1, 1), (1, 1), "not a permutation"),
+    ],
+)
+def test_data_off_psi_is_an_input_error(l, eta, sigma, match):
+    # ExtendedMultiSegment does not know psi, so each function checks
+    psi = GoodParityParameter.from_components([(12, 3), (10, 5)])
+    ems = ExtendedMultiSegment(l, eta, sigma)
+    calls = (
+        lambda: sign_of(psi, ems),
+        lambda: project_EF(psi, ems),
+        lambda: padic_transition(psi, ems, 1),
+        lambda: padic_cond_C(psi, ems, 1, 2),
+        lambda: padic_nonvanishing(psi, ems),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match=match):
+            call()
+
+
 def test_compiled_image_is_project_EF_of_to_extended():
     # the parity recipe against the two reference definitions, on every
     # survivor of the search family (n odd and even, both grids)

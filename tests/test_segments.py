@@ -24,6 +24,7 @@ from aqlam import (
 )
 from aqlam.arrangements import enumerate_admissible
 from aqlam.errors import InputError
+from aqlam.segments import arrangement_is_admissible
 
 from conftest import parameter_family, random_parameter, seg, sorted_reference
 
@@ -244,6 +245,23 @@ def test_neighbors_validates_its_indices(psi_A):
     for i, j in ((1, 1), (0, 2), (2, 4)):
         with pytest.raises(InputError):
             neighbors(psi_A, i, j)
+
+
+def test_arrangement_is_admissible_matches_the_pairwise_definition():
+    # every order of 80 random parameters with r = 1-5 (short segments, so
+    # some are exact duplicates): admissible iff no position is preceded by
+    # a later one
+    rng = random.Random(9)
+    for _ in range(80):
+        psi = random_parameter(rng, rng.randint(1, 5), m_max=3)
+        for images in itertools.permutations(range(1, psi.r + 1)):
+            defined = not any(
+                relation(psi, images[h], images[k]) is Relation.PRECEDED_BY
+                for h, k in itertools.combinations(range(psi.r), 2)
+            )
+            assert arrangement_is_admissible(psi, images) == defined
+        with pytest.raises(InputError, match="not a permutation"):
+            arrangement_is_admissible(psi, (*images, 1))
 
 
 def test_lambda_values(psi_A):
