@@ -7,7 +7,10 @@ packet.  Each entry carries its complete invariant (antitableau +
 canonical rows); no two entries ever share one — packets are
 multiplicity free — and the packet union over all ranks maps onto the
 p-adic parameter space with fibers of size two (odd n) or one (even n).
+Each entry is its JSON text, the same bytes that ``aqlam packet`` prints.
 """
+
+import json
 
 from aqlam import GoodParityParameter
 from aqlam.packets import arthur_vogan, compute_packet, multiplicity_report
@@ -16,8 +19,9 @@ psi = GoodParityParameter.from_components([(12, 3), (10, 5), (7, 6)])
 
 packet = compute_packet(psi, 6, verify=True)
 print(f"rank 6: {len(packet)} survivors")
-for entry in packet:
-    print("  p =", entry.p, " rows:", entry.rows)
+for text in packet:
+    entry = json.loads(text)
+    print("  p =", entry["p"], " rows:", entry["rows"])
 
 ok, collisions = multiplicity_report(packet)
 print("multiplicity free:", ok)

@@ -43,7 +43,6 @@ from .padic import (
 from .packets import (
     AVReport,
     CompiledPackets,
-    PacketEntry,
     arthur_vogan,
     compute_packet,
     count_params,
@@ -91,7 +90,7 @@ __all__ = [
     "InvariantViolationError", "ResourceLimitError", "CompiledImage",
     "ExtendedMultiSegment", "padic_cond_C", "padic_nonvanishing",
     "padic_transition", "project_EF", "sign_of", "to_extended", "AVReport",
-    "CompiledPackets", "PacketEntry", "arthur_vogan", "compute_packet",
+    "CompiledPackets", "arthur_vogan", "compute_packet",
     "count_params", "enumerate_params", "multiplicity_report",
     "GoodParityParameter", "RangeLabel", "Relation", "RelationMasks",
     "Segment", "intersection_size", "lambda_values", "neighbor_pairs",

@@ -32,7 +32,7 @@ from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
 from .padic import ExtendedMultiSegment, in_padic_domain, project_EF, sign_of, to_extended
 from .segments import GoodParityParameter, Segment
-from .tableau import CompiledReduction, Reduction, Rows, trapa_reduce
+from .tableau import CompiledReduction, Reduction, trapa_reduce
 from .transition import ParamVector, phi
 
 
@@ -138,54 +138,9 @@ def _reduction_payload(reduction: Reduction) -> dict:
     }
 
 
-class _EntryText:
-    """Writes a survivor of one parameter as the compact, key-sorted JSON of
-    its entry, from pieces written once per parameter: the quoted cells, the
-    lambda, each entry value, Levi pair and signed row, and the image's
-    sigma and each row of its table.  Survivors of one parameter often
-    share their final types, so each antitableau's text is written once per
-    final types."""
-
-    def __init__(self, compiled: packets_mod.CompiledPackets) -> None:
-        self.reduction, self.compiled_image = compiled.reduction, compiled.image
-        self.lam = ",".join(f'"{x}"' for x in compiled.lam)
-        self.levi = [[f"[{v},{m - v}]" for v in range(m + 1)] for m in compiled.m]
-        self.digits = [str(v) for v in range(max(compiled.m) + 1)]
-        r = compiled.psi.r
-        self.rows = {(t, s): f'[{t},"{s}"]' for t in range(1, r + 1) for s in "+-"}
-        self.sigma = f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}'
-        quoted, table = {1: '"+"', -1: '"-"'}, compiled.image.table if compiled.image else []
-        self.padic = [[(str(l), quoted[e], quoted[f], x) for l, e, f, x in c] for c in table]
-        self.grids: dict[tuple, str] = {}  # final types -> antitableau text
-
-    @functools.cached_property
-    def cells(self) -> list[list[str]]:
-        return self.reduction.cells(lambda twice: f'"{HalfInt(twice)}"')
-
-    def image(self, p: tuple[int, ...]) -> str:
-        """The JSON text of p's p-adic image ("null" outside the domain)."""
-        if self.compiled_image is None:
-            return "null"
-        l, eta = self.compiled_image.pick(p, self.padic)
-        return f'{{"eta":[{",".join(eta)}],"l":[{",".join(l)}{self.sigma}'
-
-    def __call__(self, p: tuple[int, ...], types: tuple[tuple[int, ...], ...],
-                 rows: Rows, padic: str) -> str:  # padic: from image(p)
-        grid = self.grids.get(types)
-        if grid is None:
-            grid = self.grids[types] = "],[".join(
-                map(",".join, self.reduction.antitableau(types, self.cells))
-            )
-        levi = ",".join(map(list.__getitem__, self.levi, p))
-        return (
-            f'{{"antitableau":[[{grid}]],"lambda":[{self.lam}],"levi":[{levi}],'
-            f'"p":[{",".join(map(self.digits.__getitem__, p))}],"padic_image":{padic},'
-            f'"rows":[{",".join(map(self.rows.__getitem__, rows))}]}}'
-        )
-
-
 class _Entries(list):
-    """Entries written by ``_EntryText``, which ``_chunks`` splices in."""
+    """Entry texts written by ``packets.CompiledPackets.entries``, which
+    ``_chunks`` splices in."""
 
 
 def _chunks(value: Any) -> Iterator[str]:
@@ -257,10 +212,7 @@ def _cmd_packet(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     if "p_rank" not in doc:
         raise InputError("the packet subcommand needs 'p_rank'")
     rank = _json(doc["p_rank"], int, "'p_rank'")
-    compiled = packets_mod.CompiledPackets(psi)
-    write = _EntryText(compiled)
-    described = compiled.described(rank, args.verify)
-    entries = _Entries(write(*d, write.image(d[0])) for d in described)
+    entries = _Entries(packets_mod.compute_packet(psi, rank, args.verify))
     scanned = packets_mod.count_params(psi, rank)
     return {"p_rank": rank, "scanned": scanned, "entries": entries}, 0
 
@@ -279,22 +231,14 @@ def _cmd_transition(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, in
 
 
 def _cmd_av(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
-    compiled = packets_mod.CompiledPackets(psi)
-    write = _EntryText(compiled)
-    as_json = args.format == "json"  # the text view prints only the entry counts
-    packets = {rank: _Entries() for rank in range(psi.n + 1)}
-    images = []  # the JSON text of each survivor's image
-    for p, types, rows in compiled.described(None, args.verify):
-        image = write.image(p)
-        packets[sum(p)].append(write(p, types, rows, image) if as_json else None)
-        images.append(image)
+    report = packets_mod.arthur_vogan(psi, args.verify)
     payload: dict = {
-        "total": len(images),
-        "packets": {str(rank): entries for rank, entries in packets.items()},
+        "total": report.total,
+        "packets": {str(rank): _Entries(entries) for rank, entries in report.packets.items()},
     }
-    if compiled.in_domain:
-        sizes, payload["fibers_ok"] = packets_mod.fiber_audit(images, psi.n)
-        payload["fiber_sizes"] = sorted(sizes.values())
+    if report.fiber_sizes is not None:
+        payload["fibers_ok"] = report.fibers_ok
+        payload["fiber_sizes"] = sorted(report.fiber_sizes.values())
     return payload, 0
 
 

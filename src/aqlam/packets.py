@@ -3,39 +3,30 @@
 A packet at a given rank collects every vector p with 0 <= p_i <= m_i and
 fixed sum that passes the non-vanishing criterion; each survivor carries
 its reduced antitableau and canonical signed rows (a complete invariant
-pair), plus the p-adic image when the comparison is in domain.
-``CompiledPackets`` compiles the criterion, the tableau reduction and the
-p-adic image once per parameter.  The survivors come from the criterion's
-lattice-point search, which never forms most vanishing vectors, and each
-survivor is then described in one pass; with ``verify`` both engines
-decide every vector of the box instead.
+pair), plus the p-adic image when the comparison is in domain.  An entry
+is described once, as the compact, key-sorted JSON text that the command
+line prints.  ``CompiledPackets`` compiles the criterion, the tableau
+reduction and the p-adic image once per parameter.  The survivors come
+from the criterion's lattice-point search, which never forms most
+vanishing vectors, and each survivor is then described in one pass; with
+``verify`` both engines decide every vector of the box instead.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import sub
+from functools import cached_property
+from itertools import accumulate
 from typing import Hashable, Iterable, Iterator, Optional
 
 from .criterion import CompiledCriterion, Witness, check_box_scan, lattice_points
 from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
-from .padic import CompiledImage, ExtendedMultiSegment, in_padic_domain
+from .padic import CompiledImage, in_padic_domain
 from .segments import GoodParityParameter, lambda_values
-from .tableau import CompiledReduction, Rows
-
-Antitableau = tuple[tuple[HalfInt, ...], ...]
-
-
-@dataclass(frozen=True)
-class PacketEntry:
-    p: tuple[int, ...]
-    levi: tuple[tuple[int, int], ...]
-    lam: tuple[HalfInt, ...]
-    antitableau: Antitableau
-    rows: Rows
-    padic_image: Optional[ExtendedMultiSegment]
+from .tableau import CompiledReduction
 
 
 def enumerate_params(
@@ -51,13 +42,16 @@ def enumerate_params(
 
 
 def count_params(psi: GoodParityParameter, p_rank: int) -> int:
-    """``len(enumerate_params(psi, p_rank))``, counted without listing."""
+    """``len(enumerate_params(psi, p_rank))``, counted without listing: the
+    vectors of the entries so far summing to each t <= p_rank, each step a
+    difference of prefix sums."""
     n = psi.n
     if not 0 <= p_rank <= n:
         raise InputError(f"rank {p_rank} out of range 0..{n}")
-    ways = [1] + [0] * n  # ways[t]: vectors of the entries so far summing to t
+    ways = [1] + [0] * p_rank  # ways[t]: vectors of the entries so far summing to t
     for s in psi.segments:
-        ways = [sum(ways[max(0, t - s.m) : t + 1]) for t in range(n + 1)]
+        sums = [0, *accumulate(ways)]  # sums[t]: ways[0] + ... + ways[t - 1]
+        ways = [sums[t + 1] - sums[max(0, t - s.m)] for t in range(p_rank + 1)]
     return ways[p_rank]
 
 
@@ -65,13 +59,18 @@ class CompiledPackets:
     """Packet enumeration for one parameter, ready for every rank.
 
     Compiles once what deciding and describing a vector needs apart from the
-    vector: the criterion, the tableau reduction, the shifts lambda, the
-    lengths m and, in the comparison domain, the p-adic image.
-    ``described(rank)`` describes each survivor of the criterion's
-    lattice-point search from integers, and ``entry``, ``packet`` and
-    ``packets`` make ``PacketEntry`` objects of that.  With ``verify`` the
-    box is scanned instead: the tableau engine re-decides every vector, and
-    any disagreement with the criterion, or with the search, raises an
+    vector: the criterion, the tableau reduction and, in the comparison
+    domain, the p-adic image.  ``described(rank)`` describes each survivor
+    of the criterion's lattice-point search from integers, and ``entries``
+    writes each as the JSON text of its entry and of its image, the only
+    description of a packet entry.  The texts are spliced from pieces
+    written once per parameter, and survivors often share their final
+    types, so each antitableau's text is written once per final types
+    (``grids``).  The pieces and the image's table are built on the first
+    survivor, after the search has returned, so its node budget refuses a
+    job before anything is built per entry value.  With ``verify`` the box
+    is scanned instead: the tableau engine re-decides every vector, and any
+    disagreement with the criterion, or with the search, raises an
     invariant violation.
     """
 
@@ -79,21 +78,38 @@ class CompiledPackets:
         self.psi = psi
         self.criterion = CompiledCriterion(psi)
         self.reduction = CompiledReduction(psi)
-        self.lam = lambda_values(psi)
         self.m = self.criterion.m
         self.in_domain = in_padic_domain(psi)
-        self.image = CompiledImage(psi) if self.in_domain else None
+        self.grids: dict[tuple, str] = {}  # final types -> antitableau text
+
+    @cached_property
+    def image(self) -> Optional[CompiledImage]:
+        return CompiledImage(self.psi) if self.in_domain else None
+
+    @cached_property
+    def _pieces(self) -> tuple:
+        """The text of the lambda, of each Levi pair, entry value and signed
+        row, and of each antitableau cell, and the image's sigma and each
+        row of its table with l and the signs written as text."""
+        r, quoted = self.psi.r, {1: '"+"', -1: '"-"'}
+        table = self.image.table if self.image else []
+        return (
+            ",".join(f'"{x}"' for x in lambda_values(self.psi)),
+            [[f"[{v},{m - v}]" for v in range(m + 1)] for m in self.m],
+            [str(v) for v in range(max(self.m) + 1)],
+            {(t, s): f'[{t},"{s}"]' for t in range(1, r + 1) for s in "+-"},
+            self.reduction.cells(lambda twice: f'"{HalfInt(twice)}"'),
+            [[(str(l), quoted[e], quoted[f], x) for l, e, f, x in c] for c in table],
+            f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}',
+        )
 
     def described(self, rank: Optional[int] = None, verify: bool = False) -> Iterator[tuple]:
         """``(p, types, rows)`` for each non-vanishing p of sum ``rank`` (of
         the box for None), lexicographic: the reduction's final types and
         signed rows.  A p the tableau engine zeroes raises an invariant
         violation."""
-        return self._describe(self._survivors(rank, verify))
-
-    def _describe(self, vectors: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
         run = self.reduction.run
-        for p in vectors:
+        for p in self._survivors(rank, verify):
             result = run(p)
             if isinstance(result, Witness):
                 raise InvariantViolationError(
@@ -101,14 +117,30 @@ class CompiledPackets:
                 )
             yield p, *result
 
-    def _entry(self, p: tuple[int, ...], types: tuple, rows: Rows) -> PacketEntry:
-        levi = tuple(zip(p, map(sub, self.m, p)))
-        image = self.image.image(p) if self.image else None
-        return PacketEntry(p, levi, self.lam, self.reduction.antitableau(types), rows, image)
-
-    def entry(self, p: tuple[int, ...]) -> PacketEntry:
-        """The entry of a non-vanishing vector (see ``described``)."""
-        return self._entry(*next(self._describe([p])))
+    def entries(self, rank: Optional[int] = None,
+                verify: bool = False) -> Iterator[tuple[tuple[int, ...], str, str]]:
+        """``(p, entry, image)`` for each survivor of ``described``: the
+        compact, key-sorted JSON text of p's entry (keys antitableau,
+        lambda, levi, p, padic_image and rows) and of its p-adic image
+        ("null" outside the comparison domain)."""
+        grids = self.grids
+        for p, types, rows in self.described(rank, verify):
+            lam, levi, digits, signed, cells, padic, sigma = self._pieces
+            image = "null"
+            if self.image:
+                l, eta = self.image.pick(p, padic)
+                image = f'{{"eta":[{",".join(eta)}],"l":[{",".join(l)}{sigma}'
+            grid = grids.get(types)
+            if grid is None:
+                grid = grids[types] = "],[".join(
+                    map(",".join, self.reduction.antitableau(types, cells))
+                )
+            yield p, (
+                f'{{"antitableau":[[{grid}]],"lambda":[{lam}],'
+                f'"levi":[{",".join(map(list.__getitem__, levi, p))}],'
+                f'"p":[{",".join(map(digits.__getitem__, p))}],"padic_image":{image},'
+                f'"rows":[{",".join(map(signed.__getitem__, rows))}]}}'
+            ), image
 
     def _survivors(self, rank: Optional[int], verify: bool) -> list[tuple[int, ...]]:
         """The non-vanishing vectors of sum ``rank`` (of the box for None),
@@ -136,40 +168,27 @@ class CompiledPackets:
             )
         return scanned
 
-    def packet(self, rank: int, verify: bool = False) -> list[PacketEntry]:
-        """Entries for exactly the non-vanishing vectors of sum ``rank``,
-        lexicographic."""
-        return [self._entry(*d) for d in self.described(rank, verify)]
 
-    def packets(self, verify: bool = False) -> dict[int, list[PacketEntry]]:
-        """``packet(rank)`` for every rank 0..n, from one search of the
-        whole box bucketed by the sum."""
-        out: dict[int, list[PacketEntry]] = {rank: [] for rank in range(self.psi.n + 1)}
-        for d in self.described(None, verify):
-            out[sum(d[0])].append(self._entry(*d))
-        return out
+def compute_packet(psi: GoodParityParameter, p_rank: int, verify: bool = False) -> list[str]:
+    """The entry texts (see ``CompiledPackets.entries``) of exactly the
+    non-vanishing vectors at the given rank, lexicographic: what ``aqlam
+    packet`` prints as its entries.
 
-
-def compute_packet(
-    psi: GoodParityParameter, p_rank: int, verify: bool = False
-) -> list[PacketEntry]:
-    """Entries for exactly the non-vanishing vectors at the given rank.
-
-    Compiles psi (see ``CompiledPackets``) and searches the rank's
-    survivors; to do several ranks of one parameter, compile once.  Raises
-    ``ResourceLimitError`` past the search's ``MAX_DFS_NODES`` budget.
+    Compiles psi and searches the rank's survivors; to do several ranks of
+    one parameter, compile once.  Raises ``ResourceLimitError`` past the
+    search's ``MAX_DFS_NODES`` budget.
     """
-    return CompiledPackets(psi).packet(p_rank, verify)
+    return [entry for _, entry, _ in CompiledPackets(psi).entries(p_rank, verify)]
 
 
-def multiplicity_report(
-    entries: list[PacketEntry],
-) -> tuple[bool, list[tuple[PacketEntry, PacketEntry]]]:
-    """Check that the (antitableau, rows) invariant pairs are distinct."""
-    seen: dict[tuple, PacketEntry] = {}
+def multiplicity_report(entries: list[str]) -> tuple[bool, list[tuple[str, str]]]:
+    """Check that the (antitableau, rows) invariant pairs that the entry
+    texts hold are distinct."""
+    seen: dict[str, str] = {}
     collisions = []
     for entry in entries:
-        key = (entry.antitableau, entry.rows)
+        decoded = json.loads(entry)
+        key = json.dumps([decoded["antitableau"], decoded["rows"]])
         if key in seen:
             collisions.append((seen[key], entry))
         else:
@@ -179,10 +198,11 @@ def multiplicity_report(
 
 @dataclass(frozen=True)
 class AVReport:
-    """Packets across all ranks, with the p-adic fiber audit when possible."""
+    """Packets across all ranks as entry texts, with the p-adic fiber audit
+    when possible: how many survivors share each image text."""
 
-    packets: dict[int, list[PacketEntry]]
-    fiber_sizes: Optional[dict[ExtendedMultiSegment, int]]
+    packets: dict[int, list[str]]
+    fiber_sizes: Optional[dict[str, int]]
     fibers_ok: Optional[bool]
 
     @property
@@ -193,20 +213,23 @@ class AVReport:
 def arthur_vogan(psi: GoodParityParameter, verify: bool = False) -> AVReport:
     """Packets for every rank 0..n plus the fiber audit of the p-adic map.
 
-    One lattice-point search finds the survivors of every rank (see
-    ``CompiledPackets.packets``; ``verify`` scans the box with both engines
-    instead).  A survivor that the tableau engine zeroes raises
+    One lattice-point search finds the survivors of every rank, and each is
+    written as in ``CompiledPackets.entries`` (``verify`` scans the box
+    with both engines instead); the ranks are filled after the search.  A
+    survivor that the tableau engine zeroes raises
     ``InvariantViolationError``, and a search past ``MAX_DFS_NODES`` nodes
     raises ``ResourceLimitError``.  For n odd each p-adic image must have
     exactly two preimages (p and its complement m - p); for n even the map
     must be injective.
     """
     compiled = CompiledPackets(psi)
-    packets = compiled.packets(verify)
-    if not compiled.in_domain:
-        return AVReport(packets, None, None)
-    images = (entry.padic_image for entries in packets.values() for entry in entries)
-    return AVReport(packets, *fiber_audit(images, psi.n))
+    by_rank: defaultdict[int, list[str]] = defaultdict(list)
+    images = []
+    for p, entry, image in compiled.entries(None, verify):
+        by_rank[sum(p)].append(entry)
+        images.append(image)
+    audit = fiber_audit(images, psi.n) if compiled.in_domain else (None, None)
+    return AVReport({rank: by_rank[rank] for rank in range(psi.n + 1)}, *audit)
 
 
 def fiber_audit(images: Iterable[Hashable], n: int) -> tuple[dict, bool]:

@@ -10,6 +10,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,8 @@ from aqlam import packets as packets_mod
 from aqlam.cli import run
 from aqlam.packets import fiber_audit
 from aqlam.padic import project_EF, to_extended
+from aqlam.segments import lambda_values
+from aqlam.tableau import trapa_reduce
 
 from conftest import random_parameter
 from test_packets import loosen_pair
@@ -213,17 +216,20 @@ class TestAV:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("internal error: ")
 
-    def test_text_view_writes_no_entry_text(self, capsys, monkeypatch):
-        # it prints only how many entries each rank has
-        want = run_stdin(["av", "--format", "text"], DOC_R5)
-
-        def refuse(self, *described):
-            raise AssertionError("an entry's JSON text was written")
-
-        monkeypatch.setattr(cli._EntryText, "__call__", refuse)
-        assert run_stdin(["av", "--format", "text"], DOC_R5) == want
-        assert want[0] == 0 and run_stdin(["av"], DOC_R5)[0] == 4  # the JSON view calls it
-        assert "AssertionError" in capsys.readouterr().err
+    def test_past_the_budget_exits_three_before_any_per_value_table(self, tmp_path, capsys):
+        # one segment of length 200,000, ends 1 and 200,000 (in the
+        # comparison domain): the search refuses at its first node, before
+        # the image's table, the entry text pieces (rows of m + 1 each) or
+        # the n + 1 rank buckets are built
+        path = write_doc(tmp_path, {"components": [{"a": 200_001, "m": 200_000}]})
+        tracemalloc.start()
+        try:
+            code = run(["av", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 2_000_000
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [["av"], ["av", "--verify"], ["packet"]])
     def test_node_budget_exits_three(self, tmp_path, capsys, monkeypatch, argv):
@@ -396,24 +402,11 @@ def image_payload(image):
     }
 
 
-def entry_payload(entry):
-    """The JSON payload of a packet entry, built from the library's
-    ``PacketEntry``."""
-    return {
-        "p": list(entry.p),
-        "levi": [list(pair) for pair in entry.levi],
-        "lambda": [str(x) for x in entry.lam],
-        "antitableau": [[str(x) for x in row] for row in entry.antitableau],
-        "rows": [[length, sign] for length, sign in entry.rows],
-        "padic_image": image_payload(entry.padic_image),
-    }
-
-
 def compact(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def test_entry_text_is_the_json_of_the_payload():
+def test_entry_text_matches_the_reference_definitions():
     rng = random.Random(73)
     # fixtures A to D, the r=5 parameter and one outside the comparison domain
     docs = [DOC_A, DOC_B, DOC_HALF, DOC_D, DOC_R5, DOC_NEGATIVE_END]
@@ -423,25 +416,32 @@ def test_entry_text_is_the_json_of_the_payload():
     kinds = set()  # n mod 2 in the comparison domain, None outside it
     for psi in psis:
         compiled = packets_mod.CompiledPackets(psi)
-        write = cli._EntryText(compiled)
-        described = list(compiled.described())
-        texts, objects = [], []
-        for d in described:
-            p = d[0]
-            image, want = write.image(p), compact(entry_payload(compiled._entry(*d)))
-            # the second call reads the antitableau text from the memo
-            assert write(*d, image) == want == write(*d, image)
+        entries = list(compiled.entries())
+        lam = [str(x) for x in lambda_values(psi)]
+        references = []
+        for p, text, image in entries:
+            reduction = trapa_reduce(psi, p)
             reference = project_EF(psi, to_extended(psi, p)) if compiled.in_domain else None
+            assert text == compact({
+                "p": list(p),
+                "levi": [[p_i, s.m - p_i] for p_i, s in zip(p, psi.segments)],
+                "lambda": lam,
+                "antitableau": [[str(x) for x in row] for row in reduction.antitableau],
+                "rows": [[length, sign] for length, sign in reduction.rows],
+                "padic_image": image_payload(reference),
+            }), (psi, p)
             assert image == compact(image_payload(reference)), (psi, p)
-            texts.append(image)
-            objects.append(reference)
-            written += 1
+            references.append(reference)
+        written += len(entries)
         kinds.add(psi.n % 2 if compiled.in_domain else None)
         if compiled.in_domain:
-            by_text, by_object = fiber_audit(texts, psi.n), fiber_audit(objects, psi.n)
+            texts = [image for _, _, image in entries]
+            by_text, by_object = fiber_audit(texts, psi.n), fiber_audit(references, psi.n)
             assert sorted(by_text[0].values()) == sorted(by_object[0].values())
             assert by_text[1] is by_object[1] is True
-        assert len(write.grids) == len({types for _, types, _ in described})
-        grids += len(write.grids)
+        # one antitableau text per final types; a second pass reads them all from the memo
+        assert len(compiled.grids) == len({types for _, types, _ in compiled.described()})
+        assert list(compiled.entries()) == entries
+        grids += len(compiled.grids)
     assert kinds == {0, 1, None}
     assert written > 1000 and grids < written / 2  # survivors share final types

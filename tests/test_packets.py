@@ -1,6 +1,7 @@
 """Packet enumeration, survivors, invariants, and the fiber audit."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -69,6 +70,11 @@ class TestEnumerate:
                 assert count_params(psi, rank) == len(enumerate_params(psi, rank))
         with pytest.raises(InputError):
             count_params(psi, psi.n + 1)
+        # large m at a small rank, one segment and two
+        one = GoodParityParameter.from_components([(12, 60_000)])
+        two = GoodParityParameter.from_components([(12, 60_000), (10, 45_000)])
+        for psi, rank in ((one, 1), (one, 59_999), (two, 2), (two, 30_000)):
+            assert count_params(psi, rank) == len(enumerate_params(psi, rank))
 
 
 def loosen_pair(monkeypatch, i, j):
@@ -119,19 +125,19 @@ class TestSearchChecks:
 
 class TestComputePacket:
     def test_fixture_A_survivors(self, psi_A):
-        packet = compute_packet(psi_A, 6, verify=True)
+        packet = [json.loads(text) for text in compute_packet(psi_A, 6, verify=True)]
         assert len(packet) == 9
-        entry = next(e for e in packet if e.p == (2, 2, 2))
-        assert entry.levi == ((2, 1), (2, 3), (2, 4))
-        grid = tuple(tuple(int(x) for x in row) for row in entry.antitableau)
-        assert grid == ((7, 7, 6), (6, 6, 5), (5, 5, 4), (4, 3), (3,), (2,), (1,))
-        assert entry.rows == (
-            (3, "+"), (3, "+"), (3, "-"), (2, "-"), (1, "-"), (1, "-"), (1, "-"),
-        )
+        entry = next(e for e in packet if e["p"] == [2, 2, 2])
+        assert entry["levi"] == [[2, 1], [2, 3], [2, 4]]
+        grid = [[int(x) for x in row] for row in entry["antitableau"]]
+        assert grid == [[7, 7, 6], [6, 6, 5], [5, 5, 4], [4, 3], [3], [2], [1]]
+        assert entry["rows"] == [
+            [3, "+"], [3, "+"], [3, "-"], [2, "-"], [1, "-"], [1, "-"], [1, "-"],
+        ]
 
     def test_fixture_B_excludes_the_vanishing_vector(self, psi_B):
         packet = compute_packet(psi_B, 6, verify=True)
-        assert all(e.p != (2, 2, 2) for e in packet)
+        assert all(json.loads(text)["p"] != [2, 2, 2] for text in packet)
 
     def test_single_component_closed_form(self):
         psi = GoodParityParameter((seg(5, 4),))
@@ -152,6 +158,10 @@ class TestMultiplicity:
         assert multiplicity_report([]) == (True, [])
         packet = compute_packet(psi_A, 0)
         assert multiplicity_report(packet) == (True, [])
+        # another p, written in another key order, with the same invariant pair
+        entry = compute_packet(psi_A, 6)[0]
+        twin = json.dumps({**json.loads(entry), "p": [9, 9, 9]})
+        assert multiplicity_report([entry, twin]) == (False, [(entry, twin)])
 
 
 class TestArthurVogan:
