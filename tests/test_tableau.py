@@ -414,6 +414,50 @@ class TestCompiledReduction:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == (3533, self.SCHEDULE_RECORD)
 
+    @staticmethod
+    def sweep_inputs():
+        """(psi, vectors) pairs: four seeded parameters per r = 2..16 on each
+        grid, lengths up to 2 or 5, those with r <= 6 every second one in a
+        random admissible order; each with three random box vectors (mostly
+        zero), up to three survivors of a random rank, each followed by a
+        vector that differs from it in one entry, and one vector one step
+        outside the box."""
+        rng = random.Random(113)
+        for r in range(2, 17):
+            for half_grid in (False, True):
+                for t in range(4):
+                    psi = random_parameter(rng, r, m_max=rng.choice((2, 5)), half_grid=half_grid)
+                    if r <= 6 and t % 2:
+                        order = rng.choice(enumerate_admissible(psi))
+                        psi = GoodParityParameter(tuple(psi.seg(i) for i in order))
+                    vectors = [random_entry_vector(rng, psi) for _ in range(3)]
+                    rank = rng.randint(0, psi.n)
+                    for p in islice(CompiledCriterion(psi).survivors(rank), 3):
+                        k = rng.randrange(r)
+                        vectors += [p, (*p[:k], rng.randint(0, psi.m(k + 1)), *p[k + 1 :])]
+                    p = list(random_entry_vector(rng, psi))
+                    k = rng.randrange(r)
+                    p[k] = psi.m(k + 1) + 1 if rng.random() < 0.5 else -1
+                    yield psi, [*vectors, tuple(p)]
+
+    # sha256 of the newline-joined ``repr`` of ``trapa_reduce(psi, p)`` over
+    # ``sweep_inputs()``, and of ``run(p)`` of one warm ``CompiledReduction``
+    # per parameter over its vectors in turn, recorded before the insertion
+    # steps were built on first need (742 vectors: 277 antitableaux, 331
+    # overlap and 134 "B" witnesses)
+    SWEEP_RECORD = "7a97db77bd8ba132ba6e3862772f4b90faed82ae593021e1de83319d5f73e6c4"
+    WARM_RECORD = "10483300d2e9e7f78a9b5edb296764077abd3ca0fe2775f74c1cbf69a0256eb8"
+
+    def test_a_sweep_to_r16_matches_its_records(self):
+        inputs = list(self.sweep_inputs())
+        cold = [repr(trapa_reduce(psi, p)) for psi, vectors in inputs for p in vectors]
+        warm = []
+        for psi, vectors in inputs:
+            compiled = CompiledReduction(psi)
+            warm += [repr(compiled.run(p)) for p in vectors]
+        digests = [hashlib.sha256("\n".join(lines).encode()).hexdigest() for lines in (cold, warm)]
+        assert (len(cold), len(warm), *digests) == (742, 742, self.SWEEP_RECORD, self.WARM_RECORD)
+
     def test_agrees_with_the_schedule_oracle(self):
         rng = random.Random(6)
         for n, (psi, vectors) in enumerate(compiled_inputs()):
