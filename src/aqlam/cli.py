@@ -11,7 +11,8 @@ interface.  The result is printed as one compact JSON line with sorted keys;
 ``--format text`` prints a human view instead.  Exit codes: 0 success,
 1 zero verdict on `check` (a successful computation -- shell pipelines can
 branch on it), 2 input error, 3 resource limit (a lattice-point search past
-``criterion.MAX_DFS_NODES`` nodes, or r past ``--max-r``), 4 internal error
+``criterion.MAX_DFS_NODES`` nodes, a tableau of more than
+``tableau.MAX_BOXES`` boxes, or r past ``--max-r``), 4 internal error
 (an invariant violation or any other defect), 141 stdout closed by its
 reader.
 """

@@ -68,7 +68,9 @@ class CompiledPackets:
     types, so each antitableau's text is written once per final types
     (``grids``).  The pieces and the image's table are built on the first
     survivor, after the search has returned, so its node budget refuses a
-    job before anything is built per entry value.  With ``verify`` the box
+    job before anything is built per entry value; the reduction refuses a
+    parameter of more than ``tableau.MAX_BOXES`` boxes at construction.
+    With ``verify`` the box
     is scanned instead: the tableau engine re-decides every vector, and any
     disagreement with the criterion, or with the search, raises an
     invariant violation.
@@ -176,7 +178,7 @@ def compute_packet(psi: GoodParityParameter, p_rank: int, verify: bool = False) 
 
     Compiles psi and searches the rank's survivors; to do several ranks of
     one parameter, compile once.  Raises ``ResourceLimitError`` past the
-    search's ``MAX_DFS_NODES`` budget.
+    search's ``MAX_DFS_NODES`` budget or the reduction's ``MAX_BOXES``.
     """
     return [entry for _, entry, _ in CompiledPackets(psi).entries(p_rank, verify)]
 
@@ -217,8 +219,8 @@ def arthur_vogan(psi: GoodParityParameter, verify: bool = False) -> AVReport:
     written as in ``CompiledPackets.entries`` (``verify`` scans the box
     with both engines instead); the ranks are filled after the search.  A
     survivor that the tableau engine zeroes raises
-    ``InvariantViolationError``, and a search past ``MAX_DFS_NODES`` nodes
-    raises ``ResourceLimitError``.  For n odd each p-adic image must have
+    ``InvariantViolationError``, and a search past ``MAX_DFS_NODES`` nodes,
+    or a parameter past ``MAX_BOXES`` boxes, raises ``ResourceLimitError``.  For n odd each p-adic image must have
     exactly two preimages (p and its complement m - p); for n even the map
     must be injective.
     """

@@ -20,10 +20,12 @@ read-outs and in the entries of the antitableau.
 
 A rewrite always turns its two segments into their max/min pair, whatever
 the types, so the whole rewrite schedule depends only on the parameter.
-``CompiledReduction`` works it out once, together with the transport to the
-canonical arrangement; reducing a vector then builds its types and runs the
-compiled steps on them, each column's outcome once per parameter for each
-types before it and its own, and the final check once per final types.
+``CompiledReduction`` works out the transport to the canonical arrangement
+once, and each column's steps once, the first time a vector reaches that
+column: a vector that certifies zero at column k never builds the steps
+after it.  Reducing a vector then builds its types and runs the compiled
+steps on them, each column's outcome once per parameter for each types
+before it and its own, and the final check once per final types.
 """
 
 from __future__ import annotations
@@ -37,10 +39,18 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Unio
 
 from .arrangements import Permutation, appropriate_arrangement, enumerate_admissible
 from .criterion import Witness
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
 from .segments import GoodParityParameter, Relation, Segment, relation_masks
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
+
+# The most boxes n = m_1 + ... + m_r of a parameter that ``CompiledReduction``
+# takes; past it the job is refused with a ``ResourceLimitError``, before
+# the n signed rows, the antitableau cells or any table of entry values is
+# built.  On one segment of 100,000 boxes, ``aqlam packet`` at rank 1 takes
+# about 0.4 s and 72 MB peak RSS, and ``aqlam tableau`` 0.4 s and 58 MB,
+# each writing a 1.8 MB line, on a 2-core x86-64 VM under Python 3.11.
+MAX_BOXES = 100_000
 
 Rows = tuple[tuple[int, str], ...]
 End = tuple[int, int]  # a segment's doubled ends (2b, 2e)
@@ -344,10 +354,13 @@ def _descends(gaps: Sequence[int], types: Sequence[Types]) -> bool:
 def _cells(ends: Sequence[End], write: Callable = HalfInt) -> list[list]:
     """For each column with doubled segment ends (b, e), its entries b,
     b - 1, ..., e, each written by ``write`` from its double; the columns
-    share one written value per value."""
-    top = max(b for b, _ in ends)
-    table = [write(top - 2 * u) for u in range((top - min(e for _, e in ends)) // 2 + 1)]
-    return [table[(top - b) // 2 : (top - e) // 2 + 1] for b, e in ends]
+    share one written value per value.  Only values some column holds are
+    written, so segments far apart cost no more than near ones: on one
+    grid, a column's values are a run of all of them in descending order."""
+    values = sorted(set().union(*(range(e, b + 1, 2) for b, e in ends)), reverse=True)
+    at = {v: u for u, v in enumerate(values)}
+    table = list(map(write, values))
+    return [table[at[b] : at[e] + 1] for b, e in ends]
 
 
 def _antitableau_grid(cells: Sequence[Sequence], types: Sequence[Types]) -> tuple:
@@ -392,9 +405,13 @@ class CompiledReduction:
     the segments of every rewrite, since a rewrite always turns its two
     segments into their max/min pair whatever the types.  ``reduce(p)``
     transports p, checks the box, builds the integer types column by column
-    and runs each column's compiled rewrites as it arrives.  The schedule
-    and the output cells are compiled on the first vector that passes the
-    box check.
+    and runs each column's compiled rewrites as it arrives.  Column k's
+    rewrites are compiled, with those of every column before it, the first
+    time a vector reaches column k, so a vector that certifies zero there
+    compiles nothing after it; the final segments and the output cells
+    once a vector reaches the last column, or on ``cells``.  A parameter
+    of more than ``MAX_BOXES`` boxes is refused at construction, before
+    anything is built per box.
 
     The state after k columns depends only on the first k canonical
     entries, so an instance keeps the states of the last vector it ran and
@@ -402,13 +419,19 @@ class CompiledReduction:
     column's outcome depends only on its types and those before it, so an
     instance numbers the types it reaches, checking final ones once, and
     keeps each column's outcome keyed on (number of the types before, its
-    types).  Both make an instance unfit for sharing between threads.
-    ``run(p)`` returns the final types and rows, or the zero witness;
-    ``antitableau(types)`` reads the filled rows out of the types, and
-    ``reduce`` wraps both in a ``Reduction`` with its ``TableauState``.
+    types).  These, and the steps built on first need, make an instance
+    unfit for sharing between threads.  ``run(p)`` returns the final types
+    and rows, or the zero witness; ``antitableau(types)`` reads the filled
+    rows out of the types, and ``reduce`` wraps both in a ``Reduction``
+    with its ``TableauState``.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
+        if psi.n > MAX_BOXES:
+            raise ResourceLimitError(
+                f"the parameter has {psi.n} boxes, more than {MAX_BOXES}:"
+                " its tableau is too large to write out"
+            )
         self.psi = psi
         self.sigma = appropriate_arrangement(psi)
         self.lengths = tuple(psi.seg(comp).m for comp in self.sigma)
@@ -421,23 +444,26 @@ class CompiledReduction:
         self._numbered: dict[tuple[Types, ...], tuple] = {(): ((), 0)}
         # (number of the types before column k, its types) -> _insert's outcome
         self._outcomes: dict[tuple[int, Types], Union[Witness, tuple]] = {}
+        # _steps[k - 1]: column k's (position, step) pairs, for the columns
+        # built so far; _ends: the doubled segment ends after them
+        self._steps: list[tuple[tuple[int, _Step], ...]] = [()]
+        self._ends = [(s.b.twice, s.e.twice) for s in map(psi.seg, self.sigma)]
 
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
         m = (0, *(s.m for s in self.psi.segments))
         return transported_forms(relation_masks(self.psi).contains, m, self.sigma, self.sigma)
 
-    @cached_property
-    def _schedule(self) -> tuple[tuple[tuple[tuple[int, _Step], ...], ...], tuple[End, ...]]:
-        """Trapa's insertion order run on the doubled segment ends: column
-        k = 2..r bubbles leftward through the rewrite, up to a left segment
-        that precedes it.  Returns the (position, step) pairs of each column
-        k = 1..r and the final ends."""
-        ends = [(s.b.twice, s.e.twice) for s in map(self.psi.seg, self.sigma)]
-        columns: list[tuple[tuple[int, _Step], ...]] = [()]
-        for k in range(2, len(ends) + 1):
-            steps = []
-            for pos in range(k - 1, 0, -1):
+    def _column_steps(self, k: int) -> tuple[tuple[int, _Step], ...]:
+        """Column k's (position, step) pairs in Trapa's insertion order, run
+        on the doubled segment ends: column k bubbles leftward through the
+        rewrite, up to a left segment that precedes it.  Builds every
+        column up to k not built yet; a column that fails leaves the ends
+        as they were before it."""
+        steps = self._steps
+        while len(steps) < k:
+            ends, column = list(self._ends), []
+            for pos in range(len(steps), 0, -1):
                 step = _pair_step(ends[pos - 1], ends[pos])
                 if step is None:
                     # the canonical arrangement and the rewrites rule it out
@@ -445,31 +471,38 @@ class CompiledReduction:
                         f"insertion at position {pos} met a left segment"
                         f" preceded by the right one in {self.psi}"
                     )
-                steps.append((pos, step))
+                column.append((pos, step))
                 if not step.rewrite:
                     break
                 ends[pos - 1], ends[pos] = step.ends
-            columns.append(tuple(steps))
-        return tuple(columns), tuple(ends)
+            steps.append(tuple(column))
+            self._ends = ends
+        return steps[k - 1]
+
+    @cached_property
+    def _final_ends(self) -> tuple[End, ...]:
+        """The final columns' doubled segment ends, once every column is built."""
+        self._column_steps(len(self.lengths))
+        return tuple(self._ends)
 
     @cached_property
     def _output(self) -> list[list[HalfInt]]:
         """The final columns' antitableau cells."""
-        return _cells(self._schedule[1])
+        return _cells(self._final_ends)
 
     @cached_property
     def _final_gaps(self) -> tuple[int, ...]:
-        return _gaps(self._schedule[1])
+        return _gaps(self._final_ends)
 
     @cached_property
     def _final_segments(self) -> tuple[Segment, ...]:
         """The final columns' segments, for the read-out of ``reduce``."""
-        return _segments(self._schedule[1])
+        return _segments(self._final_ends)
 
     def cells(self, write: Callable[[int], Any]) -> list[list]:
         """The antitableau cells with each value written by ``write`` from
         its double, for ``antitableau(types, cells)``."""
-        return _cells(self._schedule[1], write)
+        return _cells(self._final_ends, write)
 
     def _start(self, p: Sequence[int] | ParamVector) -> Union[Witness, Sequence[int]]:
         """p's entries on the canonical arrangement, or the first of them in
@@ -521,7 +554,7 @@ class CompiledReduction:
         its compiled steps and their number, or the overlap witness.  Final
         types are numbered only once they pass the antitableau check."""
         new = [*types, L]
-        for pos, step in self._schedule[0][k - 1]:
+        for pos, step in self._column_steps(k):
             ov, result = _run_step(step, new[pos - 1], new[pos], pos, pos + 1)
             if result is None:
                 return Witness("overlap", (pos, pos + 1), self.sigma, (ov, step.sing))

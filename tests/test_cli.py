@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from aqlam import cli, criterion
+from aqlam import cli, criterion, tableau
 from aqlam import packets as packets_mod
 from aqlam.cli import run
 from aqlam.packets import fiber_audit
@@ -216,11 +216,14 @@ class TestAV:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("internal error: ")
 
-    def test_past_the_budget_exits_three_before_any_per_value_table(self, tmp_path, capsys):
+    def test_past_the_budget_exits_three_before_any_per_value_table(
+        self, tmp_path, capsys, monkeypatch
+    ):
         # one segment of length 200,000, ends 1 and 200,000 (in the
-        # comparison domain): the search refuses at its first node, before
-        # the image's table, the entry text pieces (rows of m + 1 each) or
-        # the n + 1 rank buckets are built
+        # comparison domain), with the box limit lifted: the search refuses
+        # at its first node, before the image's table, the entry text
+        # pieces (rows of m + 1 each) or the n + 1 rank buckets are built
+        monkeypatch.setattr(tableau, "MAX_BOXES", 10**6)
         path = write_doc(tmp_path, {"components": [{"a": 200_001, "m": 200_000}]})
         tracemalloc.start()
         try:
@@ -237,6 +240,58 @@ class TestAV:
         assert run([argv[0], write_doc(tmp_path, DOC_A), *argv[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+class TestBoxLimit:
+    """A parameter of more than ``tableau.MAX_BOXES`` boxes is refused
+    (exit 3) by every subcommand that reduces it, before anything is built
+    per box; ``check`` still answers."""
+
+    # one segment just past the limit, with ends 1 and MAX_BOXES + 1 (in
+    # the comparison domain), and one survivor at rank 1: small enough that
+    # a reduction which builds its tables does so in under a second
+    DOC = {
+        "components": [{"a": tableau.MAX_BOXES + 2, "m": tableau.MAX_BOXES + 1}],
+        "p": [1],
+        "p_rank": 1,
+    }
+
+    @pytest.mark.parametrize("argv", [["packet"], ["tableau"], ["av"], ["check", "--verify"]])
+    def test_past_the_limit_exits_three_before_any_per_box_table(self, tmp_path, capsys, argv):
+        path = write_doc(tmp_path, self.DOC)
+        tracemalloc.start()
+        try:
+            code = run([argv[0], path, *argv[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "") and peak < 2_000_000
+        assert captured.err.startswith("error: ") and "boxes" in captured.err
+
+    def test_check_still_answers(self, tmp_path, capsys):
+        assert run(["check", write_doc(tmp_path, self.DOC)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"nonzero": True, "witness": None}
+
+    def test_the_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        path = write_doc(tmp_path, DOC_A)  # 14 boxes
+        for limit, code in ((14, 0), (13, 3)):
+            monkeypatch.setattr(tableau, "MAX_BOXES", limit)
+            for command in ("tableau", "packet", "av"):
+                assert run([command, path]) == code
+        capsys.readouterr()
+
+    def test_far_apart_segments_write_only_the_values_they_hold(self, tmp_path, capsys):
+        # two one-box segments 100,000 apart: the antitableau has two cells
+        doc = {"components": [{"a": 200_001, "m": 1}, {"a": 1, "m": 1}], "p": [0, 0]}
+        tracemalloc.start()
+        try:
+            code = run(["tableau", write_doc(tmp_path, doc)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2_000_000
+        assert json.loads(capsys.readouterr().out)["antitableau"] == [["200001/2"], ["1/2"]]
 
 
 class TestOutput:

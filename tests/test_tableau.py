@@ -7,7 +7,7 @@ constraint engine or a brute-force enumeration.
 
 import hashlib
 import random
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -661,6 +661,118 @@ class TestStepMemo:
         monkeypatch.setattr(tableau, "_column", lambda plus, minus, p, m, k: (types[k - 1], plus, minus))
         with pytest.raises(InvariantViolationError, match="non-antitableau state"):
             compiled.reduce(p)
+
+
+class TestLazySteps:
+    """A ``CompiledReduction`` builds column k's steps, with every column
+    before it, the first time a vector reaches column k: ``_pair_step`` runs
+    once per step of a built column, and never for a column that no vector
+    has reached."""
+
+    @staticmethod
+    def count_pair_steps(monkeypatch, fail=None):
+        """Record the arguments of every ``_pair_step`` call, and return
+        None (a right segment preceding the left one) for ``fail``."""
+        calls, pair_step = [], tableau._pair_step
+
+        def counted(left, right):
+            calls.append((left, right))
+            return None if (left, right) == fail else pair_step(left, right)
+
+        monkeypatch.setattr(tableau, "_pair_step", counted)
+        return calls
+
+    @staticmethod
+    def reach(psi, p):
+        """The last column a fresh instance inserts for p (0 for a "B"
+        witness), and whether p is nonzero."""
+        compiled, reached = CompiledReduction(psi), [0]
+        insert = compiled._insert
+        compiled._insert = lambda types, L, k: reached.append(k) or insert(types, L, k)
+        nonzero = not isinstance(compiled.run(p), Witness)
+        return reached[-1], nonzero
+
+    @classmethod
+    def parameters(cls):
+        """Seeded r = 5..8 parameters, each with the ``_pair_step``
+        arguments of each column of a fully built instance, in the order
+        they are built, and random box vectors with what ``reach`` says of
+        each."""
+        rng, out = random.Random(127), []
+        with pytest.MonkeyPatch.context() as patch:
+            calls = cls.count_pair_steps(patch)
+            for _ in range(40):
+                psi = random_parameter(rng, rng.randint(5, 8))
+                del calls[:]
+                full = CompiledReduction(psi)
+                full.cells(str)
+                starts = [0, *accumulate(map(len, full._steps))]
+                columns = [calls[a:b] for a, b in zip(starts, starts[1:])]
+                vectors = {random_entry_vector(rng, psi) for _ in range(60)}
+                out.append((psi, columns, {p: cls.reach(psi, p) for p in sorted(vectors)}))
+        return out
+
+    def test_a_zero_vector_builds_only_the_columns_it_reaches(self, monkeypatch):
+        inputs = self.parameters()
+        calls, interior = self.count_pair_steps(monkeypatch), 0
+        for psi, columns, reach in inputs:
+            nonzero = [p for p, (_, ok) in reach.items() if ok]
+            for p in [p for p, (k, ok) in reach.items() if not ok][:4]:
+                k = reach[p][0]
+                del calls[:]
+                compiled = CompiledReduction(psi)
+                assert isinstance(compiled.run(p), Witness)
+                assert calls == [args for column in columns[:k] for args in column], (psi, p)
+                interior += 1 < k < psi.r
+                if nonzero:  # a vector reaching column r builds the rest, once
+                    compiled.run(nonzero[0])
+                    compiled.cells(str)
+                    compiled.run(nonzero[-1])
+                    assert calls == [args for column in columns for args in column]
+        assert interior > 20
+
+    def test_cells_on_a_fresh_instance_builds_every_column(self, monkeypatch):
+        inputs = self.parameters()
+        calls = self.count_pair_steps(monkeypatch)
+        for psi, columns, reach in inputs:
+            del calls[:]
+            compiled = CompiledReduction(psi)
+            cells = compiled.cells(lambda twice: str(HalfInt(twice)))
+            assert calls == [args for column in columns for args in column]
+            for p in [p for p, (_, ok) in reach.items() if ok][:3]:
+                assert compiled.antitableau(compiled.run(p)[0], cells) == tuple(
+                    tuple(map(str, row)) for row in compiled.reduce(p).antitableau
+                )
+            assert len(calls) == sum(map(len, columns))
+
+    def test_a_preceding_right_segment_raises_where_it_is_met(self, monkeypatch):
+        # the step that fails is the second of its column, so a retry that
+        # started from the ends its first step left would not meet it
+        inputs, met = self.parameters(), 0
+        for psi, columns, reach in inputs:
+            furthest = max(j for j, _ in reach.values())
+            k = next((k for k in range(furthest, 1, -1) if len(columns[k - 1]) > 1), None)
+            if k is None:
+                continue
+            fail = columns[k - 1][1]
+            if fail in [args for column in columns[: k - 1] for args in column]:
+                continue
+            before = next((p for p, (j, _) in reach.items() if 1 < j < k), None)
+            after = next(p for p, (j, _) in reach.items() if j >= k)
+            with monkeypatch.context() as patch:
+                calls = self.count_pair_steps(patch, fail)
+                compiled = CompiledReduction(psi)
+                if before is not None:  # a vector zeroed before column k
+                    assert isinstance(compiled.run(before), Witness)
+                for _ in range(2):
+                    with pytest.raises(InvariantViolationError, match="preceded by the right one"):
+                        compiled.run(after)
+                    assert calls[-1] == fail
+                for instance in (compiled, CompiledReduction(psi)):
+                    with pytest.raises(InvariantViolationError, match="preceded by the right one"):
+                        instance.cells(str)
+            met += 1
+        assert met > 5
 
 
 @settings(max_examples=40, deadline=None)
