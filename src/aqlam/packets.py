@@ -220,9 +220,9 @@ def arthur_vogan(psi: GoodParityParameter, verify: bool = False) -> AVReport:
     with both engines instead); the ranks are filled after the search.  A
     survivor that the tableau engine zeroes raises
     ``InvariantViolationError``, and a search past ``MAX_DFS_NODES`` nodes,
-    or a parameter past ``MAX_BOXES`` boxes, raises ``ResourceLimitError``.  For n odd each p-adic image must have
-    exactly two preimages (p and its complement m - p); for n even the map
-    must be injective.
+    or a parameter past ``MAX_BOXES`` boxes, raises ``ResourceLimitError``.
+    For n odd each p-adic image must have exactly two preimages (p and its
+    complement m - p); for n even the map must be injective.
     """
     compiled = CompiledPackets(psi)
     by_rank: defaultdict[int, list[str]] = defaultdict(list)

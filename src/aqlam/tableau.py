@@ -354,9 +354,10 @@ def _descends(gaps: Sequence[int], types: Sequence[Types]) -> bool:
 def _cells(ends: Sequence[End], write: Callable = HalfInt) -> list[list]:
     """For each column with doubled segment ends (b, e), its entries b,
     b - 1, ..., e, each written by ``write`` from its double; the columns
-    share one written value per value.  Only values some column holds are
-    written, so segments far apart cost no more than near ones: on one
-    grid, a column's values are a run of all of them in descending order."""
+    share one written value per value.  Only the values some column holds
+    are written, so segments far apart cost no more than near ones; the
+    ends lie on one grid, so each column's values are a contiguous run of
+    them in descending order."""
     values = sorted(set().union(*(range(e, b + 1, 2) for b, e in ends)), reverse=True)
     at = {v: u for u, v in enumerate(values)}
     table = list(map(write, values))

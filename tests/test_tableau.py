@@ -714,7 +714,7 @@ class TestLazySteps:
 
     def test_a_zero_vector_builds_only_the_columns_it_reaches(self, monkeypatch):
         inputs = self.parameters()
-        calls, interior = self.count_pair_steps(monkeypatch), 0
+        calls, interior, completed = self.count_pair_steps(monkeypatch), 0, 0
         for psi, columns, reach in inputs:
             nonzero = [p for p, (_, ok) in reach.items() if ok]
             for p in [p for p, (k, ok) in reach.items() if not ok][:4]:
@@ -729,7 +729,8 @@ class TestLazySteps:
                     compiled.cells(str)
                     compiled.run(nonzero[-1])
                     assert calls == [args for column in columns for args in column]
-        assert interior > 20
+                    completed += k < psi.r
+        assert interior > 20 and completed > 20
 
     def test_cells_on_a_fresh_instance_builds_every_column(self, monkeypatch):
         inputs = self.parameters()
