@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -410,6 +410,24 @@ def test_compiled_pairs_match_their_record():
     lines = [repr([tuple(c) for c in pairs]) for pairs in compiled]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), sum(map(len, compiled)), digest) == (380, 7129, PAIRS_RECORD)
+
+
+# sha256 of the newline-joined ``repr`` of the list of ``neighbors(psi, i,
+# j)`` over every ordered pair i != j, one line per parameter of
+# ``pairs_inputs()``, recorded while ``neighbors`` still read its own rule
+# off the masks of the pair's relation (29,170 ordered pairs, 14,258 of them
+# neighbours: each of the 7,129 compiled pairs both ways)
+NEIGHBORS_RECORD = "76648c255624662c1388edf33e6c372f8bbd871488e47112068067f6d9f9d810"
+
+
+def test_neighbors_match_their_record():
+    lines = [
+        repr([neighbors(psi, i, j) for i, j in permutations(range(1, psi.r + 1), 2)])
+        for psi in pairs_inputs()
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    pairs = sum(line.count(",") + 1 for line in lines)
+    assert (len(lines), pairs, digest) == (380, 29170, NEIGHBORS_RECORD)
 
 
 def test_verdicts_first_leave_the_pairs_and_survivors_of_a_fresh_instance():
