@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arrangements import (
@@ -247,19 +245,6 @@ def lattice_points(
                 yield from extend(k + 1, remaining - p[k])
 
     return extend(0, 0 if rank is None else rank)
-
-
-def check_box_scan(m: Sequence[int]) -> None:
-    """Refuse at once a scan of the whole box that ``lattice_points`` would
-    stop part-way: without checks it visits sum_k prod_{i<=k} (m_i + 1)
-    nodes for the whole box (under twice the box size), and no more for one
-    rank.  Raises ``ResourceLimitError`` past ``MAX_DFS_NODES``."""
-    nodes = sum(accumulate((x + 1 for x in m), mul))
-    if nodes > MAX_DFS_NODES:
-        raise ResourceLimitError(
-            f"scanning the box {tuple(m)} visits {nodes} nodes,"
-            f" more than {MAX_DFS_NODES}"
-        )
 
 
 class CompiledCriterion:

@@ -9,7 +9,7 @@ line prints.  ``CompiledPackets`` compiles the criterion, the tableau
 reduction and the p-adic image once per parameter.  The survivors come
 from the criterion's lattice-point search, which never forms most
 vanishing vectors, and each survivor is then described in one pass; with
-``verify`` both engines decide every vector of the box instead.
+``verify`` both engines decide every vector of the rank (or box) too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Hashable, Iterable, Iterator, Optional
 
-from .criterion import CompiledCriterion, Witness, check_box_scan, lattice_points
+from .criterion import CompiledCriterion, Witness, lattice_points
 from .errors import InputError, InvariantViolationError
 from .halfint import HalfInt
 from .padic import CompiledImage, in_padic_domain
@@ -70,10 +70,9 @@ class CompiledPackets:
     survivor, after the search has returned, so its node budget refuses a
     job before anything is built per entry value; the reduction refuses a
     parameter of more than ``tableau.MAX_BOXES`` boxes at construction.
-    With ``verify`` the box
-    is scanned instead: the tableau engine re-decides every vector, and any
-    disagreement with the criterion, or with the search, raises an
-    invariant violation.
+    With ``verify`` the rank (or the box) is scanned too: the tableau
+    engine re-decides every vector, and any disagreement with the
+    criterion, or with the search, raises an invariant violation.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -147,13 +146,14 @@ class CompiledPackets:
     def _survivors(self, rank: Optional[int], verify: bool) -> list[tuple[int, ...]]:
         """The non-vanishing vectors of sum ``rank`` (of the box for None),
         lexicographic.  The search runs to the end before any survivor is
-        described, so its node budget refuses a job before the costly part."""
+        described, so its node budget refuses a job before the costly part;
+        with ``verify``, the search without checks then lists the vectors to
+        scan before any is decided, under the same budget."""
         found = list(self.criterion.survivors(rank))
         if not verify:
             return found
-        check_box_scan(self.m)
         scanned = []
-        for p in lattice_points(self.m, rank):
+        for p in list(lattice_points(self.m, rank)):
             verdict = self.criterion.verdict(p)
             tableau = not isinstance(self.reduction.run(p), Witness)
             if tableau != verdict.nonzero:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .arrangements import (
     DEFAULT_MAX_R,
@@ -147,13 +147,12 @@ class CompiledImage:
     m_i mod 2, l_i and eta_i; for n odd a negative product flips every sign
     not fixed by 2 l_i = m_i.  So each entry value p_i has its l_i, its
     eta_i, its flipped eta_i and its factor in a row of ``table`` (signs
-    checked once), and ``pick(p)`` reads p's rows; ``to_extended`` and
-    ``project_EF`` stay the reference definitions, and tests hold them equal.
+    checked once), and ``pick(p, table)`` reads p's rows; ``to_extended``
+    and ``project_EF`` stay the reference definitions, and tests hold them equal.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
         self.n_odd = psi.n % 2 == 1
-        self.sigma = tuple(range(1, psi.r + 1))
         lengths, self.table = [s.m for s in psi.segments], []
         for m, acc in zip(lengths, accumulate(lengths)):
             sign = _sgnpow(acc + 1)
@@ -167,15 +166,12 @@ class CompiledImage:
         if any(e not in (1, -1) for column in self.table for row in column for e in row[1:3]):
             raise InvariantViolationError("eta entries must be +1 or -1")
 
-    def pick(self, p: Sequence[int], table: Optional[list[list[tuple]]] = None) -> tuple:
-        """p's l and eta, read from the rows of ``table``: by default
-        ``self.table``, or a copy of it with l and the signs written in some
-        other form and the factors kept."""
-        l, eta, flipped, factors = zip(*map(list.__getitem__, table or self.table, p))
+    def pick(self, p: Sequence[int], table: list[list[tuple]]) -> tuple:
+        """p's l and eta, read from the rows of ``table``: ``self.table``, or
+        a copy of it with l and the signs written in some other form and the
+        factors kept."""
+        l, eta, flipped, factors = zip(*map(list.__getitem__, table, p))
         return l, flipped if self.n_odd and prod(factors) == -1 else eta
-
-    def image(self, p: Sequence[int]) -> ExtendedMultiSegment:
-        return ExtendedMultiSegment(*self.pick(p), self.sigma)
 
 
 def padic_transition(

@@ -51,15 +51,10 @@ class Segment:
     def entries(self) -> list[HalfInt]:
         return [HalfInt(self.b.twice - 2 * k) for k in range(self.m)]
 
-    def relate(self, other: Segment, tie: Relation) -> Relation:
-        """Relation of this segment to other; `tie` breaks exact duplicates."""
-        return Segment.relate_twice(
-            self.b.twice, self.e.twice, other.b.twice, other.e.twice, tie
-        )
-
     @staticmethod
     def relate_twice(sb: int, se: int, tb: int, te: int, tie: Relation) -> Relation:
-        """``relate`` on doubled ends: [sb/2, se/2] against [tb/2, te/2].
+        """Relation of [sb/2, se/2] to [tb/2, te/2], from the doubled ends;
+        ``tie`` breaks exact duplicates.
 
         Compares plain ints: this is the innermost test of every engine.
         """
@@ -108,25 +103,9 @@ class Relation(enum.Enum):
     CONTAINS = "contains"
     CONTAINED = "contained"
 
-    # Members are singletons compared by identity, so they may hash by
-    # identity too; Enum's own hash runs Python code on every dict lookup.
-    __hash__ = object.__hash__
-
-    @property
-    def inverse(self) -> "Relation":
-        return _INVERSE[self]
-
     @property
     def is_containment(self) -> bool:
         return self in (Relation.CONTAINS, Relation.CONTAINED)
-
-
-_INVERSE = {
-    Relation.PRECEDES: Relation.PRECEDED_BY,
-    Relation.PRECEDED_BY: Relation.PRECEDES,
-    Relation.CONTAINS: Relation.CONTAINED,
-    Relation.CONTAINED: Relation.CONTAINS,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,9 +178,6 @@ class GoodParityParameter:
     def a(self, i: int) -> int:
         return self.seg(i).a
 
-    def relation(self, i: int, j: int) -> Relation:
-        return relation(self, i, j)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(s) for s in self.segments) + "}"
 
@@ -215,8 +191,9 @@ def relation(psi: GoodParityParameter, i: int, j: int) -> Relation:
     """
     if i == j:
         raise InputError(f"relation needs distinct indices, got ({i}, {j})")
+    s, t = psi.seg(i), psi.seg(j)
     tie = Relation.CONTAINS if i < j else Relation.CONTAINED
-    return psi.seg(i).relate(psi.seg(j), tie)
+    return Segment.relate_twice(s.b.twice, s.e.twice, t.b.twice, t.e.twice, tie)
 
 
 class RelationMasks(NamedTuple):
@@ -264,15 +241,10 @@ def relation_masks(psi: GoodParityParameter) -> RelationMasks:
     return RelationMasks(precedes, preceded_by, contains, contained)
 
 
-# ``relation_table``'s read-out of the masks, row i, column k holding
-# ``relation(psi, i, k)``.  ``Relation | None``, not ``Optional[Relation]``:
-# typing caches the latter, which would keep this module alive after a
-# re-import.
-RelationTable = tuple[tuple[Relation | None, ...], ...]
 _PRECEDES, _PRECEDED_BY, _CONTAINS, _CONTAINED = Relation  # read without Enum lookups
 
 
-def relation_table(psi: GoodParityParameter) -> RelationTable:
+def relation_table(psi: GoodParityParameter) -> tuple[tuple[Relation | None, ...], ...]:
     """All relations at once: ``table[i][j] == relation(psi, i, j)``, read
     out of ``relation_masks``.
 
@@ -305,25 +277,21 @@ def intersection_size(s: Segment, t: Segment) -> int:
     return Segment.intersection_twice(s.b.twice, s.e.twice, t.b.twice, t.e.twice)
 
 
-_FIELD = {rel: n for n, rel in enumerate(Relation)}  # Relation -> RelationMasks field
-
-
 def neighbors(psi: GoodParityParameter, i: int, j: int) -> bool:
-    """True iff i, j are related with no third component strictly between.
+    """True iff i, j are related with no third component strictly between:
+    the pair, in either order, is one of ``neighbor_pairs``."""
+    relation(psi, i, j)  # validates the indices
+    return (min(i, j), max(i, j)) in neighbor_pairs(relation_masks(psi))
+
+
+def neighbor_pairs(masks: RelationMasks) -> list[tuple[int, int]]:
+    """All neighbor pairs i < j, in lexicographic order.
 
     Between-ness is taken in the same relation: a precedence pair is
     blocked by nu_i > nu_k > nu_j, a containment pair by a strictly
     intermediate containment chain.  Component k lies between when i rel k
-    and k rel j, that is when j rel.inverse k: one AND of the masks.
+    and k rel j: one AND of the masks of the pair's relation.
     """
-    rel = relation(psi, i, j)  # validates the indices
-    masks = relation_masks(psi)
-    return not masks[_FIELD[rel]][i] & masks[_FIELD[rel.inverse]][j]
-
-
-def neighbor_pairs(masks: RelationMasks) -> list[tuple[int, int]]:
-    """All neighbor pairs i < j, in lexicographic order: the AND of
-    ``neighbors`` for each pair, on the masks of its relation."""
     precedes, preceded_by, contains, contained = masks
     end = len(precedes)
     out = []

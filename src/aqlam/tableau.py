@@ -492,10 +492,6 @@ class CompiledReduction:
         return _cells(self._final_ends)
 
     @cached_property
-    def _final_gaps(self) -> tuple[int, ...]:
-        return _gaps(self._final_ends)
-
-    @cached_property
     def _final_segments(self) -> tuple[Segment, ...]:
         """The final columns' segments, for the read-out of ``reduce``."""
         return _segments(self._final_ends)
@@ -563,9 +559,10 @@ class CompiledReduction:
         after = tuple(new)
         fresh = after, len(self._numbered)
         known = self._numbered.setdefault(after, fresh)
-        if known is fresh and k == len(self.lengths) and not _descends(self._final_gaps, after):
-            del self._numbered[after]
-            raise InvariantViolationError(f"a non-antitableau state at the end: {after}")
+        if known is fresh and k == len(self.lengths):
+            if not _descends(_gaps(self._final_ends), after):
+                del self._numbered[after]
+                raise InvariantViolationError(f"a non-antitableau state at the end: {after}")
         return known
 
     def antitableau(

@@ -20,7 +20,7 @@ from aqlam.padic import (
     project_EF,
     to_extended,
 )
-from aqlam.segments import intersection_size
+from aqlam.segments import intersection_size, relation
 from aqlam.tableau import build_tableau, overlap, reduce_with_schedule, trapa_reduce
 from aqlam.transition import ParamVector, phi, phi_adjacent
 from aqlam.criterion import cond_C
@@ -157,7 +157,7 @@ def test_6_adjacent_swap_preserves_invariants():
         swappable = [
             h
             for h in range(1, psi.r)
-            if psi.relation(pv.sigma[h - 1], pv.sigma[h]).is_containment
+            if relation(psi, pv.sigma[h - 1], pv.sigma[h]).is_containment
         ]
         if not swappable:
             continue
@@ -217,7 +217,7 @@ def test_7_padic_comparison_equivalence():
             # commuting square over every admissible adjacent swap; the
             # projected square follows whenever the images stay in domain
             for h in range(1, psi.r):
-                if not psi.relation(pv.sigma[h - 1], pv.sigma[h]).is_containment:
+                if not relation(psi, pv.sigma[h - 1], pv.sigma[h]).is_containment:
                     continue
                 lhs = to_extended(psi, phi_adjacent(psi, pv, h))
                 rhs = padic_transition(psi, ems, h)

@@ -12,7 +12,7 @@ from aqlam.arrangements import (
     transposition_path,
 )
 from aqlam.errors import InputError, ResourceLimitError
-from aqlam.segments import arrangement_is_admissible, relation_masks
+from aqlam.segments import arrangement_is_admissible, relation, relation_masks
 
 from conftest import parameter_family, random_parameter, seg
 
@@ -32,7 +32,7 @@ def brute_force_admissible(psi):
     out = []
     for images in itertools.permutations(range(1, psi.r + 1)):
         ok = all(
-            psi.relation(images[h], images[k]) is not Relation.PRECEDED_BY
+            relation(psi, images[h], images[k]) is not Relation.PRECEDED_BY
             for h in range(psi.r)
             for k in range(h + 1, psi.r)
         )
@@ -63,7 +63,7 @@ def test_only_containment_pairs_may_flip():
         psi = random_parameter(rng, 4, b_max=6, m_max=4)
         for sigma in enumerate_admissible(psi):
             for i, j in itertools.combinations(range(1, psi.r + 1), 2):
-                if psi.relation(i, j) is Relation.PRECEDES:
+                if relation(psi, i, j) is Relation.PRECEDES:
                     assert sigma.index(i) < sigma.index(j)
 
 
@@ -100,7 +100,7 @@ def test_predecessor_masks():
         psi = random_parameter(rng, rng.randint(2, 8))
         masks = relation_masks(psi).preceded_by
         for c, k in itertools.permutations(range(1, psi.r + 1), 2):
-            precedes = psi.relation(k, c) is Relation.PRECEDES
+            precedes = relation(psi, k, c) is Relation.PRECEDES
             assert bool(masks[c] >> k & 1) == precedes
             assert not precedes or k < c
 
@@ -157,7 +157,7 @@ def test_appropriate_arrangement_properties():
         for h in range(len(ordered)):
             for k in range(h + 1, len(ordered)):
                 i, j = sigma[h], sigma[k]
-                rel = psi.relation(i, j)
+                rel = relation(psi, i, j)
                 # equal segments order by index and count as containers
                 if psi.seg(i) == psi.seg(j):
                     assert rel is Relation.CONTAINS

@@ -241,6 +241,33 @@ class TestAV:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_verify_refuses_only_a_scan_past_the_budget(self, tmp_path, capsys, monkeypatch):
+        # fixture D's box (2, 3, 2): listing rank 2 visits 15 nodes, rank 3
+        # 19 and the whole box 51; the criterion's search of rank 3 visits
+        # 17 and of the whole box 33
+        def exits(argv):
+            code = run(argv)
+            return code, capsys.readouterr()
+
+        monkeypatch.setattr(criterion, "MAX_DFS_NODES", 18)
+        rank2 = write_doc(tmp_path, {**DOC_D, "p_rank": 2}, "rank2.json")
+        plain = exits(["packet", rank2])
+        assert plain[0] == 0 and exits(["packet", rank2, "--verify"]) == plain
+        rank3 = write_doc(tmp_path, {**DOC_D, "p_rank": 3}, "rank3.json")
+        assert exits(["packet", rank3])[0] == 0
+        code, captured = exits(["packet", rank3, "--verify"])
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: the lattice-point search visited more than 18")
+        # av --verify scans the whole box, as it did when the box's node
+        # count was checked up front: refused at 50 nodes, run at 51
+        path = write_doc(tmp_path, DOC_D)
+        monkeypatch.setattr(criterion, "MAX_DFS_NODES", 50)
+        assert exits(["av", path])[0] == 0
+        code, captured = exits(["av", path, "--verify"])
+        assert code == 3 and captured.out == "" and captured.err.startswith("error: ")
+        monkeypatch.setattr(criterion, "MAX_DFS_NODES", 51)
+        assert exits(["av", path, "--verify"]) == exits(["av", path])
+
 
 class TestBoxLimit:
     """A parameter of more than ``tableau.MAX_BOXES`` boxes is refused

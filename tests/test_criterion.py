@@ -15,7 +15,6 @@ from aqlam.criterion import (
     _c_values,
     _interval,
     affine_value,
-    check_box_scan,
     cond_B,
     cond_C,
     lattice_points,
@@ -239,12 +238,9 @@ def test_node_budget_is_checked_as_nodes_are_visited(monkeypatch):
     # the box (2, 3) without checks: 3 nodes for p_1, then 4 under each
     monkeypatch.setattr(criterion, "MAX_DFS_NODES", 15)
     assert len(list(lattice_points((2, 3)))) == 12
-    check_box_scan((2, 3))
     monkeypatch.setattr(criterion, "MAX_DFS_NODES", 14)
     with pytest.raises(ResourceLimitError):
         list(lattice_points((2, 3)))
-    with pytest.raises(ResourceLimitError):
-        check_box_scan((2, 3))
     # a rank prunes nodes: rank 0 visits one node per entry
     monkeypatch.setattr(criterion, "MAX_DFS_NODES", 2)
     assert list(lattice_points((2, 3), 0)) == [(0, 0)]

@@ -25,7 +25,7 @@ from aqlam.padic import (
     sign_of,
     to_extended,
 )
-from aqlam.segments import arrangement_is_admissible
+from aqlam.segments import arrangement_is_admissible, relation
 from aqlam.transition import ParamVector, phi_adjacent
 
 from conftest import box, parameter_family, random_parameter, seg
@@ -136,7 +136,7 @@ class TestTransition:
             swaps = [
                 h
                 for h in range(1, psi.r)
-                if psi.relation(h, h + 1).is_containment
+                if relation(psi, h, h + 1).is_containment
                 and arrangement_is_admissible(
                     psi,
                     tuple(
@@ -159,7 +159,7 @@ class TestTransition:
             for p in box(psi):
                 pv = ParamVector.reference(p)
                 for h in range(1, psi.r):
-                    if not psi.relation(h, h + 1).is_containment:
+                    if not relation(psi, h, h + 1).is_containment:
                         continue
                     ems = to_extended(psi, pv)
                     once = padic_transition(psi, ems, h)
@@ -276,9 +276,10 @@ def test_compiled_image_is_project_EF_of_to_extended():
     # survivor of the search family (n odd and even, both grids)
     compared = 0
     for psi in search_family():
-        image = CompiledImage(psi).image
+        image, reference = CompiledImage(psi), tuple(range(1, psi.r + 1))
         for p in CompiledCriterion(psi).survivors():
-            assert image(p) == project_EF(psi, to_extended(psi, p)), (psi, p)
+            picked = ExtendedMultiSegment(*image.pick(p, image.table), reference)
+            assert picked == project_EF(psi, to_extended(psi, p)), (psi, p)
             compared += 1
     assert compared > 10_000
 
@@ -305,7 +306,7 @@ def random_extended(rng, psi, orders):
 def containment_swaps(psi, sigma):
     """The positions h at which sigma's neighbours may swap."""
     return [
-        h for h in range(1, psi.r) if psi.relation(sigma[h - 1], sigma[h]).is_containment
+        h for h in range(1, psi.r) if relation(psi, sigma[h - 1], sigma[h]).is_containment
     ]
 
 

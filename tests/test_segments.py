@@ -231,9 +231,10 @@ def test_relation_masks_hold_each_relation_once(seed, r, copies, reorder):
     for i, k in itertools.product(range(r + 1), repeat=2):
         assert masks.preceded_by[i] >> k & 1 == masks.precedes[k] >> i & 1
         assert masks.contained[i] >> k & 1 == masks.contains[k] >> i & 1
-    assert neighbor_pairs(masks) == defined_neighbor_pairs(psi)
+    defined = defined_neighbor_pairs(psi)
+    assert neighbor_pairs(masks) == defined
     for i, j in itertools.permutations(range(1, r + 1), 2):
-        assert neighbors(psi, i, j) == ((min(i, j), max(i, j)) in neighbor_pairs(masks))
+        assert neighbors(psi, i, j) == ((min(i, j), max(i, j)) in defined)
     table = relation_table(psi)
     assert all(
         table[i][k] is (relation(psi, i, k) if i != k and i and k else None)

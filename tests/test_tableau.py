@@ -17,7 +17,7 @@ from aqlam import GoodParityParameter, HalfInt, intersection_size, tableau
 from aqlam.arrangements import appropriate_arrangement, enumerate_admissible
 from aqlam.criterion import CompiledCriterion, Witness, nonvanishing, nonvanishing_simplified
 from aqlam.errors import InputError, InvariantViolationError
-from aqlam.segments import Relation
+from aqlam.segments import Relation, Segment, relation
 from aqlam.tableau import (
     Column,
     CompiledReduction,
@@ -116,7 +116,7 @@ class TestTrapaOp:
         done = 0
         while done < 150:
             psi = random_parameter(rng, 2, b_max=7, m_max=5)
-            if not psi.relation(1, 2).is_containment:
+            if not relation(psi, 1, 2).is_containment:
                 continue
             p = random_entry_vector(rng, psi)
             state = build_tableau(psi, ParamVector.reference(p))
@@ -128,7 +128,6 @@ class TestTrapaOp:
                 continue
             s, t = psi.seg(1), psi.seg(2)
             out = (result[0].segment, result[1].segment)
-            from aqlam.segments import Segment
             assert out[0] == Segment(max(s.b, t.b), max(s.e, t.e))
             assert out[1] == Segment(min(s.b, t.b), min(s.e, t.e))
             # total box count is conserved
@@ -253,7 +252,8 @@ def insert_leftward(columns, start, sigma):
         if isinstance(result, TrapaZero):
             return Witness("overlap", (pos, pos + 1), sigma, (result.overlap, result.sing))
         columns[pos - 1], columns[pos] = result
-        if left.segment.relate(right.segment, Relation.CONTAINS) is Relation.PRECEDES:
+        (lb, le), (rb, re) = ((c.segment.b.twice, c.segment.e.twice) for c in (left, right))
+        if Segment.relate_twice(lb, le, rb, re, Relation.CONTAINS) is Relation.PRECEDES:
             return None
     return None
 

@@ -12,7 +12,7 @@ import pytest
 from aqlam import Relation
 from aqlam.arrangements import enumerate_admissible
 from aqlam.errors import InputError
-from aqlam.segments import relation_masks
+from aqlam.segments import relation, relation_masks
 from aqlam.transition import (
     ParamVector,
     affine_value,
@@ -57,14 +57,14 @@ def test_adjacent_swap_closed_form():
     rng = random.Random(21)
     for _ in range(200):
         psi = random_parameter(rng, 2, b_max=6, m_max=5)
-        if not psi.relation(1, 2).is_containment:
+        if not relation(psi, 1, 2).is_containment:
             continue
         p = random_entry_vector(rng, psi)
         pv = ParamVector.reference(p)
         moved = phi_adjacent(psi, pv, 1)
         p1, p2 = p
         q1, q2 = psi.m(1) - p1, psi.m(2) - p2
-        if psi.relation(1, 2) is Relation.CONTAINS:
+        if relation(psi, 1, 2) is Relation.CONTAINS:
             assert moved.entries == (q2, p1 + p2 - q2)
         else:
             assert moved.entries == (p1 + p2 - q1, q1)
@@ -79,7 +79,7 @@ def test_swap_preserves_sum_and_is_involutive():
         swappable = [
             h
             for h in range(1, psi.r)
-            if psi.relation(pv.sigma[h - 1], pv.sigma[h]).is_containment
+            if relation(psi, pv.sigma[h - 1], pv.sigma[h]).is_containment
         ]
         if not swappable:
             continue
