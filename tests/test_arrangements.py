@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,10 +12,12 @@ from aqlam.arrangements import (
     sigma_pairs,
     transposition_path,
 )
+from aqlam.criterion import nonvanishing
 from aqlam.errors import InputError, ResourceLimitError
 from aqlam.segments import arrangement_is_admissible, relation, relation_masks
+from aqlam.tableau import trapa_reduce
 
-from conftest import parameter_family, random_parameter, seg
+from conftest import parameter_family, random_entry_vector, random_parameter, seg
 
 
 def perm_inversions(sigma):
@@ -70,6 +73,50 @@ def test_only_containment_pairs_may_flip():
 def test_max_r_limit(psi_A):
     with pytest.raises(ResourceLimitError):
         enumerate_admissible(psi_A, max_r=2)
+
+
+EIGHT_EQUAL = GoodParityParameter((seg(4, 3),) * 8)
+
+
+def order_inputs():
+    """Parameters for the order records: ``parameter_family(range(1, 5), 3,
+    (2, 3))``, five seeded draws per r = 2..8 on each grid with lengths up
+    to 3, and eight equal segments."""
+    yield from parameter_family(range(1, 5), 3, (2, 3))
+    rng = random.Random(23)
+    for r in range(2, 9):
+        for half_grid in (False, True):
+            for _ in range(5):
+                yield random_parameter(rng, r, m_max=3, half_grid=half_grid)
+    yield EIGHT_EQUAL
+
+
+# sha256 of the newline-joined ``repr`` of ``enumerate_admissible(psi)`` over
+# ``order_inputs()``, recorded while r past a fixed bound was refused (303
+# parameters, 41,830 orders)
+ORDERS_RECORD = "a9f275dd264c0f6c3536202013d8b8d9d740c3db563d40d0b42ab81678518df4"
+
+# sha256 of the newline-joined ``repr`` of ``nonvanishing(psi, p)`` and
+# ``trapa_reduce(psi, p)`` for two seeded reference tuples p per parameter
+# of ``order_inputs()``, recorded at the same time (1,212 lines)
+VERDICTS_RECORD = "c0a8386ce73b1e5bf099b45df0f8be27440eafd0c8140825cdd69f756d644f67"
+
+
+def test_orders_match_their_record():
+    orders = [enumerate_admissible(psi) for psi in order_inputs()]
+    digest = hashlib.sha256("\n".join(map(repr, orders)).encode()).hexdigest()
+    assert (len(orders), sum(map(len, orders)), digest) == (303, 41830, ORDERS_RECORD)
+
+
+def test_full_verdicts_and_reductions_match_their_record():
+    rng = random.Random(29)
+    lines = []
+    for psi in order_inputs():
+        for _ in range(2):
+            p = random_entry_vector(rng, psi)
+            lines += [repr(nonvanishing(psi, p)), repr(trapa_reduce(psi, p))]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (1212, VERDICTS_RECORD)
 
 
 def test_sigma_pairs(psi_A):
