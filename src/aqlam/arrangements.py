@@ -8,6 +8,7 @@ of admissible permutations is written Sigma_r.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -22,7 +23,9 @@ from .segments import (
 
 Permutation = tuple[int, ...]
 
-DEFAULT_MAX_R = 8
+# The partial arrangements (the empty one too) ``enumerate_admissible`` may visit:
+# all those of eight components with no two in precedence, the most at r <= 8.
+MAX_ORDER_NODES = sum(math.perm(8, k) for k in range(9))
 
 
 def perm_inverse(sigma: Permutation) -> Permutation:
@@ -32,25 +35,29 @@ def perm_inverse(sigma: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def enumerate_admissible(
-    psi: GoodParityParameter, max_r: int = DEFAULT_MAX_R
-) -> list[Permutation]:
+def enumerate_admissible(psi: GoodParityParameter) -> list[Permutation]:
     """All admissible permutations, in lexicographic order of image lists.
 
     DFS over positions with pruning: a partial arrangement is extended by a
     component only if no already-placed component is preceded by it.
+    Raises ``ResourceLimitError`` past ``MAX_ORDER_NODES`` partial
+    arrangements, at any r.
     """
     r = psi.r
-    if r > max_r:
-        raise ResourceLimitError(
-            f"r={r} exceeds the arrangement bound {max_r}; raise max_r to override"
-        )
     table = relation_table(psi)
     out: list[Permutation] = []
     prefix: list[int] = []
     used = [False] * (r + 1)
+    nodes = 0
 
     def extend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_ORDER_NODES:
+            raise ResourceLimitError(
+                f"the arrangement search visited more than {MAX_ORDER_NODES}"
+                f" partial arrangements of {r} components"
+            )
         if len(prefix) == r:
             out.append(tuple(prefix))
             return
@@ -69,17 +76,16 @@ def enumerate_admissible(
     return out
 
 
-def sigma_pairs(
-    psi: GoodParityParameter, i: int, j: int, max_r: int = DEFAULT_MAX_R
-) -> list[Permutation]:
+def sigma_pairs(psi: GoodParityParameter, i: int, j: int) -> list[Permutation]:
     """The admissible permutations placing components i and j adjacently.
 
     Empty iff some k lies strictly between i and j in the precedence order.
+    Reads every admissible permutation, within ``MAX_ORDER_NODES``.
     """
     if i == j:
         raise InputError(f"sigma_pairs needs distinct indices, got ({i}, {j})")
     out = []
-    for sigma in enumerate_admissible(psi, max_r=max_r):
+    for sigma in enumerate_admissible(psi):
         inv = perm_inverse(sigma)
         if abs(inv[i - 1] - inv[j - 1]) == 1:
             out.append(sigma)

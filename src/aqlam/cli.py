@@ -10,11 +10,12 @@ Half-integers are always strings "k" or "k/2"; no floats appear in any
 interface.  The result is printed as one compact JSON line with sorted keys;
 ``--format text`` prints a human view instead.  Exit codes: 0 success,
 1 zero verdict on `check` (a successful computation -- shell pipelines can
-branch on it), 2 input error, 3 resource limit (a lattice-point search past
-``criterion.MAX_DFS_NODES`` nodes, a tableau of more than
-``tableau.MAX_BOXES`` boxes, or r past ``--max-r``), 4 internal error
-(an invariant violation or any other defect), 141 stdout closed by its
-reader.
+branch on it), 2 input error (also a document that is not UTF-8 JSON),
+3 resource limit (a lattice-point search past ``criterion.MAX_DFS_NODES``
+nodes, an arrangement search past ``arrangements.MAX_ORDER_NODES``
+partial arrangements, or a tableau of more than ``tableau.MAX_BOXES``
+boxes), 4 internal error (an invariant violation or any other defect),
+141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 from typing import Any, Iterator, Optional, Sequence
 
 from . import packets as packets_mod
-from .arrangements import DEFAULT_MAX_R, enumerate_admissible
+from .arrangements import enumerate_admissible
 from .criterion import Verdict, Witness, nonvanishing, nonvanishing_simplified
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
@@ -44,7 +45,7 @@ def _load_document(path: str) -> dict:
         else:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also not UTF-8, or an integer past Python's digit limit
         raise InputError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise InputError("the JSON document nests too deeply") from None
@@ -184,7 +185,7 @@ def _cmd_check(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     p = _require_p(doc, psi)
     verdict = nonvanishing_simplified(psi, p)
     if args.verify:
-        full = nonvanishing(psi, p, max_r=args.max_r)
+        full = nonvanishing(psi, p)
         tableau = not isinstance(CompiledReduction(psi).run(p), Witness)
         if len({verdict.nonzero, full.nonzero, tableau}) != 1:
             raise InvariantViolationError(
@@ -219,7 +220,7 @@ def _cmd_packet(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
 
 
 def _cmd_arrangements(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
-    sigmas = enumerate_admissible(psi, max_r=args.max_r)
+    sigmas = enumerate_admissible(psi)
     return {"count": len(sigmas), "sigmas": [list(s) for s in sigmas]}, 0
 
 
@@ -263,14 +264,6 @@ def _parse_sigma(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _parse_max_r(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
-    return int(text)
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
@@ -288,8 +281,6 @@ def _parser() -> argparse.ArgumentParser:
         if name in ("check", "packet", "av"):
             cmd.add_argument("--verify", action="store_true",
                              help="cross-check every verdict with the other engine")
-        if name in ("check", "arrangements"):
-            cmd.add_argument("--max-r", type=_parse_max_r, default=DEFAULT_MAX_R)
         if name == "transition":
             cmd.add_argument("--sigma", type=_parse_sigma, default=None,
                              help="target arrangement as an image list, e.g. '2,1,3'")

@@ -37,7 +37,6 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arrangements import (
-    DEFAULT_MAX_R,
     Permutation,
     adjacent_placement,
     enumerate_admissible,
@@ -129,12 +128,11 @@ def cond_C(psi: GoodParityParameter, pv: ParamVector, i: int, j: int) -> bool:
 def _reference_entries(
     psi: GoodParityParameter, p: Sequence[int] | ParamVector
 ) -> tuple[int, ...]:
+    """p's entries on the reference arrangement, for every engine: a
+    ``ParamVector`` on any admissible arrangement is moved there by ``phi``."""
     if isinstance(p, ParamVector):
-        if p.sigma != tuple(range(1, psi.r + 1)):
-            raise InputError("expected a vector on the reference arrangement")
-        entries = p.entries
-    else:
-        entries = tuple(p)
+        return phi(psi, p, range(1, psi.r + 1)).entries
+    entries = tuple(p)
     if len(entries) != psi.r:
         raise InputError(f"expected {psi.r} entries, got {len(entries)}")
     return entries
@@ -143,17 +141,11 @@ def _reference_entries(
 def nonvanishing(
     psi: GoodParityParameter,
     p: Sequence[int] | ParamVector,
-    max_r: int = DEFAULT_MAX_R,
 ) -> Verdict:
-    """Full engine: B at every arrangement, C at every adjacent placement."""
+    """Full engine: B at every arrangement, C at every adjacent placement,
+    within the order budget of ``arrangements.enumerate_admissible``."""
     pv = ParamVector.reference(_reference_entries(psi, p))
-    try:
-        sigmas = enumerate_admissible(psi, max_r=max_r)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(
-            f"{exc}; use nonvanishing_simplified for large r"
-        ) from None
-    for sigma in sigmas:
+    for sigma in enumerate_admissible(psi):
         moved = phi(psi, pv, sigma)
         for i in range(1, psi.r + 1):
             if not cond_B(psi, moved, i):

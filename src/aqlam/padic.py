@@ -25,7 +25,6 @@ from math import prod
 from typing import Sequence
 
 from .arrangements import (
-    DEFAULT_MAX_R,
     Permutation,
     enumerate_admissible,
     transposition_path,
@@ -283,7 +282,6 @@ def in_padic_domain(psi: GoodParityParameter) -> bool:
 def padic_nonvanishing(
     psi: GoodParityParameter,
     ems: ExtendedMultiSegment,
-    max_r: int = DEFAULT_MAX_R,
 ) -> Verdict:
     """Non-vanishing on the p-adic side: l >= 0 and the adjacency
     conditions at every admissible order."""
@@ -293,7 +291,7 @@ def padic_nonvanishing(
             f"{psi} has a segment end < 0; "
             "the p-adic comparison needs all segment ends >= 0"
         )
-    for sigma in enumerate_admissible(psi, max_r=max_r):
+    for sigma in enumerate_admissible(psi):
         moved = _transport(psi, ems, sigma)
         for i in range(1, psi.r + 1):
             if moved.l[i - 1] < 0:

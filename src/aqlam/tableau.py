@@ -38,7 +38,7 @@ from operator import add, gt, sub
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .arrangements import Permutation, appropriate_arrangement, enumerate_admissible
-from .criterion import Witness
+from .criterion import Witness, _reference_entries
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
 from .segments import GoodParityParameter, Relation, Segment, relation_masks
@@ -436,8 +436,7 @@ class CompiledReduction:
         self.psi = psi
         self.sigma = appropriate_arrangement(psi)
         self.lengths = tuple(psi.seg(comp).m for comp in self.sigma)
-        self.reference = tuple(range(1, psi.r + 1))
-        self._identity = self.sigma == self.reference  # the transport is the identity
+        self._identity = self.sigma == tuple(range(1, psi.r + 1))  # transport is the identity
         # _states[k]: the types, their number and row counts after k entries of _last
         self._last: Sequence[int] = ()
         self._states: list[tuple] = [((), 0, [0] * (psi.r + 2), [0] * (psi.r + 2))]
@@ -504,13 +503,8 @@ class CompiledReduction:
     def _start(self, p: Sequence[int] | ParamVector) -> Union[Witness, Sequence[int]]:
         """p's entries on the canonical arrangement, or the first of them in
         arrangement order that leaves its box, as a "B" witness."""
-        if isinstance(p, ParamVector) and p.sigma != self.reference:
-            entries: Sequence[int] = phi(self.psi, p, self.sigma).entries
-        else:
-            p = p.entries if isinstance(p, ParamVector) else tuple(p)
-            if len(p) != self.psi.r:
-                raise InputError(f"expected {self.psi.r} entries, got {len(p)}")
-            entries = p if self._identity else [affine_value(form, p) for form in self._forms]
+        p = _reference_entries(self.psi, p)
+        entries = p if self._identity else [affine_value(form, p) for form in self._forms]
         for comp, entry, m in zip(self.sigma, entries, self.lengths):
             if not 0 <= entry <= m:
                 return Witness("B", (comp,), self.sigma, (entry, m))
@@ -649,13 +643,12 @@ def last_column_type(
     Defined only for non-vanishing parameters; equals the last column of
     the reduced antitableau (a tested identity).
     """
-    if not isinstance(p, ParamVector):
-        p = ParamVector.reference(tuple(p))
-    reduction = trapa_reduce(psi, p)
+    pv = ParamVector.reference(_reference_entries(psi, p))
+    reduction = trapa_reduce(psi, pv)
     if not reduction.nonzero:
         raise InputError("last-column type is undefined for a zero parameter")
     fills = [
-        build_tableau(psi, phi(psi, p, sigma)).columns[-1].fills()
+        build_tableau(psi, phi(psi, pv, sigma)).columns[-1].fills()
         for sigma in enumerate_admissible(psi)
     ]
     return tuple(min(types) for types in zip(*fills))

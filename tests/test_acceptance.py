@@ -126,7 +126,7 @@ def test_5_transition_path_independence():
     while done < 200:
         r = rng.randint(2, 6)
         psi = random_parameter(rng, r, b_max=8, m_max=4)
-        sigmas = enumerate_admissible(psi, max_r=8)
+        sigmas = enumerate_admissible(psi)
         if len(sigmas) < 2:
             continue
         pv = phi(psi, ParamVector.reference(random_entry_vector(rng, psi)),

@@ -1,10 +1,11 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
-from aqlam import GoodParityParameter, Relation
+from aqlam import GoodParityParameter, Relation, arrangements
 from aqlam.arrangements import (
     appropriate_arrangement,
     enumerate_admissible,
@@ -70,12 +71,20 @@ def test_only_containment_pairs_may_flip():
                     assert sigma.index(i) < sigma.index(j)
 
 
-def test_max_r_limit(psi_A):
-    with pytest.raises(ResourceLimitError):
-        enumerate_admissible(psi_A, max_r=2)
-
-
 EIGHT_EQUAL = GoodParityParameter((seg(4, 3),) * 8)
+
+
+def test_the_order_budget_counts_partial_arrangements_at_any_r(monkeypatch):
+    # eight equal segments visit every one of their partial arrangements
+    assert len(enumerate_admissible(EIGHT_EQUAL)) == math.factorial(8)
+    with pytest.raises(ResourceLimitError, match="more than 109601 partial arrangements"):
+        enumerate_admissible(GoodParityParameter((seg(4, 3),) * 9))
+    # a precedence chain has one order at any length
+    chain = GoodParityParameter(tuple(seg(2 * k, 1) for k in range(16, 0, -1)))
+    assert enumerate_admissible(chain) == [tuple(range(1, 17))]
+    monkeypatch.setattr(arrangements, "MAX_ORDER_NODES", arrangements.MAX_ORDER_NODES - 1)
+    with pytest.raises(ResourceLimitError):
+        enumerate_admissible(EIGHT_EQUAL)
 
 
 def order_inputs():
@@ -117,6 +126,17 @@ def test_full_verdicts_and_reductions_match_their_record():
             lines += [repr(nonvanishing(psi, p)), repr(trapa_reduce(psi, p))]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (1212, VERDICTS_RECORD)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda psi: sigma_pairs(psi, 2, 2), "sigma_pairs needs distinct indices, got (2, 2)"),
+    (lambda psi: lex_first_adjacent(psi, 1, 4), "component index 4 out of range 1..3"),
+    (lambda psi: transposition_path(psi, (1, 2, 3), (3, 2, 1)), "tau=(3, 2, 1) is not admissible"),
+])
+def test_bad_arguments_are_input_errors(psi_A, call, message):
+    with pytest.raises(InputError) as info:
+        call(psi_A)
+    assert str(info.value) == message
 
 
 def test_sigma_pairs(psi_A):

@@ -190,6 +190,19 @@ class TestArrangementsAndTransition:
     def test_transition_needs_sigma(self, tmp_path, capsys):
         assert run(["transition", write_doc(tmp_path, DOC_A)]) == 2
 
+    def test_the_order_budget_refuses_nine_equal_segments_not_a_long_chain(
+        self, tmp_path, capsys
+    ):
+        nine = {"segments": [{"b": "4", "e": "2"}] * 9}
+        assert run(["arrangements", write_doc(tmp_path, nine)]) == 3
+        assert "more than 109601 partial arrangements" in capsys.readouterr().err
+        # sixteen one-box segments in a precedence chain: one order
+        chain = {"segments": [{"b": str(k), "e": str(k)} for k in range(16, 0, -1)]}
+        code, payload = run_json(capsys, ["arrangements", write_doc(tmp_path, chain)])
+        assert (code, payload["sigmas"]) == (0, [list(range(1, 17))])
+        doc = {**chain, "p": [1, 0] * 8}
+        assert run(["check", write_doc(tmp_path, doc), "--verify"]) == 0
+
 
 class TestAV:
     def test_even_fixture_audit(self, tmp_path, capsys):
@@ -368,6 +381,31 @@ class TestInputHandling:
     def test_missing_file(self, capsys):
         assert run(["check", "/nonexistent.json"]) == 2
 
+    def test_a_document_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(json.dumps(DOC_A).encode("utf-16"))
+        assert run(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed JSON: 'utf-8' codec")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter reads integers of any length",
+    )
+    def test_an_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('{"components": [{"a": 12, "m": 3}], "p": [' + "9" * 4301 + "]}")
+        assert run(["check", str(path)]) == 2
+        assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"components": [{"a": 12}], "p": [1]}, "bad component entry: {'a': 12}"),
+        ({"segments": [{"b": "3"}], "p": [0]}, "bad segment entry: {'b': '3'}"),
+        ({"components": [{"a": 12, "m": 3}]}, "this subcommand needs an entry vector 'p'"),
+    ])
+    def test_an_incomplete_document_is_input_error(self, tmp_path, capsys, doc, message):
+        assert run(["check", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_both_segment_forms_rejected(self, tmp_path, capsys):
         doc = dict(DOC_A)
         doc["segments"] = DOC_HALF["segments"]
@@ -416,8 +454,8 @@ class TestFlags:
         ["tableau", "--sigma", "2,1"],
         ["check", "--sigma", "2,1,3"],
         ["tableau", "--verify"],
-        ["transition", "--max-r", "3"],
-        ["arrangements", "--max-r", "-1"],
+        ["check", "--max-r", "8"],  # the order search has a work budget, not this bound
+        ["arrangements", "--max-r", "8"],
     ])
     def test_misplaced_or_negative_flag_exits_two(self, tmp_path, capsys, argv):
         assert run([argv[0], write_doc(tmp_path, DOC_A), *argv[1:]]) == 2
@@ -428,11 +466,6 @@ class TestFlags:
         err = capsys.readouterr().err
         assert "argument --sigma: expected integers separated by commas or spaces, got '2 x'" in err
         assert "_parse_sigma" not in err
-
-    def test_max_r_bounds_arrangements(self, tmp_path, capsys):
-        path = write_doc(tmp_path, DOC_A)
-        assert run(["arrangements", path, "--max-r", "2"]) == 3
-        assert run(["arrangements", path, "--max-r", "3"]) == 0
 
 
 def recorded_runs():

@@ -465,3 +465,27 @@ def test_a_verdict_builds_the_pairs_only_up_to_its_first_failing_one(monkeypatch
             compiled.pairs  # the rest of the walk, each pair once
             assert built == order[walked:]
     assert seen == {False, True}  # walks that stopped early, and whole walks
+
+
+def test_every_engine_reads_a_vector_on_any_arrangement_by_its_reference_entries():
+    # one rule turns a caller's vector into reference entries: a vector
+    # transported to any admissible arrangement is the same vector, also for
+    # the parameters of ``reordered_family()``, whose reduction transports it
+    # on to the canonical arrangement
+    rng = random.Random(43)
+    draws = [random_parameter(rng, rng.randint(2, 6), m_max=3) for _ in range(100)]
+    checked = nonzero = 0
+    for psi in [*draws, *(psi for psi in reordered_family() if psi.r <= 6)]:
+        compiled = CompiledCriterion(psi)
+        p = random_entry_vector(rng, psi)
+
+        def outcomes(v):
+            return (nonvanishing(psi, v), nonvanishing_simplified(psi, v),
+                    compiled.verdict(v), trapa_reduce(psi, v))
+
+        want = outcomes(p)
+        for sigma in enumerate_admissible(psi):
+            assert outcomes(phi(psi, ParamVector.reference(p), sigma)) == want
+            checked += 1
+        nonzero += want[0].nonzero
+    assert (checked, nonzero) == (775, 61)

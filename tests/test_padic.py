@@ -199,6 +199,14 @@ class TestCondC:
         with pytest.raises(InputError):
             padic_cond_C(psi_C, ems, 1, 3)
 
+    def test_the_pair_may_be_named_in_either_order(self, good_parity_family):
+        for psi in good_parity_family:
+            for p in box(psi):
+                ems = to_extended(psi, ParamVector.reference(p))
+                for h in range(1, psi.r):
+                    i, j = ems.sigma[h - 1], ems.sigma[h]
+                    assert padic_cond_C(psi, ems, j, i) == padic_cond_C(psi, ems, i, j)
+
 
 class TestNonvanishing:
     def test_fixture_C_matches_real_side(self, psi_C):
@@ -269,6 +277,28 @@ def test_data_off_psi_is_an_input_error(l, eta, sigma, match):
     for call in calls:
         with pytest.raises(InputError, match=match):
             call()
+
+
+# [7,5] precedes [6,1]
+PRECEDENCE_PAIR = GoodParityParameter.from_components([(12, 3), (7, 6)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExtendedMultiSegment((0, 0), (1, 0), (1, 2)), "eta entries must be +1 or -1"),
+    (lambda: ExtendedMultiSegment((0, 0), (1, 1), (1, 2, 3)), "component counts disagree"),
+    (
+        lambda: padic_transition(PRECEDENCE_PAIR, ExtendedMultiSegment((0, 0), (1, 1), (1, 2)), 2),
+        "swap position 2 out of range 1..1",
+    ),
+    (
+        lambda: padic_cond_C(PRECEDENCE_PAIR, ExtendedMultiSegment((0, 0), (1, 1), (2, 1)), 2, 1),
+        "component 2 is preceded by its successor 1",
+    ),
+])
+def test_malformed_data_and_positions_are_input_errors(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_compiled_image_is_project_EF_of_to_extended():

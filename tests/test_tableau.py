@@ -197,6 +197,27 @@ def test_reduce_agrees_with_criterion_random():
         assert trapa_reduce(psi, p).nonzero == nonvanishing(psi, p).nonzero
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda state: overlap(state, 0), "column position 0 out of range"),
+    (lambda state: overlap(state, 3), "column position 3 out of range"),
+    (
+        lambda state: trapa_op(state.columns[2], state.columns[0]),
+        "right segment [7,5] precedes left [6,1]",
+    ),
+])
+def test_bad_positions_and_orders_are_input_errors(psi_A, call, message):
+    state = build_tableau(psi_A, ParamVector.reference((2, 2, 2)))
+    with pytest.raises(InputError) as info:
+        call(state)
+    assert str(info.value) == message
+
+
+def test_a_tableau_before_its_rewrites_need_not_be_an_antitableau(psi_A):
+    # p = 0: the first column's filling types (8, 5) fall below the
+    # second's (8, 8, 3) at i = 1
+    assert not validate_antitableau(build_tableau(psi_A, ParamVector.reference((0, 0, 0))))
+
+
 def test_out_of_box_entry(psi_A):
     witness = trapa_reduce(psi_A, (2, 6, 2)).zero
     assert (witness.kind, witness.indices, witness.values) == ("B", (2,), (6, 5))

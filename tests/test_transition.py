@@ -96,6 +96,23 @@ def test_precedence_swap_rejected(psi_A):
         phi_adjacent(psi_A, pv, 2)  # [7,3] precedes [6,1]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda psi: ParamVector((1, 2), (1, 2, 3)), "entry count does not match arrangement size"),
+    (
+        lambda psi: phi_adjacent(psi, ParamVector.reference((2, 2, 2)), 3),
+        "swap position 3 out of range 1..2",
+    ),
+    (
+        lambda psi: phi_adjacent(psi, ParamVector.reference((2, 2, 2)), 2),
+        "cannot swap positions (2,3): components 2,3 are in precedence, not containment",
+    ),
+])
+def test_bad_vectors_and_swaps_are_input_errors(psi_A, call, message):
+    with pytest.raises(InputError) as info:
+        call(psi_A)
+    assert str(info.value) == message
+
+
 def test_phi_identity(psi_A):
     pv = ParamVector.reference((1, 0, 4))
     assert phi(psi_A, pv, (1, 2, 3)) == pv
