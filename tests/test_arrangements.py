@@ -232,5 +232,5 @@ def test_appropriate_arrangement_properties():
                     assert rel in (Relation.PRECEDES, Relation.CONTAINED)
         # ends weakly decrease along the arrangement
         assert all(
-            ordered[h].e >= ordered[h + 1].e for h in range(len(ordered) - 1)
+            ordered[h].e.twice >= ordered[h + 1].e.twice for h in range(len(ordered) - 1)
         )

@@ -231,7 +231,7 @@ class TestNonvanishing:
         # the full-size equivalence sweep is an acceptance criterion; this
         # is the same statement on the in-module family
         for psi in good_parity_family:
-            if any(psi.seg(i).e < 0 for i in range(1, psi.r + 1)):
+            if any(psi.seg(i).e.twice < 0 for i in range(1, psi.r + 1)):
                 continue
             for p in box(psi):
                 pv = ParamVector.reference(p)

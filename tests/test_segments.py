@@ -36,7 +36,7 @@ def entries(s: Segment) -> set:
 class TestSegment:
     def test_basic(self):
         s = seg(7, 3)
-        assert s.b == 7 and s.e == 5
+        assert s.b.twice == 14 and s.e.twice == 10
         assert s.m == 3 and s.a == 12
         assert [str(x) for x in s.entries()] == ["7", "6", "5"]
 
@@ -87,9 +87,9 @@ class TestRelation:
         for psi in parameter_family(range(1, 5), 3, (2,)):
             s, t = psi.seg(1), psi.seg(2)
             rel = relation(psi, 1, 2)
-            if s.b > t.b and s.e > t.e:
+            if s.b.twice > t.b.twice and s.e.twice > t.e.twice:
                 assert rel is Relation.PRECEDES
-            elif t.b > s.b and t.e > s.e:
+            elif t.b.twice > s.b.twice and t.e.twice > s.e.twice:
                 assert rel is Relation.PRECEDED_BY
             else:
                 # one segment contains the other

@@ -127,9 +127,9 @@ class TestTrapaOp:
                 done += 1
                 continue
             s, t = psi.seg(1), psi.seg(2)
-            out = (result[0].segment, result[1].segment)
-            assert out[0] == Segment(max(s.b, t.b), max(s.e, t.e))
-            assert out[1] == Segment(min(s.b, t.b), min(s.e, t.e))
+            out = [(c.segment.b.twice, c.segment.e.twice) for c in result]
+            assert out[0] == (max(s.b.twice, t.b.twice), max(s.e.twice, t.e.twice))
+            assert out[1] == (min(s.b.twice, t.b.twice), min(s.e.twice, t.e.twice))
             # total box count is conserved
             assert result[0].L[-1] + result[1].L[-1] == state.columns[0].L[-1] + state.columns[1].L[-1]
             done += 1
@@ -181,7 +181,7 @@ def test_antitableau_is_valid_everywhere():
             continue
         assert validate_antitableau(red.state)
         # rows weakly decrease, columns strictly decrease
-        g = red.antitableau
+        g = [[x.twice for x in row] for row in red.antitableau]
         for row in g:
             assert all(row[c] >= row[c + 1] for c in range(len(row) - 1))
         for t in range(len(g) - 1):
@@ -246,6 +246,64 @@ def test_last_column_type_matches_reduced_column():
 def test_last_column_type_zero_rejected(psi_B):
     with pytest.raises(InputError):
         last_column_type(psi_B, (2, 2, 2))
+
+
+def seeded_sweep():
+    """(psi, p, nonzero) triples: fixture A at (2, 2, 2), then random box
+    vectors of seeded random parameters at r = 2-6, on the integral and on
+    the half-integral grid, until each (r, grid) has twelve nonzero ones."""
+    yield GoodParityParameter.from_components([(12, 3), (10, 5), (7, 6)]), (2, 2, 2), True
+    rng = random.Random(61)
+    for r in range(2, 7):
+        for half_grid in (False, True):
+            done = 0
+            while done < 12:
+                psi = random_parameter(rng, r, m_max=4, half_grid=half_grid)
+                p = random_entry_vector(rng, psi)
+                nonzero = trapa_reduce(psi, p).nonzero
+                yield psi, p, nonzero
+                done += nonzero
+
+
+# sha256 of the newline-joined ``repr`` of ``last_column_type(psi, p)`` over
+# the nonzero vectors of ``seeded_sweep()``, recorded before the minimum was
+# taken on doubled ints (121 vectors)
+LAST_COLUMN_RECORD = "11e8df129695aa6efba588b3258a3d3c7f72930254855195a03726e1e4669b51"
+
+
+def test_last_column_types_match_their_record():
+    lines = [repr(last_column_type(psi, p)) for psi, p, nonzero in seeded_sweep() if nonzero]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (121, LAST_COLUMN_RECORD)
+
+
+def trapa_outcome(left, right):
+    """``trapa_op(left, right)``, with a zero outcome as its (overlap, sing)."""
+    result = trapa_op(left, right)
+    if isinstance(result, TrapaZero):
+        return result.overlap, result.sing
+    return result
+
+
+# sha256 of the newline-joined ``repr`` of ``trapa_outcome`` on every two
+# adjacent columns of the tableau of every vector of ``seeded_sweep()`` at
+# every admissible order that keeps its entries in their boxes, recorded
+# while ``trapa_op`` had its own zero certificate (10,833 outcomes, 2,513
+# of them zero)
+TRAPA_OP_RECORD = "b7521ca3338d5c95d10e96bf6300a634021d47f1c884ff9ffbda4e6577d96c68"
+
+
+def test_trapa_op_outcomes_match_their_record():
+    lines = []
+    for psi, p, _ in seeded_sweep():
+        for sigma in enumerate_admissible(psi):
+            try:
+                columns = build_tableau(psi, phi(psi, ParamVector.reference(p), sigma)).columns
+            except InputError:  # an entry leaves its box at sigma
+                continue
+            lines += [repr(trapa_outcome(*pair)) for pair in zip(columns, columns[1:])]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (10833, TRAPA_OP_RECORD)
 
 
 def test_confluence_small():
