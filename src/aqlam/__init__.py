@@ -70,7 +70,6 @@ from .tableau import (
     CompiledReduction,
     Reduction,
     TableauState,
-    TrapaZero,
     build_tableau,
     last_column_type,
     overlap,
@@ -97,7 +96,7 @@ __all__ = [
     "neighbors", "range_classify", "relation", "relation_masks",
     "relation_table",
     "segment_from_component", "Column", "CompiledReduction", "Reduction",
-    "TableauState", "TrapaZero", "build_tableau", "last_column_type",
+    "TableauState", "build_tableau", "last_column_type",
     "overlap", "reduce_with_schedule", "trapa_op", "trapa_reduce",
     "upper_bound_check", "validate_antitableau", "HalfInt", "ParamVector",
     "phi", "phi_adjacent",

@@ -28,13 +28,6 @@ Permutation = tuple[int, ...]
 MAX_ORDER_NODES = sum(math.perm(8, k) for k in range(9))
 
 
-def perm_inverse(sigma: Permutation) -> Permutation:
-    inv = [0] * len(sigma)
-    for pos, img in enumerate(sigma, start=1):
-        inv[img - 1] = pos
-    return tuple(inv)
-
-
 def enumerate_admissible(psi: GoodParityParameter) -> list[Permutation]:
     """All admissible permutations, in lexicographic order of image lists.
 
@@ -84,12 +77,8 @@ def sigma_pairs(psi: GoodParityParameter, i: int, j: int) -> list[Permutation]:
     """
     if i == j:
         raise InputError(f"sigma_pairs needs distinct indices, got ({i}, {j})")
-    out = []
-    for sigma in enumerate_admissible(psi):
-        inv = perm_inverse(sigma)
-        if abs(inv[i - 1] - inv[j - 1]) == 1:
-            out.append(sigma)
-    return out
+    relation(psi, i, j)  # validates the indices
+    return [s for s in enumerate_admissible(psi) if abs(s.index(i) - s.index(j)) == 1]
 
 
 def lex_first_adjacent(

@@ -74,6 +74,20 @@ def _list(doc: dict, key: str) -> list:
 
 
 def _parse_parameter(doc: dict, strict_parity: bool) -> GoodParityParameter:
+    psi = _read_parameter(doc, strict_parity)
+    # every number an output derives from psi is at most its largest doubled
+    # end plus n: the lengths, the centres and the doubled lambda values
+    largest = max(abs(x) for s in psi.segments for x in (s.b.twice, s.e.twice)) + psi.n
+    try:
+        str(largest)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise InputError(
+            f"the segment ends are too long to print: past {sys.get_int_max_str_digits()} digits"
+        ) from None
+    return psi
+
+
+def _read_parameter(doc: dict, strict_parity: bool) -> GoodParityParameter:
     has_components = "components" in doc
     has_segments = "segments" in doc
     if has_components == has_segments:

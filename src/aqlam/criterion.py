@@ -40,7 +40,6 @@ from .arrangements import (
     Permutation,
     adjacent_placement,
     enumerate_admissible,
-    perm_inverse,
 )
 from .errors import InputError, ResourceLimitError
 from .segments import (
@@ -48,6 +47,7 @@ from .segments import (
     RelationMasks,
     intersection_size,
     neighbor_pairs,
+    relation,
     relation_masks,
 )
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
@@ -90,8 +90,8 @@ class Verdict:
 
 def cond_B(psi: GoodParityParameter, pv: ParamVector, i: int) -> bool:
     """0 <= (entry coming from component i) <= m_i."""
-    p = pv.entry_of(i)
-    return 0 <= p <= psi.m(i)
+    m_i = psi.m(i)  # validates i
+    return 0 <= pv.entry_of(i) <= m_i
 
 
 def _c_values(
@@ -116,8 +116,8 @@ def cond_C(psi: GoodParityParameter, pv: ParamVector, i: int, j: int) -> bool:
 
     Defined for components placed adjacently by pv's arrangement.
     """
-    inv = perm_inverse(pv.sigma)
-    if abs(inv[i - 1] - inv[j - 1]) != 1:
+    relation(psi, i, j)  # validates the indices
+    if abs(pv.sigma.index(i) - pv.sigma.index(j)) != 1:
         raise InputError(
             f"components {i},{j} are not adjacent in arrangement {pv.sigma}"
         )

@@ -20,6 +20,9 @@ HalfIntLike = Union["HalfInt", int]
 class HalfInt:
     """An integer or half-integer, stored as its doubled value.
 
+    It equals only a ``HalfInt`` of the same value and has no order: code
+    that compares half-integers compares their doubles.
+
     >>> HalfInt(7)
     HalfInt(7/2)
     >>> HalfInt.of(3) + HalfInt(1)
@@ -60,41 +63,8 @@ class HalfInt:
     def __add__(self, other: HalfIntLike) -> "HalfInt":
         return HalfInt(self.twice + HalfInt.of(other).twice)
 
-    __radd__ = __add__
-
     def __sub__(self, other: HalfIntLike) -> "HalfInt":
         return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other: HalfIntLike) -> "HalfInt":
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = HalfInt.of(other)
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("HalfInt", self.twice))
-
-    def _cmp_key(self, other: HalfIntLike) -> int:
-        return HalfInt.of(other).twice
-
-    def __lt__(self, other: HalfIntLike) -> bool:
-        return self.twice < self._cmp_key(other)
-
-    def __le__(self, other: HalfIntLike) -> bool:
-        return self.twice <= self._cmp_key(other)
-
-    def __gt__(self, other: HalfIntLike) -> bool:
-        return self.twice > self._cmp_key(other)
-
-    def __ge__(self, other: HalfIntLike) -> bool:
-        return self.twice >= self._cmp_key(other)
 
     def __str__(self) -> str:
         if self.is_integer:

@@ -261,10 +261,8 @@ def relation_table(psi: GoodParityParameter) -> tuple[tuple[Relation | None, ...
                 row[k], rows[k][i] = _PRECEDES, _PRECEDED_BY
             elif contains[i] >> k & 1:
                 row[k], rows[k][i] = _CONTAINS, _CONTAINED
-            elif contained[i] >> k & 1:
+            else:  # the reference order is admissible: k does not precede i
                 row[k], rows[k][i] = _CONTAINED, _CONTAINS
-            else:
-                row[k], rows[k][i] = _PRECEDED_BY, _PRECEDES
     return tuple(map(tuple, rows))
 
 
@@ -302,10 +300,8 @@ def neighbor_pairs(masks: RelationMasks) -> list[tuple[int, int]]:
                 between = precedes_i & preceded_by[j]
             elif contains_i >> j & 1:
                 between = contains_i & contained[j]
-            elif contained_i >> j & 1:
+            else:  # the reference order is admissible: j does not precede i
                 between = contained_i & contains[j]
-            else:
-                between = preceded_by[i] & precedes[j]
             if not between:
                 out.append((i, j))
     return out

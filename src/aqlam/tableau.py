@@ -117,14 +117,6 @@ class TableauState:
     sigma: Permutation
 
 
-@dataclass(frozen=True)
-class TrapaZero:
-    """Zero certificate: the overlap fell below the singularity."""
-
-    overlap: int
-    sing: int
-
-
 def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
     """Construct the signed tableau for pv, column by column.
 
@@ -203,15 +195,14 @@ def _overlap(left: Sequence[int], right: Sequence[int], height: int, m: int) -> 
     return max(0, min(map(sub, right[: height + 1], left[: height + 1])) + m)
 
 
-def trapa_op(
-    left: Column, right: Column
-) -> Union[TrapaZero, tuple[Column, Column]]:
+def trapa_op(left: Column, right: Column) -> Union[Witness, tuple[Column, Column]]:
     """The local rewrite on two adjacent columns.
 
-    Zero when overlap < singularity; a no-op when the left segment precedes
-    the right; otherwise the elementary operation on the filling segments,
-    realized by the closed-form type equations.  The merged shape
-    L'_{right,i} + L'_{left,i-1} is conserved.
+    Zero when overlap < singularity, certified by an "overlap" witness on
+    positions (1, 2) with values (overlap, sing); a no-op when the left
+    segment precedes the right; otherwise the elementary operation on the
+    filling segments, realized by the closed-form type equations.  The
+    merged shape L'_{right,i} + L'_{left,i-1} is conserved.
     """
     heights = left.height, right.height
     ends, types = _state((left, right), max(heights) + 2)
@@ -220,7 +211,7 @@ def trapa_op(
         raise InputError(f"right segment {right.segment} precedes left {left.segment}")
     ov, result = _run_step(step, *types, *heights)
     if result is None:
-        return TrapaZero(ov, step.sing)
+        return Witness("overlap", (1, 2), None, (ov, step.sing))
     return _columns(_segments(step.ends), result, heights)
 
 
@@ -409,10 +400,10 @@ class CompiledReduction:
     and runs each column's compiled rewrites as it arrives.  Column k's
     rewrites are compiled, with those of every column before it, the first
     time a vector reaches column k, so a vector that certifies zero there
-    compiles nothing after it; the final segments and the output cells
-    once a vector reaches the last column, or on ``cells``.  A parameter
-    of more than ``MAX_BOXES`` boxes is refused at construction, before
-    anything is built per box.
+    compiles nothing after it; the final segments' ends once a vector
+    reaches the last column, or on ``cells``.  A parameter of more than
+    ``MAX_BOXES`` boxes is refused at construction, before anything is
+    built per box.
 
     The state after k columns depends only on the first k canonical
     entries, so an instance keeps the states of the last vector it ran and
@@ -485,16 +476,6 @@ class CompiledReduction:
         self._column_steps(len(self.lengths))
         return tuple(self._ends)
 
-    @cached_property
-    def _output(self) -> list[list[HalfInt]]:
-        """The final columns' antitableau cells."""
-        return _cells(self._final_ends)
-
-    @cached_property
-    def _final_segments(self) -> tuple[Segment, ...]:
-        """The final columns' segments, for the read-out of ``reduce``."""
-        return _segments(self._final_ends)
-
     def cells(self, write: Callable[[int], Any]) -> list[list]:
         """The antitableau cells with each value written by ``write`` from
         its double, for ``antitableau(types, cells)``."""
@@ -564,7 +545,7 @@ class CompiledReduction:
     ) -> tuple[tuple, ...]:
         """The antitableau that final types from ``run`` describe, with the
         entries of ``cells`` (by default the ``HalfInt`` ones)."""
-        return _antitableau_grid(cells or self._output, types)
+        return _antitableau_grid(cells or _cells(self._final_ends), types)
 
     def reduce(self, p: Sequence[int] | ParamVector) -> Reduction:
         """Reduce p (reference entries, or a vector on any admissible
@@ -573,7 +554,7 @@ class CompiledReduction:
         if isinstance(result, Witness):
             return Reduction(result)
         types, rows = result
-        state = TableauState(_columns(self._final_segments, types), rows, self.sigma)
+        state = TableauState(_columns(_segments(self._final_ends), types), rows, self.sigma)
         return Reduction(None, self.antitableau(types), rows, state)
 
 
@@ -648,10 +629,10 @@ def last_column_type(
     if not reduction.nonzero:
         raise InputError("last-column type is undefined for a zero parameter")
     fills = [
-        build_tableau(psi, phi(psi, pv, sigma)).columns[-1].fills()
+        [x.twice for x in build_tableau(psi, phi(psi, pv, sigma)).columns[-1].fills()]
         for sigma in enumerate_admissible(psi)
     ]
-    return tuple(min(types) for types in zip(*fills))
+    return tuple(HalfInt(min(types)) for types in zip(*fills))
 
 
 def upper_bound_check(

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from aqlam import cli, criterion, tableau
+from aqlam import GoodParityParameter, HalfInt, Segment, cli, criterion, tableau
 from aqlam import packets as packets_mod
 from aqlam.cli import run
 from aqlam.packets import fiber_audit
@@ -95,6 +95,14 @@ class TestCheck:
         assert witness["kind"] == "C"
         assert witness["indices"] == [2, 3]
         assert witness["values"][-2:] == [4, 5]
+
+    def test_verify_exits_four_when_the_engines_disagree(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "nonvanishing", lambda psi, p: criterion.Verdict(False))
+        assert run(["check", write_doc(tmp_path, DOC_A), "--verify"]) == 4
+        assert capsys.readouterr().err == (
+            "internal error: engines disagree on p=(2, 2, 2): simplified=True,"
+            " full=False, tableau=True\n"
+        )
 
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
@@ -401,6 +409,9 @@ class TestInputHandling:
         ({"components": [{"a": 12}], "p": [1]}, "bad component entry: {'a': 12}"),
         ({"segments": [{"b": "3"}], "p": [0]}, "bad segment entry: {'b': '3'}"),
         ({"components": [{"a": 12, "m": 3}]}, "this subcommand needs an entry vector 'p'"),
+        ({"components": [{"a": 1, "m": 0}]}, "component length must be positive, got 0"),
+        ({"components": []}, "parameter needs at least one segment"),
+        ({"segments": []}, "parameter needs at least one segment"),
     ])
     def test_an_incomplete_document_is_input_error(self, tmp_path, capsys, doc, message):
         assert run(["check", write_doc(tmp_path, doc)]) == 2
@@ -447,6 +458,51 @@ class TestInputHandling:
     ):
         assert run([command, write_doc(tmp_path, doc)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+COMMANDS = ("check", "packet", "tableau", "padic", "arrangements", "transition", "av")
+DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGITS, reason="this interpreter writes integers of any length")
+class TestPrintLimit:
+    """Python writes no integer of more than ``DIGITS`` digits (4,300 by
+    default), so a parameter whose outputs would need one is refused."""
+
+    @staticmethod
+    def argv(command, path):
+        return [command, path, *(["--sigma", "1"] * (command == "transition"))]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_ends_past_the_limit_exit_two(self, tmp_path, capsys, command):
+        # a = 10**DIGITS - 1, so the top end (10**DIGITS + 1)/2 doubles to one digit more
+        path = write_doc(tmp_path, {"components": [{"a": int("9" * DIGITS), "m": 3}], "p": [0]})
+        assert run(self.argv(command, path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: the segment ends are too long to print: past {DIGITS} digits\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_digit_less_runs(self, tmp_path, capsys, command):
+        doc = {"components": [{"a": int("9" * (DIGITS - 1)), "m": 3}], "p": [0], "p_rank": 0}
+        assert run(self.argv(command, write_doc(tmp_path, doc))) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_lambda_values_past_the_limit_exit_two(self, tmp_path, capsys, command):
+        # every doubled end has DIGITS digits, but twice lambda_2 = 10**DIGITS + 1
+        top, low = int("9" * DIGITS), int("9" * (DIGITS - 1) + "7")
+        doc = {
+            "segments": [{"b": f"{top}/2", "e": f"{low}/2"}, {"b": f"{top}/2", "e": f"{top}/2"}],
+            "p": [0, 0],
+            "p_rank": 0,
+        }
+        psi = GoodParityParameter(
+            (Segment(HalfInt(top), HalfInt(low)), Segment(HalfInt(top), HalfInt(top)))
+        )
+        assert lambda_values(psi)[1].twice == 10**DIGITS + 1
+        assert run(self.argv(command, write_doc(tmp_path, doc))) == 2
+        assert "too long to print" in capsys.readouterr().err
 
 
 class TestFlags:

@@ -74,6 +74,18 @@ def test_cond_C_requires_adjacency(psi_A):
         cond_C(psi_A, pv, 1, 3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda psi, pv: cond_B(psi, pv, 4), "component index 4 out of range 1..3"),
+    (lambda psi, pv: cond_C(psi, pv, 4, 1), "component index 4 out of range 1..3"),
+    (lambda psi, pv: sigma_pairs(psi, 4, 1), "component index 4 out of range 1..3"),
+    (lambda psi, pv: sigma_pairs(psi, 0, 2), "component index 0 out of range 1..3"),
+])
+def test_by_hand_conditions_validate_their_indices(psi_A, call, message):
+    with pytest.raises(InputError) as info:
+        call(psi_A, ParamVector.reference((2, 2, 2)))
+    assert str(info.value) == message
+
+
 def test_r1_never_vanishes():
     psi = GoodParityParameter((seg(5, 4),))
     for p in range(5):

@@ -52,6 +52,7 @@ def test_integrality():
 
 
 def test_equality_with_ints():
-    assert HalfInt.of(4) == 4
-    assert HalfInt(9) != 4
-    assert hash(HalfInt.of(4)) == hash(HalfInt(8))
+    # a HalfInt equals only a HalfInt of the same value, and hashes with it
+    assert HalfInt(8) != 4
+    assert HalfInt(8) in {HalfInt.of(4)}
+    assert 4 not in {HalfInt(8)}

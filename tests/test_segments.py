@@ -107,6 +107,10 @@ class TestIntersection:
     def test_disjoint(self):
         assert intersection_size(seg(7, 2), seg(2, 2)) == 0
 
+    def test_different_grids_are_an_input_error(self):
+        with pytest.raises(InputError, match=r"segments \[3,2\] and \[5/2,3/2\] lie on different grids"):
+            intersection_size(seg(3, 2), Segment(HalfInt(5), HalfInt(3)))
+
     def test_matches_set_intersection(self):
         grid = [seg(b, m) for b in range(1, 6) for m in range(1, 5)]
         for s, t in itertools.product(grid, repeat=2):
@@ -289,6 +293,11 @@ class TestRangeClassify:
             # stronger label implies all weaker ones
             assert RangeLabel.MEDIOCRE in labels
             assert ranks == list(range(min(ranks), 4))
+
+    @pytest.mark.parametrize("arrangement", [(1, 2), (1, 2, 2), (1, 2, 4)])
+    def test_a_non_permutation_is_an_input_error(self, psi_A, arrangement):
+        with pytest.raises(InputError, match="not a permutation of 1..3"):
+            range_classify(psi_A, arrangement)
 
     def test_fixture(self, psi_A):
         labels = range_classify(psi_A, (1, 2, 3))

@@ -21,7 +21,6 @@ from aqlam.segments import Relation, Segment, relation
 from aqlam.tableau import (
     Column,
     CompiledReduction,
-    TrapaZero,
     build_tableau,
     last_column_type,
     overlap,
@@ -102,8 +101,7 @@ class TestTrapaOp:
         psi = GoodParityParameter.from_components([(12, 3), (8, 5), (7, 6)])
         state = build_tableau(psi, ParamVector.reference((2, 2, 2)))
         result = trapa_op(state.columns[1], state.columns[2])
-        assert isinstance(result, TrapaZero)
-        assert (result.overlap, result.sing) == (4, 5)
+        assert result == Witness("overlap", (1, 2), None, (4, 5))
 
     def test_precedence_is_noop(self):
         psi = GoodParityParameter((seg(7, 3), seg(4, 2)))
@@ -121,7 +119,7 @@ class TestTrapaOp:
             p = random_entry_vector(rng, psi)
             state = build_tableau(psi, ParamVector.reference(p))
             result = trapa_op(*state.columns)
-            if isinstance(result, TrapaZero):
+            if isinstance(result, Witness):
                 sing = intersection_size(psi.seg(1), psi.seg(2))
                 assert overlap(state, 1) < sing
                 done += 1
@@ -280,8 +278,8 @@ def test_last_column_types_match_their_record():
 def trapa_outcome(left, right):
     """``trapa_op(left, right)``, with a zero outcome as its (overlap, sing)."""
     result = trapa_op(left, right)
-    if isinstance(result, TrapaZero):
-        return result.overlap, result.sing
+    if isinstance(result, Witness):
+        return result.values
     return result
 
 
@@ -328,8 +326,8 @@ def insert_leftward(columns, start, sigma):
     for pos in range(start - 1, 0, -1):
         left, right = columns[pos - 1], columns[pos]
         result = trapa_op(left, right)
-        if isinstance(result, TrapaZero):
-            return Witness("overlap", (pos, pos + 1), sigma, (result.overlap, result.sing))
+        if isinstance(result, Witness):
+            return Witness("overlap", (pos, pos + 1), sigma, result.values)
         columns[pos - 1], columns[pos] = result
         (lb, le), (rb, re) = ((c.segment.b.twice, c.segment.e.twice) for c in (left, right))
         if Segment.relate_twice(lb, le, rb, re, Relation.CONTAINS) is Relation.PRECEDES:
