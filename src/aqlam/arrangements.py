@@ -17,7 +17,6 @@ from .segments import (
     Relation,
     arrangement_is_admissible,
     relation,
-    relation_masks,
     relation_table,
 )
 
@@ -94,7 +93,7 @@ def lex_first_adjacent(
     is none when i precedes a predecessor of j lying after i.
     """
     relation(psi, i, j)  # validates the indices
-    return adjacent_placement(relation_masks(psi).preceded_by, min(i, j), max(i, j))
+    return adjacent_placement(psi.masks.preceded_by, min(i, j), max(i, j))
 
 
 def adjacent_placement(preceded_by: Sequence[int], i: int, j: int) -> Optional[Permutation]:

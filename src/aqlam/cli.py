@@ -8,9 +8,10 @@ either component data or explicit segments::
 
 Half-integers are always strings "k" or "k/2"; no floats appear in any
 interface.  The result is printed as one compact JSON line with sorted keys;
-``--format text`` prints a human view instead.  Exit codes: 0 success,
-1 zero verdict on `check` (a successful computation -- shell pipelines can
-branch on it), 2 input error (also a document that is not UTF-8 JSON),
+``--format text`` prints a human view instead; either is built whole before
+it is printed.  Exit codes: 0 success, 1 zero verdict on `check` (a
+successful computation -- shell pipelines can branch on it), 2 input error
+(also a document that is not UTF-8 JSON, or an output too long to print),
 3 resource limit (a lattice-point search past ``criterion.MAX_DFS_NODES``
 nodes, an arrangement search past ``arrangements.MAX_ORDER_NODES``
 partial arrangements, or a tableau of more than ``tableau.MAX_BOXES``
@@ -173,26 +174,22 @@ def _chunks(value: Any) -> Iterator[str]:
         yield json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _render_antitableau(rows: Sequence[Sequence[str]]) -> str:
-    width = max((len(cell) for row in rows for cell in row), default=1)
-    return "\n".join(" ".join(cell.rjust(width) for cell in row) for row in rows)
-
-
-def _emit(payload: dict, fmt: str) -> None:
+def _text(payload: dict, fmt: str) -> str:
+    """The whole output, built before any of it is printed."""
     if fmt == "json":  # one compact line
-        print("".join(_chunks(payload)))
-        return
+        return "".join(_chunks(payload))
+    lines: list[str] = []
     for key, value in payload.items():
         if key == "antitableau" and value:
-            print("antitableau:")
-            print(_render_antitableau(value))
+            width = max((len(cell) for row in value for cell in row), default=1)
+            lines += ["antitableau:", *(" ".join(c.rjust(width) for c in row) for row in value)]
         elif key == "packets":
-            for rank, entries in value.items():
-                print(f"rank {rank}: {len(entries)} entries")
+            lines += [f"rank {rank}: {len(entries)} entries" for rank, entries in value.items()]
         elif isinstance(value, _Entries):
-            print(f"{key}:", *value, sep="\n")
+            lines += [f"{key}:", *value]
         else:
-            print(f"{key}: {value}")
+            lines.append(f"{key}: {value}")
+    return "\n".join(lines)
 
 
 def _cmd_check(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
@@ -310,6 +307,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         doc = _load_document(args.input)
         psi = _parse_parameter(doc, args.strict_parity)
         payload, code = _COMMANDS[args.command](doc, psi, args)
+        try:
+            text = _text(payload, args.format)
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise InputError(f"an output is too long to print: past {limit} digits") from None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -322,7 +324,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # a defect: report it, never as exit 1 ("zero")
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    _emit(payload, args.format)
+    print(text)
     return code
 
 

@@ -12,11 +12,12 @@ Two engines decide whether a parameter vector p gives a non-zero module:
   placement gives the same answer, which is tested as a property).
 
 Apart from p, everything the simplified criterion needs depends only on the
-parameter, and the transition maps are affine.  ``CompiledCriterion``
-therefore works it out once per parameter: the relation masks (one pass
-over the segment ends, ``segments.relation_masks``), the neighbor pairs,
-one placement per pair, and the two transported entries at that placement
-as integer affine forms in the reference p (the symbolic transport
+parameter, and the transition maps are affine.  The parameter builds its
+relation masks once, at construction (one pass over the segment ends,
+``GoodParityParameter.masks``), and ``CompiledCriterion`` works out the
+rest once per parameter from them: the neighbor pairs, one placement per
+pair, and the two transported entries at that placement as integer affine
+forms in the reference p (the symbolic transport
 ``transition.transported_forms``, which the tableau engine's
 ``CompiledReduction`` shares).  The pairs are built in order, each the
 first time a walk over them reaches it, so a vanishing vector builds them
@@ -44,11 +45,9 @@ from .arrangements import (
 from .errors import InputError, ResourceLimitError
 from .segments import (
     GoodParityParameter,
-    RelationMasks,
     intersection_size,
     neighbor_pairs,
     relation,
-    relation_masks,
 )
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
 
@@ -117,11 +116,11 @@ def cond_C(psi: GoodParityParameter, pv: ParamVector, i: int, j: int) -> bool:
     Defined for components placed adjacently by pv's arrangement.
     """
     relation(psi, i, j)  # validates the indices
+    *_, lhs, sing = _c_values_at(psi, pv, i, j)  # and pv against them
     if abs(pv.sigma.index(i) - pv.sigma.index(j)) != 1:
         raise InputError(
             f"components {i},{j} are not adjacent in arrangement {pv.sigma}"
         )
-    *_, lhs, sing = _c_values_at(psi, pv, i, j)
     return lhs >= sing
 
 
@@ -242,11 +241,11 @@ def lattice_points(
 class CompiledCriterion:
     """The simplified criterion for one parameter, ready for many vectors.
 
-    Holds the parameter's relation masks (``segments.relation_masks``),
-    and for every neighbor pair its placement (the lexicographically first
-    admissible arrangement placing the pair adjacently, in closed form,
-    from the ``preceded_by`` masks) and the transported entries as affine
-    forms (from the ``contains`` masks).  The pairs are built in
+    Reads the parameter's relation masks (``GoodParityParameter.masks``)
+    and holds, for every neighbor pair, its placement (the
+    lexicographically first admissible arrangement placing the pair
+    adjacently, in closed form, from the ``preceded_by`` masks) and the
+    transported entries as affine forms (from the ``contains`` masks).  The pairs are built in
     ``neighbor_pairs`` order, each the first time a walk over them reaches
     it: ``verdict`` stops at the first failing pair, and ``pairs`` (which
     ``survivors`` reads) walks them all.  The lazy build mutates the
@@ -266,20 +265,16 @@ class CompiledCriterion:
         self._built: list[PairConstraint] = []  # the pairs walked so far
 
     @cached_property
-    def masks(self) -> RelationMasks:
-        return relation_masks(self.psi)
-
-    @cached_property
     def _neighbors(self) -> list[tuple[int, int]]:
-        return neighbor_pairs(self.masks)
+        return neighbor_pairs(self.psi.masks)
 
     def _pair(self, i: int, j: int) -> PairConstraint:
         """Compile condition C of the neighbor pair (i, j) at its placement."""
-        sigma = adjacent_placement(self.masks.preceded_by, i, j)
+        sigma = adjacent_placement(self.psi.masks.preceded_by, i, j)
         if sigma is None:  # pragma: no cover - impossible for neighbors
             raise InputError(f"neighbor pair ({i},{j}) has no placement")
         m = (0,) + self.m
-        forms = transported_forms(self.masks.contains, m, sigma, (i, j))
+        forms = transported_forms(self.psi.masks.contains, m, sigma, (i, j))
         sing = intersection_size(self.psi.seg(i), self.psi.seg(j))
         return PairConstraint(i, j, sigma, *forms, m[i], m[j], sing)
 

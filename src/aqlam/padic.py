@@ -31,7 +31,7 @@ from .arrangements import (
 )
 from .criterion import Verdict, Witness
 from .errors import InputError, InvariantViolationError
-from .segments import GoodParityParameter, Relation, relation
+from .segments import GoodParityParameter, Relation, arrangement_is_admissible, relation
 from .transition import ParamVector
 
 
@@ -91,7 +91,9 @@ def to_extended(
     psi: GoodParityParameter, p: Sequence[int] | ParamVector
 ) -> ExtendedMultiSegment:
     """Reparametrize a vector: l = min(p, q), eta from partial length sums."""
-    if not isinstance(p, ParamVector):
+    if isinstance(p, ParamVector):
+        arrangement_is_admissible(psi, p.sigma)  # validates the arrangement
+    else:
         p = ParamVector.reference(tuple(p))
     r = psi.r
     l = [0] * r
@@ -232,16 +234,16 @@ def padic_cond_C(
 ) -> bool:
     """The adjacency condition on (l, eta), by relation and sign case."""
     _check(psi, ems)
-    sigma = ems.sigma
-    pos_i, pos_j = sigma.index(i), sigma.index(j)
+    rel = relation(psi, i, j)  # validates the indices
+    pos_i, pos_j = ems.sigma.index(i), ems.sigma.index(j)
     if abs(pos_i - pos_j) != 1:
-        raise InputError(f"components {i},{j} not adjacent in order {sigma}")
+        raise InputError(f"components {i},{j} not adjacent in order {ems.sigma}")
     if pos_i > pos_j:
         i, j = j, i
+        rel = relation(psi, i, j)
     l_i, l_j = ems.l[i - 1], ems.l[j - 1]
     m_i, m_j = psi.m(i), psi.m(j)
     a_i, a_j = psi.a(i), psi.a(j)
-    rel = relation(psi, i, j)
 
     def holds(linked: bool) -> bool:
         if rel is Relation.PRECEDES:

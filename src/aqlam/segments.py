@@ -127,6 +127,7 @@ class GoodParityParameter:
 
     segments: tuple[Segment, ...]
     strict_parity: bool = field(default=False)
+    masks: RelationMasks = field(init=False, repr=False, compare=False)  # built once
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -142,7 +143,8 @@ class GoodParityParameter:
                     raise InputError(
                         f"component {i} violates parity: a+m={s.a + s.m}, n={n}"
                     )
-        for i, mask in enumerate(relation_masks(self).preceded_by):
+        object.__setattr__(self, "masks", relation_masks(self))
+        for i, mask in enumerate(self.masks.preceded_by):
             later = mask >> i << i  # the predecessors of i placed after it
             if later:
                 j = (later & -later).bit_length() - 1
@@ -201,19 +203,18 @@ class RelationMasks(NamedTuple):
     when ``relation(psi, i, k)`` is X.  Indices are 1-based; entry 0 is 0.
     Fields follow the order of ``Relation``, so each k != i sets its bit in
     exactly one mask of i, and ``preceded_by`` and ``contained`` are the
-    transposes of ``precedes`` and ``contains``.  The lists are shared by
-    every reader of a compiled parameter; none may change them."""
+    transposes of ``precedes`` and ``contains``."""
 
-    precedes: list[int]
-    preceded_by: list[int]
-    contains: list[int]
-    contained: list[int]
+    precedes: tuple[int, ...]
+    preceded_by: tuple[int, ...]
+    contains: tuple[int, ...]
+    contained: tuple[int, ...]
 
 
 def relation_masks(psi: GoodParityParameter) -> RelationMasks:
     """All relations in one pass over the doubled ends (the comparisons of
     ``Segment.relate_twice``, an exact duplicate counting as earlier
-    Contains)."""
+    Contains); ``GoodParityParameter`` keeps the result as ``masks``."""
     segments = psi.segments
     r = len(segments)
     precedes, preceded_by = [0] * (r + 1), [0] * (r + 1)
@@ -238,7 +239,7 @@ def relation_masks(psi: GoodParityParameter) -> RelationMasks:
             else:
                 contained[i] |= 1 << j
                 contains[j] |= bit_i
-    return RelationMasks(precedes, preceded_by, contains, contained)
+    return RelationMasks(*map(tuple, (precedes, preceded_by, contains, contained)))
 
 
 _PRECEDES, _PRECEDED_BY, _CONTAINS, _CONTAINED = Relation  # read without Enum lookups
@@ -246,12 +247,12 @@ _PRECEDES, _PRECEDED_BY, _CONTAINS, _CONTAINED = Relation  # read without Enum l
 
 def relation_table(psi: GoodParityParameter) -> tuple[tuple[Relation | None, ...], ...]:
     """All relations at once: ``table[i][j] == relation(psi, i, j)``, read
-    out of ``relation_masks``.
+    out of the parameter's masks.
 
     Indices are 1-based like everywhere else; row 0, column 0 and the
     diagonal hold None.
     """
-    precedes, _, contains, contained = relation_masks(psi)
+    precedes, _, contains, contained = psi.masks
     size = len(precedes)
     rows = [[None] * size for _ in range(size)]
     for i in range(1, size):
@@ -279,7 +280,7 @@ def neighbors(psi: GoodParityParameter, i: int, j: int) -> bool:
     """True iff i, j are related with no third component strictly between:
     the pair, in either order, is one of ``neighbor_pairs``."""
     relation(psi, i, j)  # validates the indices
-    return (min(i, j), max(i, j)) in neighbor_pairs(relation_masks(psi))
+    return (min(i, j), max(i, j)) in neighbor_pairs(psi.masks)
 
 
 def neighbor_pairs(masks: RelationMasks) -> list[tuple[int, int]]:
@@ -326,10 +327,9 @@ def arrangement_is_admissible(
 ) -> bool:
     """No position h < k carries a segment preceded by the one at k: walking
     from the right, no component's predecessors meet the later ones."""
-    r = psi.r
-    if sorted(images) != list(range(1, r + 1)):
-        raise InputError(f"not a permutation of 1..{r}: {tuple(images)}")
-    preceded_by = relation_masks(psi).preceded_by
+    if sorted(images) != list(range(1, psi.r + 1)):
+        raise InputError(f"not a permutation of 1..{psi.r}: {tuple(images)}")
+    preceded_by = psi.masks.preceded_by
     later = 0
     for comp in reversed(images):
         if preceded_by[comp] & later:
@@ -354,10 +354,8 @@ def range_classify(
     implies mediocre (= admissible).
     """
     images = tuple(arrangement)
-    if sorted(images) != list(range(1, psi.r + 1)):
-        raise InputError(f"not a permutation of 1..{psi.r}: {images}")
+    labels = {RangeLabel.MEDIOCRE} if arrangement_is_admissible(psi, images) else set()
     ends = [(psi.seg(i).b.twice, psi.seg(i).e.twice) for i in images]
-    labels: set[RangeLabel] = set()
     pairs = list(zip(ends, ends[1:]))
     if all(s[1] > t[0] for s, t in pairs):
         labels.add(RangeLabel.GOOD)
@@ -365,6 +363,4 @@ def range_classify(
         labels.add(RangeLabel.NICE)
     if all(sum(s) >= sum(t) for s, t in pairs):  # the doubled centres 2a
         labels.add(RangeLabel.WEAKLY_FAIR)
-    if arrangement_is_admissible(psi, images):
-        labels.add(RangeLabel.MEDIOCRE)
     return labels

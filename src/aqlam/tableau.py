@@ -41,7 +41,7 @@ from .arrangements import Permutation, appropriate_arrangement, enumerate_admiss
 from .criterion import Witness, _reference_entries
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
-from .segments import GoodParityParameter, Relation, Segment, relation_masks
+from .segments import GoodParityParameter, Relation, Segment, arrangement_is_admissible
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
 
 # The most boxes n = m_1 + ... + m_r of a parameter that ``CompiledReduction``
@@ -123,9 +123,10 @@ def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
     For each new column, pluses extend minus-ending rows longest first,
     minuses extend plus-ending rows longest first, and remainders open new
     rows; the type L records, for each component range, how many boxes
-    landed there (new rows have unlimited capacity).  An entry outside its
-    box [0, m] is an ``InputError``.
+    landed there (new rows have unlimited capacity).  An entry off its box
+    [0, m], or an arrangement off 1..r, is an ``InputError``.
     """
+    arrangement_is_admissible(psi, pv.sigma)  # validates the arrangement
     segments = [psi.seg(comp) for comp in pv.sigma]
     for comp, p, seg in zip(pv.sigma, pv.entries, segments):
         if not 0 <= p <= seg.m:
@@ -443,7 +444,7 @@ class CompiledReduction:
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
         m = (0, *(s.m for s in self.psi.segments))
-        return transported_forms(relation_masks(self.psi).contains, m, self.sigma, self.sigma)
+        return transported_forms(self.psi.masks.contains, m, self.sigma, self.sigma)
 
     def _column_steps(self, k: int) -> tuple[tuple[int, _Step], ...]:
         """Column k's (position, step) pairs in Trapa's insertion order, run

@@ -6,7 +6,7 @@ position h comes from component sigma(h).  Swapping two adjacent positions
 affine-linearly; composites along any transposition path agree (tested as
 a property, not recomputed here).  Because the swaps are affine,
 ``transported_forms`` can run them once on symbolic entries, taking each
-swap's formula from the containment masks of ``segments.relation_masks``:
+swap's formula from the parameter's containment masks (``psi.masks``):
 every entry after the transport is an integer affine form in the reference
 entries, which both engines compile once per parameter.
 """
@@ -41,7 +41,10 @@ class ParamVector:
 
     def entry_of(self, i: int) -> int:
         """The entry coming from component i (position sigma^{-1}(i))."""
-        return self.entries[self.sigma.index(i)]
+        try:
+            return self.entries[self.sigma.index(i)]
+        except ValueError:
+            raise InputError(f"component {i} is not in arrangement {self.sigma}") from None
 
 
 def phi_adjacent(

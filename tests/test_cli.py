@@ -505,6 +505,21 @@ class TestPrintLimit:
         assert "too long to print" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_transported_entry_past_the_limit_exits_two(self, tmp_path, capsys, sign, fmt):
+        # p_1 = +-(10**DIGITS - 1) prints, but the swap of [6,4] and [7,3]
+        # gives the contained component q_1 = 3 - p_1 and the container
+        # p_1 + p_2 - q_1, one of them a digit longer than p_1
+        doc = {"components": [{"a": 10, "m": 3}, {"a": 10, "m": 5}],
+               "p": [sign * int("9" * DIGITS), 0]}
+        argv = ["transition", write_doc(tmp_path, doc), "--sigma", "2,1", "--format", fmt]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # not even the sigma line of the text view
+        assert err == f"error: an output is too long to print: past {DIGITS} digits\n"
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["tableau", "--sigma", "2,1"],

@@ -86,6 +86,17 @@ def test_by_hand_conditions_validate_their_indices(psi_A, call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call", [
+    lambda psi, pv: cond_B(psi, pv, 3),
+    lambda psi, pv: cond_C(psi, pv, 2, 3),
+])
+def test_by_hand_conditions_check_the_vector_against_psi(psi_A, call):
+    # component 3 is one of psi_A's, but a vector of two entries lacks it
+    with pytest.raises(InputError) as info:
+        call(psi_A, ParamVector.reference((1, 1)))
+    assert str(info.value) == "component 3 is not in arrangement (1, 2)"
+
+
 def test_r1_never_vanishes():
     psi = GoodParityParameter((seg(5, 4),))
     for p in range(5):

@@ -59,6 +59,13 @@ class TestToExtended:
         # eta_i = (-1)^(m_1+...+m_i+1) with all sgn terms +
         assert ems.eta == (-1, -1, -1)
 
+    @pytest.mark.parametrize("sigma", [(1, 1, 1), (1, 2), (1, 2, 4)])
+    def test_a_vector_off_psi_is_an_input_error(self, psi_A, sigma):
+        pv = ParamVector((0,) * len(sigma), sigma)
+        with pytest.raises(InputError) as info:
+            to_extended(psi_A, pv)
+        assert str(info.value) == f"not a permutation of 1..3: {sigma}"
+
     def test_bijection_on_canonical_forms(self, good_parity_family):
         for psi in good_parity_family:
             images = set()
@@ -198,6 +205,13 @@ class TestCondC:
         ems = to_extended(psi_C, ParamVector.reference((1, 1, 1)))
         with pytest.raises(InputError):
             padic_cond_C(psi_C, ems, 1, 3)
+
+    @pytest.mark.parametrize("i, j, bad", [(4, 1, 4), (0, 2, 0)])
+    def test_indices_off_psi_are_an_input_error(self, psi_A, i, j, bad):
+        ems = to_extended(psi_A, (2, 2, 2))
+        with pytest.raises(InputError) as info:
+            padic_cond_C(psi_A, ems, i, j)
+        assert str(info.value) == f"component index {bad} out of range 1..3"
 
     def test_the_pair_may_be_named_in_either_order(self, good_parity_family):
         for psi in good_parity_family:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,12 @@ from aqlam import (
     relation_table,
     segment_from_component,
 )
-from aqlam.arrangements import enumerate_admissible
+from aqlam.arrangements import appropriate_arrangement, enumerate_admissible, lex_first_adjacent
+from aqlam.criterion import CompiledCriterion
 from aqlam.errors import InputError
 from aqlam.segments import arrangement_is_admissible
+from aqlam.tableau import CompiledReduction
+from aqlam.transition import ParamVector, phi
 
 from conftest import parameter_family, random_parameter, seg, sorted_reference
 
@@ -244,6 +248,33 @@ def test_relation_masks_hold_each_relation_once(seed, r, copies, reorder):
         table[i][k] is (relation(psi, i, k) if i != k and i and k else None)
         for i, k in itertools.product(range(r + 1), repeat=2)
     )
+
+
+def test_the_parameter_builds_its_masks_once(monkeypatch):
+    """No reader rebuilds the masks that the constructor keeps.  The r = 7
+    parameter's canonical arrangement (1, 3, 2, 5, 4, 6, 7) is not its
+    reference order, so the reduction transports the vector (``_forms``)."""
+    ends = [(17, 15), (11, 9), (9, 9), (7, 5), (5, 5), (3, 3), (5, 3)]
+    psi = GoodParityParameter(tuple(Segment(HalfInt(b), HalfInt(e)) for b, e in ends))
+    twin = GoodParityParameter(tuple(psi.segments))
+    assert twin == psi and repr(twin) == repr(psi) and hash(twin) == hash(psi)
+    assert "masks" not in repr(psi)
+    assert all(type(row) is tuple for row in psi.masks)
+    assert psi.masks == relation_masks(psi)
+    sigma = appropriate_arrangement(psi)
+    assert sigma == (1, 3, 2, 5, 4, 6, 7)
+    built = []
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "aqlam"]:
+        if hasattr(module, "relation_masks"):
+            monkeypatch.setattr(module, "relation_masks", built.append)
+    assert CompiledCriterion(psi).pairs
+    assert lex_first_adjacent(psi, 2, 3) == (1, 2, 3, 4, 5, 6, 7)
+    assert [neighbors(psi, i, i + 1) for i in range(1, 7)]
+    moved = phi(psi, ParamVector.reference((1, 1, 0, 1, 0, 0, 1)), sigma)
+    assert moved.sigma == sigma
+    assert relation_table(psi)[1][2] is Relation.PRECEDES
+    CompiledReduction(psi).reduce((1, 1, 0, 1, 0, 0, 1))
+    assert built == []
 
 
 def test_neighbors_validates_its_indices(psi_A):

@@ -224,6 +224,14 @@ def test_out_of_box_entry(psi_A):
         build_tableau(psi_A, ParamVector.reference((2, 6, 2)))
 
 
+@pytest.mark.parametrize("sigma", [(1, 1, 1), (1, 2), (1, 2, 4)])
+def test_an_arrangement_off_psi_is_an_input_error(psi_A, sigma):
+    # three copies of component 1 once built a tableau of three equal columns
+    with pytest.raises(InputError) as info:
+        build_tableau(psi_A, ParamVector((0,) * len(sigma), sigma))
+    assert str(info.value) == f"not a permutation of 1..3: {sigma}"
+
+
 def test_last_column_type_fixture(psi_A):
     assert last_column_type(psi_A, (2, 2, 2)) == (h(7), h(4), h(3), h(1))
 
