@@ -263,17 +263,26 @@ def test_the_parameter_builds_its_masks_once(monkeypatch):
     assert psi.masks == relation_masks(psi)
     sigma = appropriate_arrangement(psi)
     assert sigma == (1, 3, 2, 5, 4, 6, 7)
+    defined = defined_neighbor_pairs(psi)
     built = []
+
+    def counted(psi):
+        built.append(psi)
+        return relation_masks(psi)
+
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "aqlam"]:
         if hasattr(module, "relation_masks"):
-            monkeypatch.setattr(module, "relation_masks", built.append)
-    assert CompiledCriterion(psi).pairs
+            monkeypatch.setattr(module, "relation_masks", counted)
+    p = (1, 1, 0, 1, 0, 0, 1)
+    criterion = CompiledCriterion(psi)
+    assert [(pair.i, pair.j) for pair in criterion.pairs] == defined
     assert lex_first_adjacent(psi, 2, 3) == (1, 2, 3, 4, 5, 6, 7)
-    assert [neighbors(psi, i, i + 1) for i in range(1, 7)]
-    moved = phi(psi, ParamVector.reference((1, 1, 0, 1, 0, 0, 1)), sigma)
-    assert moved.sigma == sigma
+    assert [neighbors(psi, i, i + 1) for i in range(1, 7)] == [
+        (i, i + 1) in defined for i in range(1, 7)
+    ]
+    assert phi(psi, ParamVector.reference(p), sigma).sigma == sigma
     assert relation_table(psi)[1][2] is Relation.PRECEDES
-    CompiledReduction(psi).reduce((1, 1, 0, 1, 0, 0, 1))
+    assert CompiledReduction(psi).reduce(p).nonzero == criterion.verdict(p).nonzero
     assert built == []
 
 
