@@ -23,6 +23,7 @@ from aqlam.segments import lambda_values
 from aqlam.tableau import trapa_reduce
 
 from conftest import random_parameter
+from test_criterion import reordered_family
 from test_packets import loosen_pair
 
 DOC_A = {
@@ -598,6 +599,8 @@ def test_entry_text_matches_the_reference_definitions():
     docs = [DOC_A, DOC_B, DOC_HALF, DOC_D, DOC_R5, DOC_NEGATIVE_END]
     psis = [cli._parse_parameter(doc, False) for doc in docs]
     psis += [random_parameter(rng, rng.randint(1, 6), m_max=4) for _ in range(40)]
+    # and parameters whose canonical arrangement is not the reference order
+    psis += reordered_family()
     written = grids = 0
     kinds = set()  # n mod 2 in the comparison domain, None outside it
     for psi in psis:
@@ -631,3 +634,22 @@ def test_entry_text_matches_the_reference_definitions():
         grids += len(compiled.grids)
     assert kinds == {0, 1, None}
     assert written > 1000 and grids < written / 2  # survivors share final types
+
+
+# sha256 of the newline-joined ``repr`` of the ``(p, entry, image)`` triples
+# of ``CompiledPackets(psi).entries()`` over ``reordered_family()``, whose
+# reductions transport every vector to a canonical arrangement that is not
+# the reference order (5,118 entries), recorded before the entries were
+# written from the reduction's numbered types and row counts
+REORDERED_ENTRIES_RECORD = "b4295ab4bec73cdbe5034328b156d2561ba243b2345f8498a556dd3d62d94048"
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_entries_of_reordered_parameters_match_their_record(verify):
+    lines = [
+        repr(entry)
+        for psi in reordered_family()
+        for entry in packets_mod.CompiledPackets(psi).entries(None, verify)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (5118, REORDERED_ENTRIES_RECORD)
