@@ -45,6 +45,7 @@ from .arrangements import (
 from .errors import InputError, ResourceLimitError
 from .segments import (
     GoodParityParameter,
+    check_arrangement,
     intersection_size,
     neighbor_pairs,
     relation,
@@ -88,9 +89,12 @@ class Verdict:
 
 
 def cond_B(psi: GoodParityParameter, pv: ParamVector, i: int) -> bool:
-    """0 <= (entry coming from component i) <= m_i."""
+    """0 <= (entry coming from component i) <= m_i, for pv on an
+    admissible arrangement of psi."""
     m_i = psi.m(i)  # validates i
-    return 0 <= pv.entry_of(i) <= m_i
+    entry = pv.entry_of(i)  # and pv against it
+    check_arrangement(psi, pv.sigma)
+    return 0 <= entry <= m_i
 
 
 def _c_values(
@@ -113,10 +117,12 @@ def _c_values_at(
 def cond_C(psi: GoodParityParameter, pv: ParamVector, i: int, j: int) -> bool:
     """min{p_i, q_j} + min{q_i, p_j} >= #(nu_i intersect nu_j).
 
-    Defined for components placed adjacently by pv's arrangement.
+    Defined for components placed adjacently by pv's arrangement, an
+    admissible one of psi.
     """
     relation(psi, i, j)  # validates the indices
     *_, lhs, sing = _c_values_at(psi, pv, i, j)  # and pv against them
+    check_arrangement(psi, pv.sigma)
     if abs(pv.sigma.index(i) - pv.sigma.index(j)) != 1:
         raise InputError(
             f"components {i},{j} are not adjacent in arrangement {pv.sigma}"
@@ -147,11 +153,9 @@ def nonvanishing(
     for sigma in enumerate_admissible(psi):
         moved = phi(psi, pv, sigma)
         for i in range(1, psi.r + 1):
-            if not cond_B(psi, moved, i):
-                return Verdict(
-                    False,
-                    Witness("B", (i,), sigma, (moved.entry_of(i), psi.m(i))),
-                )
+            entry, m_i = moved.entry_of(i), psi.m(i)
+            if not 0 <= entry <= m_i:
+                return Verdict(False, Witness("B", (i,), sigma, (entry, m_i)))
         for h in range(psi.r - 1):
             i, j = sigma[h], sigma[h + 1]
             values = _c_values_at(psi, moved, i, j)

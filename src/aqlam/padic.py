@@ -31,7 +31,7 @@ from .arrangements import (
 )
 from .criterion import Verdict, Witness
 from .errors import InputError, InvariantViolationError
-from .segments import GoodParityParameter, Relation, arrangement_is_admissible, relation
+from .segments import GoodParityParameter, Relation, check_arrangement, relation
 from .transition import ParamVector
 
 
@@ -92,7 +92,7 @@ def to_extended(
 ) -> ExtendedMultiSegment:
     """Reparametrize a vector: l = min(p, q), eta from partial length sums."""
     if isinstance(p, ParamVector):
-        arrangement_is_admissible(psi, p.sigma)  # validates the arrangement
+        check_arrangement(psi, p.sigma)
     else:
         p = ParamVector.reference(tuple(p))
     r = psi.r

@@ -338,6 +338,13 @@ def arrangement_is_admissible(
     return True
 
 
+def check_arrangement(psi: GoodParityParameter, images: Sequence[int]) -> None:
+    """Refuse, with an ``InputError``, an arrangement of psi that is not a
+    permutation of 1..r or not admissible."""
+    if not arrangement_is_admissible(psi, images):
+        raise InputError(f"arrangement {tuple(images)} is not admissible")
+
+
 class RangeLabel(enum.Enum):
     GOOD = "good"
     NICE = "nice"

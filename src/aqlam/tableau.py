@@ -41,7 +41,7 @@ from .arrangements import Permutation, appropriate_arrangement, enumerate_admiss
 from .criterion import Witness, _reference_entries
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
-from .segments import GoodParityParameter, Relation, Segment, arrangement_is_admissible
+from .segments import GoodParityParameter, Relation, Segment, check_arrangement
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
 
 # The most boxes n = m_1 + ... + m_r of a parameter that ``CompiledReduction``
@@ -124,9 +124,10 @@ def build_tableau(psi: GoodParityParameter, pv: ParamVector) -> TableauState:
     minuses extend plus-ending rows longest first, and remainders open new
     rows; the type L records, for each component range, how many boxes
     landed there (new rows have unlimited capacity).  An entry off its box
-    [0, m], or an arrangement off 1..r, is an ``InputError``.
+    [0, m], or an arrangement that is not an admissible one of psi, is an
+    ``InputError``.
     """
-    arrangement_is_admissible(psi, pv.sigma)  # validates the arrangement
+    check_arrangement(psi, pv.sigma)
     segments = [psi.seg(comp) for comp in pv.sigma]
     for comp, p, seg in zip(pv.sigma, pv.entries, segments):
         if not 0 <= p <= seg.m:

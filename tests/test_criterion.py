@@ -97,6 +97,18 @@ def test_by_hand_conditions_check_the_vector_against_psi(psi_A, call):
     assert str(info.value) == "component 3 is not in arrangement (1, 2)"
 
 
+@pytest.mark.parametrize("call", [
+    lambda psi, pv: cond_B(psi, pv, 2),
+    lambda psi, pv: cond_C(psi, pv, 1, 3),
+    lambda psi, pv: cond_C(psi, pv, 3, 2),
+])
+def test_by_hand_conditions_refuse_an_inadmissible_arrangement(psi_A, call):
+    # [7,3] precedes [6,1], so component 3 may not come before component 2
+    with pytest.raises(InputError) as info:
+        call(psi_A, ParamVector((2, 2, 2), (1, 3, 2)))
+    assert str(info.value) == "arrangement (1, 3, 2) is not admissible"
+
+
 def test_r1_never_vanishes():
     psi = GoodParityParameter((seg(5, 4),))
     for p in range(5):

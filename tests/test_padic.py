@@ -66,6 +66,12 @@ class TestToExtended:
             to_extended(psi_A, pv)
         assert str(info.value) == f"not a permutation of 1..3: {sigma}"
 
+    def test_an_inadmissible_arrangement_is_an_input_error(self, psi_A):
+        # [7,3] precedes [6,1]: on (1, 3, 2) this once gave an image
+        with pytest.raises(InputError) as info:
+            to_extended(psi_A, ParamVector((2, 2, 2), (1, 3, 2)))
+        assert str(info.value) == "arrangement (1, 3, 2) is not admissible"
+
     def test_bijection_on_canonical_forms(self, good_parity_family):
         for psi in good_parity_family:
             images = set()

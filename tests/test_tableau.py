@@ -232,6 +232,13 @@ def test_an_arrangement_off_psi_is_an_input_error(psi_A, sigma):
     assert str(info.value) == f"not a permutation of 1..3: {sigma}"
 
 
+def test_an_inadmissible_arrangement_is_an_input_error(psi_A):
+    # [7,3] precedes [6,1]: on (1, 3, 2) this once built a three-column tableau
+    with pytest.raises(InputError) as info:
+        build_tableau(psi_A, ParamVector((2, 2, 2), (1, 3, 2)))
+    assert str(info.value) == "arrangement (1, 3, 2) is not admissible"
+
+
 def test_last_column_type_fixture(psi_A):
     assert last_column_type(psi_A, (2, 2, 2)) == (h(7), h(4), h(3), h(1))
 
