@@ -203,43 +203,60 @@ def lattice_points(
     """The vectors 0 <= p_k <= m_k, of sum ``rank`` unless it is None, that
     pass every check, in lexicographic order.
 
-    A depth-first search assigning p_1, p_2, ... in turn.  Entry k takes
-    only the values the later entries can still complete to ``rank``, so no
-    vector of another rank is formed, narrowed to the interval that the
-    checks of ``checks[k]`` (0-based) allow once p_1..p_{k-1} are set (see
+    A depth-first search assigning p_1, p_2, ... in turn, in one loop that
+    keeps the values of each entry not yet tried.  Entry k takes only the
+    values the later entries can still complete to ``rank``, so no vector
+    of another rank is formed, narrowed to the interval that the checks of
+    ``checks[k]`` (0-based) allow once p_1..p_{k-1} are set (see
     ``_interval``).  A node counts its whole box or rank range before the
     checks narrow it; raises ``ResourceLimitError`` once the search has
     counted more than ``MAX_DFS_NODES`` nodes, and ``InputError`` for a
     rank outside 0..sum(m).
     """
-    r = len(m)
-    room = [sum(m[k:]) for k in range(r + 1)]  # most entries k.. can hold
+    room = [sum(m[k:]) for k in range(len(m) + 1)]  # most entries k.. can hold
     if rank is not None and not 0 <= rank <= room[0]:
         raise InputError(f"rank {rank} out of range 0..{room[0]}")
-    checks = checks or ((),) * r
-    p = [0] * r
-    nodes = 0
+    return _depth_first(m, rank, checks or ((),) * len(m), room)
 
-    def extend(k: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes
+
+def _depth_first(
+    m: Sequence[int], rank: Optional[int], checks: Sequence[Sequence[PairCheck]],
+    room: Sequence[int],
+) -> Iterator[tuple[int, ...]]:
+    """The search of ``lattice_points``, once its arguments are checked."""
+    last = len(m) - 1
+    p = [0] * len(m)
+    remaining = [0 if rank is None else rank] * len(m)  # rank left for entries k..
+    untried: list[Iterator[int]] = []  # untried[k]: the values of entry k not yet tried
+    nodes = k = 0
+    while True:
         if rank is None:
             lo, hi = 0, m[k]
         else:
-            lo, hi = max(0, remaining - room[k + 1]), min(m[k], remaining)
+            lo, hi = max(0, remaining[k] - room[k + 1]), min(m[k], remaining[k])
         nodes += hi - lo + 1
         if nodes > MAX_DFS_NODES:
             raise ResourceLimitError(
                 f"the lattice-point search visited more than {MAX_DFS_NODES}"
                 f" nodes of the box {tuple(m)}"
             )
-        last = k + 1 == r
-        for p[k] in _interval(checks[k], p, lo, hi):
-            if last:
+        if k < last:
+            untried.append(iter(_interval(checks[k], p, lo, hi)))
+        else:
+            for p[k] in _interval(checks[k], p, lo, hi):
                 yield tuple(p)
-            else:
-                yield from extend(k + 1, remaining - p[k])
-
-    return extend(0, 0 if rank is None else rank)
+        # on to the next value of the deepest entry that has one
+        while untried:
+            k = len(untried) - 1
+            value = next(untried[k], None)
+            if value is not None:
+                p[k] = value
+                remaining[k + 1] = remaining[k] - value
+                k += 1
+                break
+            untried.pop()
+        else:
+            return
 
 
 class CompiledCriterion:

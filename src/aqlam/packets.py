@@ -8,7 +8,8 @@ is described once, as the compact, key-sorted JSON text that the command
 line prints.  ``CompiledPackets`` compiles the criterion, the tableau
 reduction and the p-adic image once per parameter.  The survivors come
 from the criterion's lattice-point search, which never forms most
-vanishing vectors, and each survivor is then described in one pass; with
+vanishing vectors, and each survivor is then written in one pass from the
+reduction's numbered final types and row counts; with
 ``verify`` both engines decide every vector of the rank (or box) too.
 """
 
@@ -60,13 +61,15 @@ class CompiledPackets:
 
     Compiles once what deciding and describing a vector needs apart from the
     vector: the criterion, the tableau reduction and, in the comparison
-    domain, the p-adic image.  ``described(rank)`` describes each survivor
-    of the criterion's lattice-point search from integers, and ``entries``
-    writes each as the JSON text of its entry and of its image, the only
-    description of a packet entry.  The texts are spliced from pieces
-    written once per parameter, and survivors often share their final
-    types, so each antitableau's text is written once per final types
-    (``grids``).  The pieces and the image's table are built on the first
+    domain, the p-adic image.  ``entries(rank)`` writes each survivor of
+    the criterion's lattice-point search as the JSON text of its entry and
+    of its image, the only description of a packet entry.  It reads the
+    reduction's numbered state (``CompiledReduction.final_state``: the
+    final types, their number and the row counts), not a rows tuple.  The
+    texts are spliced from pieces written once per parameter: the rows
+    from each length's piece repeated by its count, and, since survivors
+    often share their final types, each antitableau's text once per
+    number of final types (``grids``).  The pieces and the image's table are built on the first
     survivor, after the search has returned, so its node budget refuses a
     job before anything is built per entry value; the reduction refuses a
     parameter of more than ``tableau.MAX_BOXES`` boxes at construction.
@@ -81,7 +84,7 @@ class CompiledPackets:
         self.reduction = CompiledReduction(psi)
         self.m = self.criterion.m
         self.in_domain = in_padic_domain(psi)
-        self.grids: dict[tuple, str] = {}  # final types -> antitableau text
+        self.grids: dict[int, str] = {}  # number of the final types -> antitableau text
 
     @cached_property
     def image(self) -> Optional[CompiledImage]:
@@ -89,58 +92,56 @@ class CompiledPackets:
 
     @cached_property
     def _pieces(self) -> tuple:
-        """The text of the lambda, of each Levi pair, entry value and signed
-        row, and of each antitableau cell, and the image's sigma and each
-        row of its table with l and the signs written as text."""
+        """The text of the lambda, of each Levi pair and entry value, of the
+        signed rows of each length (with the length and a comma after each
+        row), of each antitableau cell, and the image's sigma and each row
+        of its table with l and the signs written as text."""
         r, quoted = self.psi.r, {1: '"+"', -1: '"-"'}
         table = self.image.table if self.image else []
         return (
             ",".join(f'"{x}"' for x in lambda_values(self.psi)),
             [[f"[{v},{m - v}]" for v in range(m + 1)] for m in self.m],
             [str(v) for v in range(max(self.m) + 1)],
-            {(t, s): f'[{t},"{s}"]' for t in range(1, r + 1) for s in "+-"},
+            [(t, f'[{t},"+"],', f'[{t},"-"],') for t in range(r, 0, -1)],
             self.reduction.cells(lambda twice: f'"{HalfInt(twice)}"'),
             [[(str(l), quoted[e], quoted[f], x) for l, e, f, x in c] for c in table],
             f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}',
         )
 
-    def described(self, rank: Optional[int] = None, verify: bool = False) -> Iterator[tuple]:
-        """``(p, types, rows)`` for each non-vanishing p of sum ``rank`` (of
-        the box for None), lexicographic: the reduction's final types and
-        signed rows.  A p the tableau engine zeroes raises an invariant
-        violation."""
-        run = self.reduction.run
+    def entries(self, rank: Optional[int] = None,
+                verify: bool = False) -> Iterator[tuple[tuple[int, ...], str, str]]:
+        """``(p, entry, image)`` for each non-vanishing p of sum ``rank``
+        (of the box for None), lexicographic: the compact, key-sorted JSON
+        text of p's entry (keys antitableau, lambda, levi, p, padic_image
+        and rows) and of its p-adic image ("null" outside the comparison
+        domain).  The antitableau is written once per number of final
+        types, and the rows from the reduction's row counts: longest first,
+        '+' rows before '-' rows of one length.  A p the tableau engine
+        zeroes raises an invariant violation."""
+        grids, final_state = self.grids, self.reduction.final_state
         for p in self._survivors(rank, verify):
-            result = run(p)
+            result = final_state(p)
             if isinstance(result, Witness):
                 raise InvariantViolationError(
                     f"the criterion passes p={p} but the tableau engine zeroes it: {result}"
                 )
-            yield p, *result
-
-    def entries(self, rank: Optional[int] = None,
-                verify: bool = False) -> Iterator[tuple[tuple[int, ...], str, str]]:
-        """``(p, entry, image)`` for each survivor of ``described``: the
-        compact, key-sorted JSON text of p's entry (keys antitableau,
-        lambda, levi, p, padic_image and rows) and of its p-adic image
-        ("null" outside the comparison domain)."""
-        grids = self.grids
-        for p, types, rows in self.described(rank, verify):
+            types, number, plus, minus = result
             lam, levi, digits, signed, cells, padic, sigma = self._pieces
             image = "null"
             if self.image:
                 l, eta = self.image.pick(p, padic)
                 image = f'{{"eta":[{",".join(eta)}],"l":[{",".join(l)}{sigma}'
-            grid = grids.get(types)
+            grid = grids.get(number)
             if grid is None:
-                grid = grids[types] = "],[".join(
+                grid = grids[number] = "],[".join(
                     map(",".join, self.reduction.antitableau(types, cells))
                 )
+            rows = "".join([on * plus[t] + off * minus[t] for t, on, off in signed])
             yield p, (
                 f'{{"antitableau":[[{grid}]],"lambda":[{lam}],'
                 f'"levi":[{",".join(map(list.__getitem__, levi, p))}],'
                 f'"p":[{",".join(map(digits.__getitem__, p))}],"padic_image":{image},'
-                f'"rows":[{",".join(map(signed.__getitem__, rows))}]}}'
+                f'"rows":[{rows[:-1]}]}}'
             ), image
 
     def _survivors(self, rank: Optional[int], verify: bool) -> list[tuple[int, ...]]:

@@ -414,10 +414,13 @@ class CompiledReduction:
     instance numbers the types it reaches, checking final ones once, and
     keeps each column's outcome keyed on (number of the types before, its
     types).  These, and the steps built on first need, make an instance
-    unfit for sharing between threads.  ``run(p)`` returns the final types
-    and rows, or the zero witness; ``antitableau(types)`` reads the filled
-    rows out of the types, and ``reduce`` wraps both in a ``Reduction``
-    with its ``TableauState``.
+    unfit for sharing between threads.  ``final_state(p)`` returns the
+    final types, their number and the row counts by length and end sign
+    (what ``packets.CompiledPackets`` writes an entry from), or the zero
+    witness; ``run(p)`` returns the final types and the signed rows read
+    out of the counts; ``antitableau(types)`` reads the filled rows out of
+    the types, and ``reduce`` wraps both in a ``Reduction`` with its
+    ``TableauState``.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -478,6 +481,10 @@ class CompiledReduction:
         self._column_steps(len(self.lengths))
         return tuple(self._ends)
 
+    @cached_property
+    def _final_gaps(self) -> tuple[int, ...]:
+        return _gaps(self._final_ends)
+
     def cells(self, write: Callable[[int], Any]) -> list[list]:
         """The antitableau cells with each value written by ``write`` from
         its double, for ``antitableau(types, cells)``."""
@@ -497,9 +504,19 @@ class CompiledReduction:
         self, p: Sequence[int] | ParamVector
     ) -> Union[Witness, tuple[tuple[Types, ...], Rows]]:
         """The core of ``reduce``: p's final types (padded, see ``_column``)
-        and signed rows, or the witness that p is zero.  Resumes after the
-        longest prefix of canonical entries shared with the last vector run,
-        and takes each column's outcome from the instance's memo or ``_insert``."""
+        and signed rows, or the witness that p is zero."""
+        result = self.final_state(p)
+        if isinstance(result, Witness):
+            return result
+        types, _, plus, minus = result
+        return types, _rows(plus, minus)
+
+    def final_state(self, p: Sequence[int] | ParamVector) -> Union[Witness, tuple]:
+        """p's final types, their number (equal types, equal numbers) and
+        the row counts ``plus`` and ``minus`` of ``_column``, or the witness
+        that p is zero.  Resumes after the longest prefix of canonical
+        entries shared with the last vector run, and takes each column's
+        outcome from the instance's memo or ``_insert``."""
         entries = self._start(p)
         if isinstance(entries, Witness):
             return entries
@@ -521,7 +538,7 @@ class CompiledReduction:
                 return outcome
             types, number = outcome
             states.append((types, number, plus, minus))
-        return types, _rows(plus, minus)
+        return types, number, plus, minus
 
     def _insert(self, types: tuple[Types, ...], L: Types, k: int) -> Union[Witness, tuple]:
         """Column k, of types L, after columns of these types: the types after
@@ -537,7 +554,7 @@ class CompiledReduction:
         fresh = after, len(self._numbered)
         known = self._numbered.setdefault(after, fresh)
         if known is fresh and k == len(self.lengths):
-            if not _descends(_gaps(self._final_ends), after):
+            if not _descends(self._final_gaps, after):
                 del self._numbered[after]
                 raise InvariantViolationError(f"a non-antitableau state at the end: {after}")
         return known

@@ -13,6 +13,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqlam import GoodParityParameter, HalfInt, Segment, cli, criterion, tableau
 from aqlam import packets as packets_mod
@@ -629,7 +631,7 @@ def test_entry_text_matches_the_reference_definitions():
             assert sorted(by_text[0].values()) == sorted(by_object[0].values())
             assert by_text[1] is by_object[1] is True
         # one antitableau text per final types; a second pass reads them all from the memo
-        assert len(compiled.grids) == len({types for _, types, _ in compiled.described()})
+        assert len(compiled.grids) == len({compiled.reduction.run(p)[0] for p, _, _ in entries})
         assert list(compiled.entries()) == entries
         grids += len(compiled.grids)
     assert kinds == {0, 1, None}
@@ -653,3 +655,96 @@ def test_entries_of_reordered_parameters_match_their_record(verify):
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (5118, REORDERED_ENTRIES_RECORD)
+
+
+# --- the command-line boundary on any document -------------------------------
+
+NINES = int("9" * 4300)  # parses; one more digit, or doubling it, is past the limit
+# a value where the document wants a number or a half-integer string
+SIZES = st.one_of(
+    st.integers(-2, 14),
+    st.sampled_from([0, 10**9, 10**12 + 1, NINES, -NINES]),
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+)
+HALFINTS = st.one_of(
+    st.integers(-14, 14).map(str),
+    st.builds("{}/{}".format, st.integers(-14, 14), st.sampled_from([1, 2, 3])),
+    st.sampled_from([str(NINES), f"{NINES}/2", "1/0", "", " 3", "x"]),
+    SIZES,
+)
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def well_formed(draw):
+    """Components on one grid (a + m of one parity) in descending order of
+    a (so no later one precedes an earlier one), with p in or just off the
+    box and a rank in or just off range: these parse, and many are answered."""
+    r, grid = draw(st.integers(1, 5)), draw(st.integers(0, 1))
+    m = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    a = [x + (x + y + grid) % 2 for x, y in zip(draw(st.lists(st.integers(0, 14), min_size=r, max_size=r)), m)]
+    components = sorted(zip(a, m), reverse=True)
+    m = [y for _, y in components]
+    return {
+        "components": [{"a": x, "m": y} for x, y in components],
+        "p": [draw(st.integers(-1, y + 1)) for y in m],
+        "p_rank": draw(st.integers(-1, sum(m) + 1)),
+    }
+
+
+# past a limit: the box limit with one survivor, nine equal segments (9!
+# orders), an end past the digit limit, and an entry of 4,300 nines
+OVERSIZED = st.one_of(
+    st.sampled_from([
+        {"components": [{"a": 10**9 + 1, "m": 10**9}], "p": [1], "p_rank": 1},
+        {"segments": [{"b": "4", "e": "2"}] * 9, "p": [1] * 9, "p_rank": 9},
+        {"components": [{"a": NINES, "m": 3}], "p": [0], "p_rank": 0},
+    ]),
+    well_formed().map(lambda doc: {**doc, "p": [NINES, *doc["p"][1:]]}),
+)
+DOCUMENTS = st.one_of(
+    well_formed(),
+    OVERSIZED,
+    st.fixed_dictionaries({}, optional={
+        "components": st.lists(st.fixed_dictionaries({"a": SIZES, "m": SIZES}) | JUNK, max_size=7) | JUNK,
+        "segments": st.lists(st.fixed_dictionaries({"b": HALFINTS, "e": HALFINTS}) | JUNK, max_size=7) | JUNK,
+        "p": st.lists(SIZES, max_size=7) | JUNK,
+        "p_rank": SIZES | JUNK,
+    }),
+    JUNK,
+).map(json.dumps).map(str.encode)
+RAW = st.one_of(DOCUMENTS, st.binary(max_size=12), DOCUMENTS.map(lambda doc: doc[:-1]))
+SIGMAS = st.sampled_from(["1", "2,1", "1,2", "2,1,3", "3 2 1", "1,2,3,4", "0,1", "x", ""])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(cli._COMMANDS)), RAW,
+    st.lists(st.sampled_from(["--format text", "--strict-parity", "--verify"]), unique=True),
+    SIGMAS,
+)
+@example(
+    "transition",
+    json.dumps({"components": [{"a": 10, "m": 3}, {"a": 10, "m": 5}], "p": [NINES, 0]}).encode(),
+    [], "2,1",
+)
+def test_any_document_gets_an_exit_code_and_no_traceback(command, raw, flags, sigma):
+    if command not in ("check", "packet", "av"):
+        flags = [flag for flag in flags if flag != "--verify"]
+    argv = [command, "-", *" ".join(flags).split()]
+    if command == "transition":
+        argv += ["--sigma", sigma]
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3), (argv, raw, err.getvalue())
+    assert code != 1 or command == "check", (argv, raw)
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), (argv, raw)
