@@ -69,10 +69,11 @@ class CompiledPackets:
     texts are spliced from pieces written once per parameter: the rows
     from each length's piece repeated by its count, and, since survivors
     often share their final types, each antitableau's text once per
-    number of final types (``grids``).  The pieces and the image's table are built on the first
-    survivor, after the search has returned, so its node budget refuses a
-    job before anything is built per entry value; the reduction refuses a
-    parameter of more than ``tableau.MAX_BOXES`` boxes at construction.
+    number of final types (``grids``).  The pieces and the image's table
+    are built on the first survivor, after the search has returned, so its
+    node budget refuses a job before anything is built per entry value;
+    the reduction refuses a parameter of more than ``tableau.MAX_BOXES``
+    boxes at construction.
     With ``verify`` the rank (or the box) is scanned too: the tableau
     engine re-decides every vector, and any disagreement with the
     criterion, or with the search, raises an invariant violation.
