@@ -5,13 +5,14 @@ here are the worked examples and the pointwise properties.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqlam import GoodParityParameter, padic
+from aqlam import GoodParityParameter, HalfInt, Segment, padic
 from aqlam.arrangements import enumerate_admissible
 from aqlam.criterion import CompiledCriterion, cond_C, nonvanishing
 from aqlam.errors import InputError, InvariantViolationError
@@ -25,7 +26,7 @@ from aqlam.padic import (
     sign_of,
     to_extended,
 )
-from aqlam.segments import arrangement_is_admissible, relation
+from aqlam.segments import Relation, arrangement_is_admissible, relation
 from aqlam.transition import ParamVector, phi_adjacent
 
 from conftest import box, parameter_family, random_parameter, seg
@@ -398,3 +399,113 @@ def test_transition_is_an_involution_off_the_real_image(rng, r):
     for h in containment_swaps(psi, ems.sigma):
         once = padic_transition(psi, ems, h)
         assert padic_transition(psi, once, h) == ems
+
+
+def cond_C_sweep():
+    """1,500 seeded random parameters with r = 2-6, alternating the two grids,
+    every other pair of them in a random admissible reference order rather
+    than the canonical one.  Each gives three canonical (l, eta) on random
+    admissible orders, named by every adjacent pair in both orders, and one
+    on a random permutation, named by every adjacent pair in the order of
+    the permutation and by one random pair of indices from 0 to r + 1."""
+    rng = random.Random(23)
+    for k in range(1500):
+        psi = random_parameter(rng, rng.randint(2, 6), half_grid=k % 2 == 1)
+        if k % 4 >= 2:
+            order = rng.choice(enumerate_admissible(psi))
+            psi = GoodParityParameter(tuple(psi.seg(i) for i in order))
+        orders = enumerate_admissible(psi)
+        for _ in range(3):
+            ems = random_extended(rng, psi, orders)
+            for i, j in zip(ems.sigma, ems.sigma[1:]):
+                yield psi, ems, i, j
+                yield psi, ems, j, i
+        ems = random_extended(rng, psi, [tuple(rng.sample(range(1, psi.r + 1), psi.r))])
+        yield psi, ems, rng.randint(0, psi.r + 1), rng.randint(0, psi.r + 1)
+        for i, j in zip(ems.sigma, ems.sigma[1:]):
+            yield psi, ems, i, j
+
+
+# sha256 of the newline-joined outcomes of ``padic_cond_C`` over
+# ``cond_C_sweep()``: the verdict's ``repr``, or the ``InputError`` message.
+# ``PADIC_RECORD`` reaches the condition only through ``padic_nonvanishing``,
+# which stops at the first failing pair of each order; this one reads every
+# pair.  Recorded while the condition was still split by relation case and
+# looped over the choices of the erased signs (32,909 outcomes, 2,734 of them
+# errors).
+COND_C_RECORD = "acb17026947d457922cd8d456def5f452ffbd49922587769e07c274381532616"
+
+
+def test_padic_cond_C_outcomes_match_their_record():
+    lines = []
+    for psi, ems, i, j in cond_C_sweep():
+        try:
+            lines.append(repr(padic_cond_C(psi, ems, i, j)))
+        except InputError as error:
+            lines.append(f"InputError: {error}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (32909, COND_C_RECORD)
+
+
+def cond_C_by_cases(psi, ems, i, j):
+    """Condition C as the paper states it, for i placed just before j: by
+    the relation of the pair, precedence read through the centres a and the
+    lengths m, and over every choice of the signs that 2 l = m erases."""
+    s_i, s_j = psi.seg(i), psi.seg(j)
+    a_i, a_j = s_i.a, s_j.a
+    m_i, m_j = s_i.m, s_j.m
+    l_i, l_j = ems.l[i - 1], ems.l[j - 1]
+    rel = relation(psi, i, j)
+
+    def holds(linked):
+        if rel is Relation.PRECEDES:
+            if linked:
+                return a_j - a_i - m_j + m_i <= 2 * (l_i - l_j) <= a_i - a_j + m_i - m_j
+            return 2 * (l_i + l_j) >= a_j - a_i + m_j + m_i
+        if rel is Relation.CONTAINS:
+            return 0 <= l_i - l_j <= m_i - m_j if linked else l_i + l_j >= m_j
+        return 0 <= l_j - l_i <= m_j - m_i if linked else l_i + l_j >= m_i
+
+    signs_i = (1, -1) if 2 * l_i == m_i else (ems.eta[i - 1],)
+    signs_j = (1, -1) if 2 * l_j == m_j else (ems.eta[j - 1],)
+    return any(
+        holds(e_i == (-1) ** (1 + m_j) * e_j) for e_i in signs_i for e_j in signs_j
+    )
+
+
+def small_segments(parity):
+    """Every segment [b, e] with 0 <= 2e <= 2b <= 8 and 2b of the given parity."""
+    return [
+        Segment(HalfInt(tb), HalfInt(te))
+        for tb in range(parity, 9, 2)
+        for te in range(parity, tb + 1, 2)
+    ]
+
+
+def canonical_states(m):
+    """Every (l, eta) with -1 <= l <= m // 2, eta + where 2 l = m."""
+    return [
+        (l, eta) for l in range(-1, m // 2 + 1) for eta in ((1,) if 2 * l == m else (1, -1))
+    ]
+
+
+def test_cond_C_is_the_case_by_case_statement_on_every_small_pair():
+    calls = 0
+    for parity in (0, 1):
+        segments = small_segments(parity)
+        for s, t in itertools.product(segments, repeat=2):
+            try:
+                psi = GoodParityParameter((s, t))
+            except InputError:  # t precedes s: the reference order is inadmissible
+                continue
+            for sigma in enumerate_admissible(psi):
+                i, j = sigma
+                for (l_1, e_1), (l_2, e_2) in itertools.product(
+                    canonical_states(s.m), canonical_states(t.m)
+                ):
+                    ems = ExtendedMultiSegment((l_1, l_2), (e_1, e_2), sigma)
+                    expected = cond_C_by_cases(psi, ems, i, j)
+                    assert padic_cond_C(psi, ems, i, j) is expected, (psi, ems)
+                    assert padic_cond_C(psi, ems, j, i) is expected, (psi, ems)
+                    calls += 2
+    assert calls == 25_544
