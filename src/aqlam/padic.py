@@ -181,20 +181,17 @@ def padic_transition(
     """Transport across the swap of positions (h, h+1) of ems's order.
 
     Only containment pairs may swap.  Write c for the container, d for the
-    contained component, s(k) = (-1)^k, t = s(1+m_d) when c comes first and
-    t = s(1+m_c) when d does, and g_k = m_k - 2 l_k >= 0.  Then d keeps l_d
-    and takes s(1+m_c) eta_d.  If eta_c eta_d t = 1 and g_c < 2 g_d (branch
-    A), c takes (m_c - l_c - m_d + 2 l_d, s(1+m_d) eta_c); otherwise (branch
-    B) it takes (l_c + eta_c eta_d t g_d, s(m_d) eta_c).
+    contained component, s(k) = (-1)^k, and t = s(1+m_d) when c comes first
+    and t = s(1+m_c) when d does.  Then d keeps l_d and takes s(1+m_c) eta_d,
+    and c takes x = l_c + eta_c eta_d t (m_d - 2 l_d) and the sign
+    s(m_d) eta_c, folded to (m_c - x, -s(m_d) eta_c) when 2x > m_c.
 
-    With c first this is the change of order of the extended multi-segment.
-    With d first it is its inverse in closed form: undoing either branch
-    gives the same expressions with t = s(1+m_c), since the forward map
-    multiplies eta_d by s(1+m_c), and the preimage lies in branch A exactly
-    when eta_c eta_d t = 1 and 0 < g_c <= 2 g_d.  At g_c = 2 g_d both
-    branches give 2 l_c = m_c; at g_c = 0, where the canonical form erased
-    eta_c, flipping eta_c swaps the branches and keeps the image.  So one
-    test serves both orientations.  An erased eta_d (g_d = 0) is not read.
+    With c first this is the change of order of the extended multi-segment,
+    whose two branches are the sum and its fold.  With d first it is the
+    inverse in closed form: t undoes the factor s(1+m_c) that the forward
+    map puts on eta_d.  A sign erased by 2 l = m does not change the image:
+    flipping an erased eta_c trades the sum for its fold, and an erased
+    eta_d multiplies m_d - 2 l_d = 0.
     """
     _check(psi, ems)
     sigma = ems.sigma
@@ -210,13 +207,11 @@ def padic_transition(
     c, d = (i, j) if rel is Relation.CONTAINS else (j, i)
     m_c, m_d = psi.m(c), psi.m(d)
     l, eta = list(ems.l), list(ems.eta)
-    l_c, e_c, l_d, e_d = l[c - 1], eta[c - 1], l[d - 1], eta[d - 1]
-    sign = e_c * e_d * _sgnpow(1 + (m_d if c == i else m_c))
-    eta[d - 1] = _sgnpow(1 + m_c) * e_d
-    if sign == 1 and m_c - 2 * l_c < 2 * (m_d - 2 * l_d):
-        l[c - 1], eta[c - 1] = m_c - l_c - m_d + 2 * l_d, _sgnpow(1 + m_d) * e_c
-    else:
-        l[c - 1], eta[c - 1] = l_c + sign * (m_d - 2 * l_d), _sgnpow(m_d) * e_c
+    t = _sgnpow(1 + (m_d if c == i else m_c))
+    x = l[c - 1] + eta[c - 1] * eta[d - 1] * t * (m_d - 2 * l[d - 1])
+    e_c = _sgnpow(m_d) * eta[c - 1]
+    eta[d - 1] *= _sgnpow(1 + m_c)
+    l[c - 1], eta[c - 1] = (m_c - x, -e_c) if 2 * x > m_c else (x, e_c)
     return _canonical(psi, l, eta, sigma[: h - 1] + (j, i) + sigma[h + 1 :])
 
 
@@ -232,7 +227,16 @@ def _transport(
 def padic_cond_C(
     psi: GoodParityParameter, ems: ExtendedMultiSegment, i: int, j: int
 ) -> bool:
-    """The adjacency condition on (l, eta), by relation and sign case."""
+    """The adjacency condition on (l, eta), one formula over the segment ends.
+
+    With [b_i, e_i] placed just before [b_j, e_j], the pair is linked when
+    eta_i = (-1)^(1+m_j) eta_j.  A linked pair needs
+    min(0, e_j - e_i) + min(0, b_i - b_j) <= l_i - l_j
+    <= max(0, e_j - e_i) + max(0, b_i - b_j), an unlinked one
+    l_i + l_j >= min(b_i, b_j) - max(e_i, e_j) + 1, the common length not
+    clamped at 0.  A sign erased by 2 l = m is a convention, not data: both
+    of its choices name the same point, so either case may hold.
+    """
     _check(psi, ems)
     rel = relation(psi, i, j)  # validates the indices
     pos_i, pos_j = ems.sigma.index(i), ems.sigma.index(j)
@@ -241,38 +245,19 @@ def padic_cond_C(
     if pos_i > pos_j:
         i, j = j, i
         rel = relation(psi, i, j)
-    l_i, l_j = ems.l[i - 1], ems.l[j - 1]
-    m_i, m_j = psi.m(i), psi.m(j)
-    a_i, a_j = psi.a(i), psi.a(j)
-
-    def holds(linked: bool) -> bool:
-        if rel is Relation.PRECEDES:
-            if linked:
-                lo = (a_j - a_i - m_j + m_i) // 2
-                hi = (a_i - a_j + m_i - m_j) // 2
-                return lo <= l_i - l_j <= hi
-            return l_i + l_j >= (a_j - a_i + m_j + m_i) // 2
-        if rel is Relation.CONTAINS:
-            if linked:
-                return 0 <= l_i - l_j <= m_i - m_j
-            return l_i + l_j >= m_j
-        if rel is Relation.CONTAINED:
-            # Interval on container minus contained, mirroring the other
-            # containment orientation.
-            if linked:
-                return 0 <= l_j - l_i <= m_j - m_i
-            return l_i + l_j >= m_i
+    if rel is Relation.PRECEDED_BY:
         raise InputError(f"component {i} is preceded by its successor {j}")
-
-    # The stored sign of a component with 2l = m is a convention, not data:
-    # both choices name the same point.  The condition holds if it holds for
-    # some choice of the undetermined signs.
-    choices_i = (1, -1) if 2 * l_i == m_i else (ems.eta[i - 1],)
-    choices_j = (1, -1) if 2 * l_j == m_j else (ems.eta[j - 1],)
-    return any(
-        holds(e_i == _sgnpow(1 + m_j) * e_j)
-        for e_i in choices_i
-        for e_j in choices_j
+    s, t = psi.seg(i), psi.seg(j)
+    b_i, e_i, b_j, e_j = s.b.twice, s.e.twice, t.b.twice, t.e.twice
+    l_i, l_j = ems.l[i - 1], ems.l[j - 1]
+    # the ends lie on one grid, so every difference of doubled ends is even
+    lo = (min(0, e_j - e_i) + min(0, b_i - b_j)) // 2
+    hi = (max(0, e_j - e_i) + max(0, b_i - b_j)) // 2
+    common = (min(b_i, b_j) - max(e_i, e_j)) // 2 + 1
+    linked = ems.eta[i - 1] == _sgnpow(1 + t.m) * ems.eta[j - 1]
+    erased = 2 * l_i == s.m or 2 * l_j == t.m
+    return (linked or erased) and lo <= l_i - l_j <= hi or (
+        (not linked or erased) and l_i + l_j >= common
     )
 
 

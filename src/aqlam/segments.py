@@ -177,9 +177,6 @@ class GoodParityParameter:
     def m(self, i: int) -> int:
         return self.seg(i).m
 
-    def a(self, i: int) -> int:
-        return self.seg(i).a
-
     def __str__(self) -> str:
         return "{" + ",".join(str(s) for s in self.segments) + "}"
 
