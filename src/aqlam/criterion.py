@@ -211,11 +211,13 @@ def lattice_points(
     ``_interval``).  A node counts its whole box or rank range before the
     checks narrow it; raises ``ResourceLimitError`` once the search has
     counted more than ``MAX_DFS_NODES`` nodes, and ``InputError`` for a
-    rank outside 0..sum(m).
+    rank outside 0..sum(m).  The empty box has one point, ().
     """
     room = [sum(m[k:]) for k in range(len(m) + 1)]  # most entries k.. can hold
     if rank is not None and not 0 <= rank <= room[0]:
         raise InputError(f"rank {rank} out of range 0..{room[0]}")
+    if not m:
+        return iter([()])
     return _depth_first(m, rank, checks or ((),) * len(m), room)
 
 

@@ -672,9 +672,9 @@ def upper_bound_check(
     rels = [Segment.relate_twice(*end, *ends[-1], Relation.CONTAINS) for end in ends[:-1]]
     if h is None:
         h = sum(1 for rel in rels if rel is Relation.PRECEDES)
-    if h < 0 or rels[:h] != [Relation.PRECEDES] * h or any(
-        rel is not Relation.CONTAINED for rel in rels[h:]
-    ):
+    if not 0 <= h <= len(prefix) or any(
+        rel is not Relation.PRECEDES for rel in rels[:h]
+    ) or any(rel is not Relation.CONTAINED for rel in rels[h:]):
         raise InputError(
             "prefix must split into preceding segments followed by contained ones"
         )

@@ -269,6 +269,12 @@ def test_survivors_reject_a_rank_out_of_range(psi_A):
             CompiledCriterion(psi_A).survivors(rank)
 
 
+def test_the_empty_box_has_one_point():
+    assert list(lattice_points(())) == list(lattice_points((), 0)) == [()]
+    with pytest.raises(InputError, match="rank 1 out of range 0..0"):
+        lattice_points((), 1)
+
+
 def test_node_budget_is_checked_as_nodes_are_visited(monkeypatch):
     # the box (2, 3) without checks: 3 nodes for p_1, then 4 under each
     monkeypatch.setattr(criterion, "MAX_DFS_NODES", 15)
