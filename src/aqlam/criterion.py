@@ -64,9 +64,15 @@ MAX_DFS_NODES = 100_000
 class Witness:
     """A violated condition, with enough data to re-check it by hand.
 
-    kind "B": indices = (i,), values = (p_i, m_i).
-    kind "C": indices = (i, j), values = (p_i, q_i, p_j, q_j, lhs, sing).
-    kind "overlap": indices = (k, k+1) positions, values = (overlap, sing).
+    kind "B": indices = (i,); values = (p_i, m_i) from the real criterion
+    and from the tableau reduction (there for the first component in
+    canonical order whose entry leaves its box, sigma the canonical
+    arrangement), (l_i,) with l_i < 0 from the p-adic side.
+    kind "C": indices = (i, j); values = (p_i, q_i, p_j, q_j, lhs, sing)
+    from the real criterion, (l_i, eta_i, l_j, eta_j) from the p-adic side.
+    kind "overlap": indices = (k, k+1) positions, values = (overlap, sing);
+    sigma is the canonical arrangement, or None from ``trapa_op``, whose
+    positions are (1, 2).
     """
 
     kind: str

@@ -9,12 +9,18 @@ representation.
 
 The transition maps, the adjacency conditions and the non-vanishing
 verdict on this side mirror the real side exactly; the commuting squares
-are tested properties.  A swap of neighbours is one closed formula for
-both orientations: the change of order of Atobe's extended multi-segments
-when the container comes first, and its inverse, which differs in one
-sign, when the contained one does.  ``ExtendedMultiSegment`` does not know
-psi, so every public function here that takes one first checks that it
-lives on psi: its order is a permutation of 1..r and 2 l_i <= m_i.
+are tested properties.  Like real condition C, min(p_i, q_j) +
+min(q_i, p_j) >= #(nu_i cap nu_j), each rule is one formula over the
+segment ends [b, e], with no case split by relation.  For i just before j,
+condition C is lo <= l_i - l_j <= hi on a linked pair, lo and hi summing
+min(0, -) and max(0, -) over e_j - e_i and b_i - b_j, and
+l_i + l_j >= min(b_i, b_j) - max(e_i, e_j) + 1 on an unlinked one.  A swap
+adds +-(m_d - 2 l_d) to the container's l_c and folds the sum x to m_c - x
+when 2x > m_c: Atobe's change of order of extended multi-segments when the
+container comes first, its inverse when the contained one does.
+``ExtendedMultiSegment`` does not know psi, so every public function here
+that takes one first checks that it lives on psi: its order is a
+permutation of 1..r and 2 l_i <= m_i.
 """
 
 from __future__ import annotations
@@ -181,17 +187,15 @@ def padic_transition(
     """Transport across the swap of positions (h, h+1) of ems's order.
 
     Only containment pairs may swap.  Write c for the container, d for the
-    contained component, s(k) = (-1)^k, and t = s(1+m_d) when c comes first
-    and t = s(1+m_c) when d does.  Then d keeps l_d and takes s(1+m_c) eta_d,
-    and c takes x = l_c + eta_c eta_d t (m_d - 2 l_d) and the sign
-    s(m_d) eta_c, folded to (m_c - x, -s(m_d) eta_c) when 2x > m_c.
-
-    With c first this is the change of order of the extended multi-segment,
-    whose two branches are the sum and its fold.  With d first it is the
-    inverse in closed form: t undoes the factor s(1+m_c) that the forward
-    map puts on eta_d.  A sign erased by 2 l = m does not change the image:
-    flipping an erased eta_c trades the sum for its fold, and an erased
-    eta_d multiplies m_d - 2 l_d = 0.
+    contained component, s(k) = (-1)^k, and t = s(1+m_d) when c comes first,
+    s(1+m_c) when d does.  d keeps l_d and takes s(1+m_c) eta_d; c takes
+    x = l_c + eta_c eta_d t (m_d - 2 l_d) and s(m_d) eta_c, folded to
+    (m_c - x, -s(m_d) eta_c) when 2x > m_c.  With c first this is the change
+    of order of the extended multi-segment, whose two branches are the sum
+    and the fold; with d first it is the inverse, t undoing the factor that
+    the forward map puts on eta_d.  An erased sign does not move the image:
+    flipping eta_c at 2 l_c = m_c trades the sum for its fold, and eta_d at
+    2 l_d = m_d multiplies 0.
     """
     _check(psi, ems)
     sigma = ems.sigma
@@ -227,15 +231,12 @@ def _transport(
 def padic_cond_C(
     psi: GoodParityParameter, ems: ExtendedMultiSegment, i: int, j: int
 ) -> bool:
-    """The adjacency condition on (l, eta), one formula over the segment ends.
-
-    With [b_i, e_i] placed just before [b_j, e_j], the pair is linked when
-    eta_i = (-1)^(1+m_j) eta_j.  A linked pair needs
-    min(0, e_j - e_i) + min(0, b_i - b_j) <= l_i - l_j
-    <= max(0, e_j - e_i) + max(0, b_i - b_j), an unlinked one
-    l_i + l_j >= min(b_i, b_j) - max(e_i, e_j) + 1, the common length not
-    clamped at 0.  A sign erased by 2 l = m is a convention, not data: both
-    of its choices name the same point, so either case may hold.
+    """Condition C on (l, eta) for the adjacent pair i, j, named in either
+    order.  With i placed first, the pair is linked when
+    eta_i = (-1)^(1+m_j) eta_j: a linked pair needs lo <= l_i - l_j <= hi,
+    an unlinked one l_i + l_j >= common, the intersection size not clamped
+    at 0.  A sign erased by 2 l = m is a convention, not data: both of its
+    choices name the same point, so it lets either case hold.
     """
     _check(psi, ems)
     rel = relation(psi, i, j)  # validates the indices
@@ -243,8 +244,7 @@ def padic_cond_C(
     if abs(pos_i - pos_j) != 1:
         raise InputError(f"components {i},{j} not adjacent in order {ems.sigma}")
     if pos_i > pos_j:
-        i, j = j, i
-        rel = relation(psi, i, j)
+        i, j, rel = j, i, relation(psi, j, i)
     if rel is Relation.PRECEDED_BY:
         raise InputError(f"component {i} is preceded by its successor {j}")
     s, t = psi.seg(i), psi.seg(j)
@@ -256,9 +256,8 @@ def padic_cond_C(
     common = (min(b_i, b_j) - max(e_i, e_j)) // 2 + 1
     linked = ems.eta[i - 1] == _sgnpow(1 + t.m) * ems.eta[j - 1]
     erased = 2 * l_i == s.m or 2 * l_j == t.m
-    return (linked or erased) and lo <= l_i - l_j <= hi or (
-        (not linked or erased) and l_i + l_j >= common
-    )
+    return ((linked or erased) and lo <= l_i - l_j <= hi
+            or (not linked or erased) and l_i + l_j >= common)
 
 
 def in_padic_domain(psi: GoodParityParameter) -> bool:
