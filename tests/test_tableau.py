@@ -397,8 +397,7 @@ class TestUpperBound:
                 upper_bound_check(prefix, columns[len(prefix)], -1)
 
     def test_rejects_an_h_past_the_prefix_before_using_it(self, psi_A):
-        # h is compared with the prefix's length first: a list of h
-        # relations was once built to compare with
+        # an h past the prefix is refused before anything of size h is built
         columns = trapa_reduce(psi_A, (2, 2, 2)).state.columns
         with pytest.raises(InputError, match="prefix must split"):
             upper_bound_check(columns[:2], columns[2], 10**30)
