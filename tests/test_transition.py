@@ -4,6 +4,7 @@ The path-independence tests double as the correctness argument for composing
 adjacent swaps along an arbitrary geodesic.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -171,3 +172,46 @@ def test_transported_forms_equal_phi_at_every_position():
             p = random_entry_vector(rng, psi)
             moved = phi(psi, ParamVector.reference(p), sigma)
             assert [affine_value(form, p) for form in forms] == list(moved.entries)
+
+
+def phi_sweep():
+    """(function, arguments) for ``phi`` and ``phi_adjacent``: 400 seeded
+    random parameters, r = 1-8 in turn, alternating the two grids, and then
+    ``reordered_family()``.  On each, three vectors (entries from -1 to
+    m + 1) on random admissible starts: each moved by ``phi`` to a random
+    admissible target, and swapped by ``phi_adjacent`` at every h from 0 to
+    r, precedence swaps included."""
+    from test_criterion import reordered_family
+
+    rng = random.Random(61)
+    m_max = {1: 6, 2: 6, 3: 5, 4: 4, 5: 3, 6: 3, 7: 2, 8: 2}
+    draws = []
+    for k in range(400):
+        r = 1 + k % 8
+        draws.append(random_parameter(rng, r, m_max=m_max[r], half_grid=k // 8 % 2 == 1))
+    for psi in [*draws, *reordered_family()]:
+        orders = enumerate_admissible(psi)
+        for _ in range(3):
+            entries = tuple(rng.randint(-1, psi.m(i) + 1) for i in range(1, psi.r + 1))
+            pv = ParamVector(entries, rng.choice(orders))
+            yield phi, (psi, pv, rng.choice(orders))
+            for h in range(psi.r + 1):
+                yield phi_adjacent, (psi, pv, h)
+
+
+# sha256 of the newline-joined outcomes over ``phi_sweep()``: the result's
+# ``repr``, or the ``InputError`` message.  Recorded while ``phi`` still ran
+# ``phi_adjacent`` along the path and each swap split on which of the two
+# components came first (9,546 outcomes, 5,598 of them errors).
+PHI_RECORD = "98c9b5402447b4fe83dab760b179cc9546f188bb3cae8fa2787b1e4e89140c8c"
+
+
+def test_phi_outcomes_match_their_record():
+    lines = []
+    for function, args in phi_sweep():
+        try:
+            lines.append(repr(function(*args)))
+        except InputError as error:
+            lines.append(f"InputError: {error}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (9546, PHI_RECORD)
