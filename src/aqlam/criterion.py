@@ -215,10 +215,12 @@ def lattice_points(
     of another rank is formed, narrowed to the interval that the checks of
     ``checks[k]`` (0-based) allow once p_1..p_{k-1} are set (see
     ``_interval``).  A node counts its whole box or rank range before the
-    checks narrow it; raises ``ResourceLimitError`` once the search has
-    counted more than ``MAX_DFS_NODES`` nodes, and ``InputError`` for a
-    rank outside 0..sum(m).  The empty box has one point, ().
+    checks narrow it; raises ``ResourceLimitError`` past ``MAX_DFS_NODES``
+    nodes, and ``InputError`` for a negative length or a rank outside
+    0..sum(m).  The empty box has one point, ().
     """
+    if min(m, default=0) < 0:
+        raise InputError(f"length {min(m)} in {tuple(m)} is negative")
     room = [sum(m[k:]) for k in range(len(m) + 1)]  # most entries k.. can hold
     if rank is not None and not 0 <= rank <= room[0]:
         raise InputError(f"rank {rank} out of range 0..{room[0]}")
@@ -303,7 +305,7 @@ class CompiledCriterion:
         if sigma is None:  # pragma: no cover - impossible for neighbors
             raise InputError(f"neighbor pair ({i},{j}) has no placement")
         m = (0,) + self.m
-        forms = transported_forms(self.psi.masks.contains, m, sigma, (i, j))
+        forms = transported_forms(self.psi.masks.contains, m, self.reference, sigma, (i, j))
         sing = intersection_size(self.psi.seg(i), self.psi.seg(j))
         return PairConstraint(i, j, sigma, *forms, m[i], m[j], sing)
 

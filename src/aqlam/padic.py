@@ -176,8 +176,14 @@ class CompiledImage:
     def pick(self, p: Sequence[int], table: list[list[tuple]]) -> tuple:
         """p's l and eta, read from the rows of ``table``: ``self.table``, or
         a copy of it with l and the signs written in some other form and the
-        factors kept."""
-        l, eta, flipped, factors = zip(*map(list.__getitem__, table, p))
+        factors kept.  A p outside the box is an ``InputError``."""
+        try:
+            if len(p) != len(table) or min(p) < 0:
+                raise IndexError
+            l, eta, flipped, factors = zip(*map(list.__getitem__, table, p))
+        except IndexError:
+            m = tuple(len(column) - 1 for column in table)
+            raise InputError(f"vector {tuple(p)} is not in the box of m = {m}") from None
         return l, flipped if self.n_odd and prod(factors) == -1 else eta
 
 
@@ -199,6 +205,7 @@ def padic_transition(
     """
     _check(psi, ems)
     sigma = ems.sigma
+    check_arrangement(psi, sigma)
     if not 1 <= h < len(sigma):
         raise InputError(f"swap position {h} out of range 1..{len(sigma) - 1}")
     i, j = sigma[h - 1], sigma[h]

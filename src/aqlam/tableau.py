@@ -448,7 +448,8 @@ class CompiledReduction:
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
         m = (0, *(s.m for s in self.psi.segments))
-        return transported_forms(self.psi.masks.contains, m, self.sigma, self.sigma)
+        reference = tuple(range(1, self.psi.r + 1))
+        return transported_forms(self.psi.masks.contains, m, reference, self.sigma, self.sigma)
 
     def _column_steps(self, k: int) -> tuple[tuple[int, _Step], ...]:
         """Column k's (position, step) pairs in Trapa's insertion order, run

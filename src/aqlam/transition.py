@@ -1,14 +1,15 @@
 """Parameter vectors on arrangements and the transition maps between them.
 
 A parameter vector lives on an admissible arrangement sigma: entry at
-position h comes from component sigma(h).  Swapping two adjacent positions
-(only possible for a containment pair) transforms the two affected entries
-affine-linearly; composites along any transposition path agree (tested as
-a property, not recomputed here).  Because the swaps are affine,
-``transported_forms`` can run them once on symbolic entries, taking each
-swap's formula from the parameter's containment masks (``psi.masks``):
-every entry after the transport is an integer affine form in the reference
-entries, which both engines compile once per parameter.
+position h comes from component sigma(h).  Only a containment pair may swap
+adjacent positions, by one rule whichever comes first: the contained
+component d flips to q_d = m_d - p_d and its container c adds p_d - q_d.
+The p-adic swap (``padic.padic_transition``) is the same rule on
+l = min(p, q): d keeps l_d and c adds +-(m_d - 2 l_d), folded.  The swaps
+are affine, so ``transported_forms`` runs them once on symbolic entries,
+giving affine forms in the starting entries: ``phi`` evaluates them, both
+engines compile them once per parameter, and composites along any
+transposition path agree (tested as a property).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .arrangements import Permutation, bubble_path, transposition_path
 from .errors import InputError
-from .segments import GoodParityParameter, Relation, relation
+from .segments import GoodParityParameter, relation
 
 
 @dataclass(frozen=True)
@@ -50,44 +51,35 @@ class ParamVector:
 def phi_adjacent(
     psi: GoodParityParameter, pv: ParamVector, h: int
 ) -> ParamVector:
-    """Transport across the swap of positions (h, h+1), 1-based.
-
-    Only containment pairs may swap.  With q = m - p at each position:
-    container-first gives (q_{h+1}, p_h + p_{h+1} - q_{h+1}), contained-first
-    gives (p_h + p_{h+1} - q_h, q_h).  The sum of entries is preserved.
+    """Transport across the swap of positions (h, h+1), 1-based: ``phi`` to
+    the swapped order.  Only a containment pair may swap; real: p_d -> q_d,
+    p_c += p_d - q_d; p-adic: l_d kept, l_c +- (m_d - 2 l_d) folded (d the
+    contained component, c its container, in either order).
     """
     if not 1 <= h < len(pv.sigma):
         raise InputError(f"swap position {h} out of range 1..{len(pv.sigma) - 1}")
     i, j = pv.sigma[h - 1], pv.sigma[h]
-    rel = relation(psi, i, j)
-    if not rel.is_containment:
+    if not relation(psi, i, j).is_containment:
         raise InputError(
             f"cannot swap positions ({h},{h + 1}): components {i},{j} are "
             f"in precedence, not containment"
         )
-    p_h, p_h1 = pv.entries[h - 1], pv.entries[h]
-    q_h = psi.m(i) - p_h
-    q_h1 = psi.m(j) - p_h1
-    if rel is Relation.CONTAINS:
-        new = (q_h1, p_h + p_h1 - q_h1)
-    else:
-        new = (p_h + p_h1 - q_h, q_h)
-    entries = pv.entries[: h - 1] + new + pv.entries[h + 1 :]
-    sigma = pv.sigma[: h - 1] + (j, i) + pv.sigma[h + 1 :]
-    return ParamVector(entries, sigma)
+    return phi(psi, pv, pv.sigma[: h - 1] + (j, i) + pv.sigma[h + 1 :])
 
 
 def phi(
     psi: GoodParityParameter, pv: ParamVector, tau: Sequence[int]
 ) -> ParamVector:
-    """Transport pv from its own arrangement to tau (both admissible)."""
-    out = pv
-    for h in transposition_path(psi, pv.sigma, tau):
-        out = phi_adjacent(psi, out, h)
-    return out
+    """Transport pv from its own arrangement to tau (both admissible): the
+    ``transported_forms`` of tau's components, evaluated at pv's entries."""
+    tau = tuple(tau)
+    transposition_path(psi, pv.sigma, tau)  # checks both arrangements
+    m = (0, *(s.m for s in psi.segments))
+    forms = transported_forms(psi.masks.contains, m, pv.sigma, tau, tau)
+    return ParamVector(tuple(affine_value(form, pv.entries) for form in forms), tau)
 
 
-# An integer affine form in the reference entries: (constant, terms), where
+# An integer affine form in a vector's entries: (constant, terms), where
 # each term (k, c) adds c * p[k] (k 0-based); only non-zero terms are kept.
 AffineForm = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -99,44 +91,37 @@ def affine_value(form: AffineForm, p: Sequence[int]) -> int:
     return value
 
 
-def _combine(const: int, *terms: tuple[int, dict[int, int]]) -> dict[int, int]:
-    """const + sum of c * form over the (c, form) terms; key 0 holds the
-    constant and key k >= 1 the coefficient of p_k."""
-    out = {0: const}
-    for c, form in terms:
-        for k, v in form.items():
-            out[k] = out.get(k, 0) + c * v
-    return out
-
-
 def transported_forms(
-    contains: Sequence[int], m: Sequence[int], sigma: Permutation, comps: Sequence[int]
+    contains: Sequence[int], m: Sequence[int], start: Permutation, sigma: Permutation,
+    comps: Sequence[int],
 ) -> tuple[AffineForm, ...]:
-    """The entries of components ``comps`` after ``phi`` takes the reference
-    vector to sigma, as affine forms in the reference entries.
+    """The entries of components ``comps`` after ``phi`` takes a vector on
+    arrangement ``start`` to sigma, as affine forms in its entries.
 
     ``contains`` is the parameter's ``RelationMasks.contains`` (bit y of
     ``contains[x]`` set when component x contains y) and ``m[i]`` the
     length of component i (both 1-based); ``comps = sigma`` gives every
-    position in order.  Runs the swaps of ``phi`` (same path, same formulas as
-    ``phi_adjacent``) on symbolic entries; a position no swap has touched
-    still holds its reference entry.
+    position in order.  Each swap of the bubble path applies the rule of
+    ``phi_adjacent``.  A component's form is built on its first swap; one
+    that no swap touches keeps its entry on ``start``.
     """
-    images = list(range(1, len(sigma) + 1))
-    forms: dict[int, dict[int, int]] = {}  # 1-based position -> form
-    for h in bubble_path(tuple(images), sigma):
+    images = list(start)
+    forms: dict[int, dict[int, int]] = {}  # component -> {0: constant, k: coefficient of p_k}
+
+    def form(comp: int) -> dict[int, int]:
+        return forms.get(comp) or {0: 0, start.index(comp) + 1: 1}
+
+    for h in bubble_path(start, sigma):
         x, y = images[h - 1], images[h]
-        f = forms.get(h) or {0: 0, h: 1}
-        g = forms.get(h + 1) or {0: 0, h + 1: 1}
-        if contains[x] >> y & 1:  # (q_{h+1}, p_h + p_{h+1} - q_{h+1})
-            new = _combine(m[y], (-1, g)), _combine(-m[y], (1, f), (2, g))
-        else:  # contained first: (p_h + p_{h+1} - q_h, q_h)
-            new = _combine(-m[x], (2, f), (1, g)), _combine(m[x], (-1, f))
-        forms[h], forms[h + 1] = new
+        c, d = (x, y) if contains[x] >> y & 1 else (y, x)
+        f_c, f_d = form(c), form(d)  # d flips to m_d - p_d, c adds p_d - q_d = 2 p_d - m_d
+        for k, v in f_d.items():
+            f_c[k] = f_c.get(k, 0) + 2 * v
+        forms[c], forms[d] = f_c, {k: -v for k, v in f_d.items()}
+        f_c[0] -= m[d]
+        forms[d][0] += m[d]
         images[h - 1], images[h] = y, x
-    out = []
-    for comp in comps:
-        pos = images.index(comp) + 1
-        form = forms.get(pos) or {0: 0, pos: 1}
-        out.append((form[0], tuple((k - 1, c) for k, c in sorted(form.items()) if k and c)))
-    return tuple(out)
+    return tuple(
+        (f[0], tuple((k - 1, v) for k, v in sorted(f.items()) if k and v))
+        for f in map(form, comps)
+    )

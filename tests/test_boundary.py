@@ -12,6 +12,7 @@ import pytest
 
 from aqlam import (
     AqlamError,
+    InputError,
     GoodParityParameter,
     ParamVector,
     Segment,
@@ -97,3 +98,12 @@ def test_integers_past_the_domain_raise_only_library_errors(request, fixture, p)
 def psi_one():
     # one segment [3,2]: every pair of indices is off the parameter
     return GoodParityParameter.from_components([(5, 2)])
+
+
+@pytest.mark.parametrize("length", [-1, -10**30])
+def test_a_negative_length_is_named_in_the_error(length):
+    # these once yielded nothing, or blamed the rank
+    for args in [((length,),), ((length,), 0), ((3, length),)]:
+        with pytest.raises(InputError) as info:
+            points(*args)
+        assert str(info.value) == f"length {length} in {args[0]} is negative"

@@ -335,6 +335,26 @@ def test_compiled_image_is_project_EF_of_to_extended():
     assert compared > 10_000
 
 
+@pytest.mark.parametrize("p", [(-1, 0, 0), (0, 6, 0), (4, 0, 0), (2, 2), (2, 2, 2, 2)])
+def test_compiled_image_refuses_a_vector_off_its_table(psi_A, p):
+    # psi_A has m = (3, 5, 6): a negative entry once read a row from the end
+    # (p_1 = -1 gave the image of p_1 = 3), an entry of m_i + 1 raised a bare
+    # IndexError, and a short p was cut off
+    image = CompiledImage(psi_A)
+    with pytest.raises(InputError) as info:
+        image.pick(p, image.table)
+    assert str(info.value) == f"vector {p} is not in the box of m = (3, 5, 6)"
+
+
+def test_padic_transition_refuses_an_inadmissible_order():
+    # [3,3] sits before [6,6], which precedes it: the swap once gave l_3 = -1
+    psi = GoodParityParameter.from_components([(16, 1), (12, 1), (13, 2), (6, 1)])
+    ems = ExtendedMultiSegment((0, 0, 0, 0), (1, 1, 1, 1), (1, 4, 2, 3))
+    with pytest.raises(InputError) as info:
+        padic_transition(psi, ems, 3)
+    assert str(info.value) == "arrangement (1, 4, 2, 3) is not admissible"
+
+
 def test_compiled_image_checks_its_signs_once(psi_A, monkeypatch):
     # the +1/-1 check of ExtendedMultiSegment, made on the table's rows
     # when it is built, since the CLI writes images without building one

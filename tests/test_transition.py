@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from aqlam import Relation
-from aqlam.arrangements import enumerate_admissible
+from aqlam import GoodParityParameter, Relation
+from aqlam.arrangements import bubble_path, enumerate_admissible
 from aqlam.errors import InputError
 from aqlam.segments import relation, relation_masks
 from aqlam.transition import (
@@ -97,6 +97,15 @@ def test_precedence_swap_rejected(psi_A):
         phi_adjacent(psi_A, pv, 2)  # [7,3] precedes [6,1]
 
 
+def test_phi_adjacent_refuses_a_vector_on_an_inadmissible_arrangement():
+    # [3,3] sits before [6,6], which precedes it: the swap of [7,6] and [3,3]
+    # once returned entries (0, 0, -1, 1) on (1, 4, 3, 2)
+    psi = GoodParityParameter.from_components([(16, 1), (12, 1), (13, 2), (6, 1)])
+    with pytest.raises(InputError) as info:
+        phi_adjacent(psi, ParamVector((0, 0, 0, 0), (1, 4, 2, 3)), 3)
+    assert str(info.value) == "sigma=(1, 4, 2, 3) is not admissible"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda psi: ParamVector((1, 2), (1, 2, 3)), "entry count does not match arrangement size"),
     (
@@ -161,17 +170,39 @@ def test_phi_rejects_an_inadmissible_target(psi_A):
         phi(psi_A, pv, (3, 2, 1))
 
 
+def swap_by_cases(psi, entries, sigma, h):
+    """The swap of positions (h, h+1), 1-based, as the paper states it, case
+    by case, with q = m - p at each position: container first gives
+    (q_{h+1}, p_h + p_{h+1} - q_{h+1}), contained first
+    (p_h + p_{h+1} - q_h, q_h)."""
+    i, j = sigma[h - 1], sigma[h]
+    p_h, p_h1 = entries[h - 1], entries[h]
+    q_h, q_h1 = psi.m(i) - p_h, psi.m(j) - p_h1
+    if relation(psi, i, j) is Relation.CONTAINS:
+        new = (q_h1, p_h + p_h1 - q_h1)
+    else:
+        new = (p_h + p_h1 - q_h, q_h)
+    return entries[: h - 1] + new + entries[h + 1 :], sigma[: h - 1] + (j, i) + sigma[h + 1 :]
+
+
 def test_transported_forms_equal_phi_at_every_position():
+    # phi here is the case-by-case swap above, walked along the bubble path
+    # from the reference order and from a random admissible start
     rng = random.Random(137)
     for _ in range(150):
         psi = random_parameter(rng, rng.randint(1, 6), m_max=4)
         m = (0, *(s.m for s in psi.segments))
         contains = relation_masks(psi).contains
-        for sigma in enumerate_admissible(psi):
-            forms = transported_forms(contains, m, sigma, sigma)
-            p = random_entry_vector(rng, psi)
-            moved = phi(psi, ParamVector.reference(p), sigma)
-            assert [affine_value(form, p) for form in forms] == list(moved.entries)
+        orders = enumerate_admissible(psi)
+        for sigma in orders:
+            for start in (orders[0], rng.choice(orders)):
+                forms = transported_forms(contains, m, start, sigma, sigma)
+                p = random_entry_vector(rng, psi)
+                entries, order = p, start
+                for h in bubble_path(start, sigma):
+                    entries, order = swap_by_cases(psi, entries, order, h)
+                assert order == sigma
+                assert [affine_value(form, p) for form in forms] == list(entries)
 
 
 def phi_sweep():
