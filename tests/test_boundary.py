@@ -12,8 +12,8 @@ import pytest
 
 from aqlam import (
     AqlamError,
-    InputError,
     GoodParityParameter,
+    InputError,
     ParamVector,
     Segment,
     build_tableau,
