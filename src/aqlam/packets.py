@@ -8,8 +8,9 @@ is described once, as the compact, key-sorted JSON text that the command
 line prints.  ``CompiledPackets`` compiles the criterion, the tableau
 reduction and the p-adic image once per parameter.  The survivors come
 from the criterion's lattice-point search, which never forms most
-vanishing vectors, and each survivor is then written in one pass from the
-reduction's numbered final types and row counts; with
+vanishing vectors, in lexicographic order; each survivor is then written
+from the prefix of entry texts it shares with the survivor before it and
+from the reduction's numbered final types and row counts; with
 ``verify`` both engines decide every vector of the rank (or box) too.
 """
 
@@ -60,20 +61,23 @@ class CompiledPackets:
     """Packet enumeration for one parameter, ready for every rank.
 
     Compiles once what deciding and describing a vector needs apart from the
-    vector: the criterion, the tableau reduction and, in the comparison
-    domain, the p-adic image.  ``entries(rank)`` writes each survivor of
-    the criterion's lattice-point search as the JSON text of its entry and
-    of its image, the only description of a packet entry.  It reads the
-    reduction's numbered state (``CompiledReduction.final_state``: the
-    final types, their number and the row counts), not a rows tuple.  The
-    texts are spliced from pieces written once per parameter: the rows
-    from each length's piece repeated by its count, and, since survivors
-    often share their final types, each antitableau's text once per
-    number of final types (``grids``).  The pieces and the image's table
-    are built on the first survivor, after the search has returned, so its
-    node budget refuses a job before anything is built per entry value;
-    the reduction refuses a parameter of more than ``tableau.MAX_BOXES``
-    boxes at construction.
+    vector: the criterion, the tableau reduction and the p-adic image.
+    ``entries(rank)`` writes each survivor of the criterion's lattice-point
+    search as the JSON text of its entry and of its image, the only
+    description of a packet entry.  Survivors come in lexicographic order,
+    and each entry is written from the prefix it shares with the survivor
+    before it: the texts of levi, p and the image for entries 1..k are kept
+    per depth k, and the reduction's numbered state
+    (``CompiledReduction.final_states``: the final types, their number and
+    the row counts) resumes at the first canonical entry that differs.  The
+    texts are spliced from pieces written once per parameter: the rows from
+    each length's piece repeated by its count, and, since survivors often
+    share their final types, each antitableau's text once per number of
+    final types (``grids``).  The pieces and the image's table are built on
+    the first survivor, after the search has returned, so its node budget
+    refuses a job before anything is built per entry value; the reduction
+    refuses a parameter of more than ``tableau.MAX_BOXES`` boxes at
+    construction.
     With ``verify`` the rank (or the box) is scanned too: the tableau
     engine re-decides every vector, and any disagreement with the
     criterion, or with the search, raises an invariant violation.
@@ -88,24 +92,25 @@ class CompiledPackets:
         self.grids: dict[int, str] = {}  # number of the final types -> antitableau text
 
     @cached_property
-    def image(self) -> Optional[CompiledImage]:
-        return CompiledImage(self.psi) if self.in_domain else None
-
-    @cached_property
     def _pieces(self) -> tuple:
-        """The text of the lambda, of each Levi pair and entry value, of the
-        signed rows of each length (with the length and a comma after each
-        row), of each antitableau cell, and the image's sigma and each row
-        of its table with l and the signs written as text."""
-        r, quoted = self.psi.r, {1: '"+"', -1: '"-"'}
-        table = self.image.table if self.image else []
+        """The text of the lambda, of the signed rows of each length (with
+        the length and a comma after each row), of each antitableau cell
+        (written before the image's table exists, since writing them briefly
+        takes more memory than they keep), of each component's entry values
+        (the Levi pair, the value and its image row's l, eta and flipped
+        eta, each with a comma after it, and the row's sign factor) and of
+        the image's sigma."""
+        r, quoted = self.psi.r, {1: '"+",', -1: '"-",'}
+        digits = [f"{v}," for v in range(max(self.m) + 1)]
         return (
             ",".join(f'"{x}"' for x in lambda_values(self.psi)),
-            [[f"[{v},{m - v}]" for v in range(m + 1)] for m in self.m],
-            [str(v) for v in range(max(self.m) + 1)],
             [(t, f'[{t},"+"],', f'[{t},"-"],') for t in range(r, 0, -1)],
             self.reduction.cells(lambda twice: f'"{HalfInt(twice)}"'),
-            [[(str(l), quoted[e], quoted[f], x) for l, e, f, x in c] for c in table],
+            [
+                [(f"[{v},{m - v}],", digits[v], digits[l], quoted[e], quoted[f], x)
+                 for v, (l, e, f, x) in enumerate(column)]
+                for m, column in zip(self.m, CompiledImage(self.psi).table)
+            ],
             f'],"sigma":[{",".join(map(str, range(1, r + 1)))}]}}',
         )
 
@@ -115,34 +120,46 @@ class CompiledPackets:
         (of the box for None), lexicographic: the compact, key-sorted JSON
         text of p's entry (keys antitableau, lambda, levi, p, padic_image
         and rows) and of its p-adic image ("null" outside the comparison
-        domain).  The antitableau is written once per number of final
-        types, and the rows from the reduction's row counts: longest first,
-        '+' rows before '-' rows of one length.  A p the tableau engine
-        zeroes raises an invariant violation."""
-        grids, final_state = self.grids, self.reduction.final_state
-        for p in self._survivors(rank, verify):
-            result = final_state(p)
+        domain).  ``stack[k]`` holds the texts of levi, p, l, eta and the
+        flipped eta for entries 1..k of the last survivor, each with a
+        trailing comma, and the product of their image factors.  The
+        antitableau is written once per number of final types, and the rows
+        from the reduction's row counts: longest first, '+' rows before '-'
+        rows of one length.  A p the tableau engine zeroes raises an
+        invariant violation."""
+        found = self._survivors(rank, verify)
+        grids, reduction, n_odd = self.grids, self.reduction, self.psi.n % 2 == 1
+        stack, last = [("", "", "", "", "", 1)], ()
+        for p, result in zip(found, reduction.final_states(found)):
             if isinstance(result, Witness):
                 raise InvariantViolationError(
                     f"the criterion passes p={p} but the tableau engine zeroes it: {result}"
                 )
             types, number, plus, minus = result
-            lam, levi, digits, signed, cells, padic, sigma = self._pieces
-            image = "null"
-            if self.image:
-                l, eta = self.image.pick(p, padic)
-                image = f'{{"eta":[{",".join(eta)}],"l":[{",".join(l)}{sigma}'
+            lam, signed, cells, values, sigma = self._pieces
+            k = 0
+            while k < len(last) and p[k] == last[k]:
+                k += 1
+            del stack[k + 1 :]
+            levi, digits, l, eta, flipped, product = stack[k]
+            for i in range(k, len(p)):
+                levi_i, digit, l_i, eta_i, flipped_i, factor = values[i][p[i]]
+                levi, digits, l = levi + levi_i, digits + digit, l + l_i
+                eta, flipped, product = eta + eta_i, flipped + flipped_i, product * factor
+                stack.append((levi, digits, l, eta, flipped, product))
+            last, image = p, "null"
+            if self.in_domain:
+                signs = flipped if n_odd and product < 0 else eta
+                image = f'{{"eta":[{signs[:-1]}],"l":[{l[:-1]}{sigma}'
             grid = grids.get(number)
             if grid is None:
                 grid = grids[number] = "],[".join(
-                    map(",".join, self.reduction.antitableau(types, cells))
+                    map(",".join, reduction.antitableau(types, cells))
                 )
             rows = "".join([on * plus[t] + off * minus[t] for t, on, off in signed])
             yield p, (
-                f'{{"antitableau":[[{grid}]],"lambda":[{lam}],'
-                f'"levi":[{",".join(map(list.__getitem__, levi, p))}],'
-                f'"p":[{",".join(map(digits.__getitem__, p))}],"padic_image":{image},'
-                f'"rows":[{rows[:-1]}]}}'
+                f'{{"antitableau":[[{grid}]],"lambda":[{lam}],"levi":[{levi[:-1]}],'
+                f'"p":[{digits[:-1]}],"padic_image":{image},"rows":[{rows[:-1]}]}}'
             ), image
 
     def _survivors(self, rank: Optional[int], verify: bool) -> list[tuple[int, ...]]:

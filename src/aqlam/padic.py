@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import prod
 from typing import Sequence
 
 from .arrangements import (
@@ -154,12 +153,12 @@ class CompiledImage:
     m_i mod 2, l_i and eta_i; for n odd a negative product flips every sign
     not fixed by 2 l_i = m_i.  So each entry value p_i has its l_i, its
     eta_i, its flipped eta_i and its factor in a row of ``table`` (signs
-    checked once), and ``pick(p, table)`` reads p's rows; ``to_extended``
-    and ``project_EF`` stay the reference definitions, and tests hold them equal.
+    checked once), from which ``packets.CompiledPackets`` writes the image;
+    ``to_extended`` and ``project_EF`` stay the reference definitions, and
+    tests hold them equal.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
-        self.n_odd = psi.n % 2 == 1
         lengths, self.table = [s.m for s in psi.segments], []
         for m, acc in zip(lengths, accumulate(lengths)):
             sign = _sgnpow(acc + 1)
@@ -172,19 +171,6 @@ class CompiledImage:
             self.table.append(column)
         if any(e not in (1, -1) for column in self.table for row in column for e in row[1:3]):
             raise InvariantViolationError("eta entries must be +1 or -1")
-
-    def pick(self, p: Sequence[int], table: list[list[tuple]]) -> tuple:
-        """p's l and eta, read from the rows of ``table``: ``self.table``, or
-        a copy of it with l and the signs written in some other form and the
-        factors kept.  A p outside the box is an ``InputError``."""
-        try:
-            if len(p) != len(table) or min(p) < 0:
-                raise IndexError
-            l, eta, flipped, factors = zip(*map(list.__getitem__, table, p))
-        except IndexError:
-            m = tuple(len(column) - 1 for column in table)
-            raise InputError(f"vector {tuple(p)} is not in the box of m = {m}") from None
-        return l, flipped if self.n_odd and prod(factors) == -1 else eta
 
 
 def padic_transition(
@@ -243,7 +229,9 @@ def padic_cond_C(
     eta_i = (-1)^(1+m_j) eta_j: a linked pair needs lo <= l_i - l_j <= hi,
     an unlinked one l_i + l_j >= common, the intersection size not clamped
     at 0.  A sign erased by 2 l = m is a convention, not data: both of its
-    choices name the same point, so it lets either case hold.
+    choices name the same point, so it lets either case hold.  Data on an
+    order that is not admissible is an ``InputError``, named by the pair
+    when the pair itself is out of order.
     """
     _check(psi, ems)
     rel = relation(psi, i, j)  # validates the indices
@@ -254,6 +242,7 @@ def padic_cond_C(
         i, j, rel = j, i, relation(psi, j, i)
     if rel is Relation.PRECEDED_BY:
         raise InputError(f"component {i} is preceded by its successor {j}")
+    check_arrangement(psi, ems.sigma)
     s, t = psi.seg(i), psi.seg(j)
     b_i, e_i, b_j, e_j = s.b.twice, s.e.twice, t.b.twice, t.e.twice
     l_i, l_j = ems.l[i - 1], ems.l[j - 1]

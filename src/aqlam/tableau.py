@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count, zip_longest
 from operator import add, gt, sub
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .arrangements import Permutation, appropriate_arrangement, enumerate_admissible
 from .criterion import Witness, _reference_entries
@@ -48,7 +48,7 @@ from .transition import AffineForm, ParamVector, affine_value, phi, transported_
 # takes; past it the job is refused with a ``ResourceLimitError``, before
 # the n signed rows, the antitableau cells or any table of entry values is
 # built.  On one segment of 100,000 boxes, ``aqlam packet`` at rank 1 takes
-# about 0.4 s and 72 MB peak RSS, and ``aqlam tableau`` 0.4 s and 58 MB,
+# about 0.4 s and 61 MB peak RSS, and ``aqlam tableau`` 0.4 s and 58 MB,
 # each writing a 1.8 MB line, on a 2-core x86-64 VM under Python 3.11.
 MAX_BOXES = 100_000
 
@@ -414,13 +414,14 @@ class CompiledReduction:
     instance numbers the types it reaches, checking final ones once, and
     keeps each column's outcome keyed on (number of the types before, its
     types).  These, and the steps built on first need, make an instance
-    unfit for sharing between threads.  ``final_state(p)`` returns the
-    final types, their number and the row counts by length and end sign
-    (what ``packets.CompiledPackets`` writes an entry from), or the zero
-    witness; ``run(p)`` returns the final types and the signed rows read
-    out of the counts; ``antitableau(types)`` reads the filled rows out of
-    the types, and ``reduce`` wraps both in a ``Reduction`` with its
-    ``TableauState``.
+    unfit for sharing between threads.  ``final_states(vectors)`` yields,
+    for each vector in turn, the final types, their number and the row
+    counts by length and end sign (from which, and from the prefix it shares
+    with the survivor before, ``packets.CompiledPackets`` writes an entry),
+    or the zero witness; ``final_state(p)`` is its one-vector case.
+    ``run(p)`` returns the final types and the signed rows read out of the
+    counts; ``antitableau(types)`` reads the filled rows out of the types,
+    and ``reduce`` wraps both in a ``Reduction`` with its ``TableauState``.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -513,33 +514,44 @@ class CompiledReduction:
         return types, _rows(plus, minus)
 
     def final_state(self, p: Sequence[int] | ParamVector) -> Union[Witness, tuple]:
-        """p's final types, their number (equal types, equal numbers) and
-        the row counts ``plus`` and ``minus`` of ``_column``, or the witness
-        that p is zero.  Resumes after the longest prefix of canonical
-        entries shared with the last vector run, and takes each column's
-        outcome from the instance's memo or ``_insert``."""
-        entries = self._start(p)
-        if isinstance(entries, Witness):
-            return entries
-        states, last = self._states, self._last
-        start = 0
-        while start < len(states) - 1 and entries[start] == last[start]:
-            start += 1
-        del states[start + 1 :]
-        self._last = entries
-        types, number, plus, minus = states[start]
-        outcomes = self._outcomes
-        for k in range(start + 1, len(entries) + 1):
-            L, plus, minus = _column(plus, minus, entries[k - 1], self.lengths[k - 1], k)
-            key = (number, L)
-            outcome = outcomes.get(key)
-            if outcome is None:
-                outcome = outcomes[key] = self._insert(types, L, k)
-            if isinstance(outcome, Witness):
-                return outcome
-            types, number = outcome
-            states.append((types, number, plus, minus))
-        return types, number, plus, minus
+        """``final_states`` of the one vector p."""
+        return next(self.final_states((p,)))
+
+    def final_states(
+        self, vectors: Iterable[Sequence[int] | ParamVector]
+    ) -> Iterator[Union[Witness, tuple]]:
+        """For each vector in turn, its final types, their number (equal
+        types, equal numbers) and the row counts ``plus`` and ``minus`` of
+        ``_column``, or the witness that it is zero.  Each vector resumes
+        after the longest prefix of canonical entries it shares with the
+        last vector run, and takes each column's outcome from the
+        instance's memo or ``_insert``."""
+        start_of, states, outcomes = self._start, self._states, self._outcomes
+        lengths, insert = self.lengths, self._insert
+        for p in vectors:
+            entries = start_of(p)
+            if isinstance(entries, Witness):
+                yield entries
+                continue
+            last, start = self._last, 0
+            while start < len(states) - 1 and entries[start] == last[start]:
+                start += 1
+            del states[start + 1 :]
+            self._last = entries
+            types, number, plus, minus = states[start]
+            for k in range(start + 1, len(entries) + 1):
+                L, plus, minus = _column(plus, minus, entries[k - 1], lengths[k - 1], k)
+                key = (number, L)
+                outcome = outcomes.get(key)
+                if outcome is None:
+                    outcome = outcomes[key] = insert(types, L, k)
+                if isinstance(outcome, Witness):
+                    break
+                types, number = outcome
+                states.append((types, number, plus, minus))
+            else:
+                outcome = types, number, plus, minus
+            yield outcome
 
     def _insert(self, types: tuple[Types, ...], L: Types, k: int) -> Union[Witness, tuple]:
         """Column k, of types L, after columns of these types: the types after

@@ -16,6 +16,7 @@ import pytest
 
 from aqlam import GoodParityParameter, HalfInt, Segment
 from aqlam.arrangements import appropriate_arrangement
+from aqlam.segments import Relation, relation
 
 
 def seg(b, m: int) -> Segment:
@@ -114,3 +115,18 @@ def random_parameter(rng: random.Random, r: int, *, b_max: int = 8,
 
 def random_entry_vector(rng: random.Random, psi: GoodParityParameter):
     return tuple(rng.randint(0, psi.m(i)) for i in range(1, psi.r + 1))
+
+
+def swap_by_cases(psi, entries, sigma, h):
+    """The swap of positions (h, h+1), 1-based, as the paper states it, case
+    by case, with q = m - p at each position: container first gives
+    (q_{h+1}, p_h + p_{h+1} - q_{h+1}), contained first
+    (p_h + p_{h+1} - q_h, q_h)."""
+    i, j = sigma[h - 1], sigma[h]
+    p_h, p_h1 = entries[h - 1], entries[h]
+    q_h, q_h1 = psi.m(i) - p_h, psi.m(j) - p_h1
+    if relation(psi, i, j) is Relation.CONTAINS:
+        new = (q_h1, p_h + p_h1 - q_h1)
+    else:
+        new = (p_h + p_h1 - q_h, q_h)
+    return entries[: h - 1] + new + entries[h + 1 :], sigma[: h - 1] + (j, i) + sigma[h + 1 :]

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqlam import GoodParityParameter, intersection_size
-from aqlam.arrangements import appropriate_arrangement, enumerate_admissible, sigma_pairs
+from aqlam.arrangements import (
+    appropriate_arrangement,
+    bubble_path,
+    enumerate_admissible,
+    sigma_pairs,
+)
 from aqlam import criterion
 from aqlam.criterion import (
     CompiledCriterion,
@@ -27,7 +32,7 @@ from aqlam.segments import arrangement_is_admissible, neighbors
 from aqlam.tableau import trapa_reduce
 from aqlam.transition import ParamVector, phi, transported_forms
 
-from conftest import box, random_entry_vector, random_parameter, seg
+from conftest import box, random_entry_vector, random_parameter, seg, swap_by_cases
 from test_acceptance import sweep_family
 
 
@@ -171,15 +176,21 @@ def test_compiled_criterion_matches_one_shot_calls():
 
 
 def test_compiled_forms_equal_phi():
+    # phi here is the case-by-case swap of conftest, walked along the bubble
+    # path from the reference order to the pair's placement
     rng = random.Random(43)
     for _ in range(120):
         psi = random_parameter(rng, rng.randint(2, 9))
+        reference = tuple(range(1, psi.r + 1))
         for pair in CompiledCriterion(psi).pairs:
             for _ in range(3):
                 p = random_entry_vector(rng, psi)
-                moved = phi(psi, ParamVector.reference(p), pair.sigma)
-                assert affine_value(pair.form_i, p) == moved.entry_of(pair.i)
-                assert affine_value(pair.form_j, p) == moved.entry_of(pair.j)
+                entries, order = p, reference
+                for h in bubble_path(reference, pair.sigma):
+                    entries, order = swap_by_cases(psi, entries, order, h)
+                assert order == pair.sigma
+                assert affine_value(pair.form_i, p) == entries[order.index(pair.i)]
+                assert affine_value(pair.form_j, p) == entries[order.index(pair.j)]
 
 
 def test_compiled_pairs_are_the_neighbor_pairs_placed_adjacently():

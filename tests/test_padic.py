@@ -6,6 +6,7 @@ here are the worked examples and the pointwise properties.
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from aqlam import GoodParityParameter, HalfInt, Segment, padic
 from aqlam.arrangements import enumerate_admissible
-from aqlam.criterion import CompiledCriterion, cond_C, nonvanishing
+from aqlam.criterion import cond_C, nonvanishing
 from aqlam.errors import InputError, InvariantViolationError
+from aqlam.packets import CompiledPackets
 from aqlam.padic import (
     CompiledImage,
     ExtendedMultiSegment,
@@ -322,28 +324,26 @@ def test_malformed_data_and_positions_are_input_errors(call, message):
     assert str(info.value) == message
 
 
-def test_compiled_image_is_project_EF_of_to_extended():
-    # the parity recipe against the two reference definitions, on every
-    # survivor of the search family (n odd and even, both grids)
-    compared = 0
+def test_entry_text_image_is_project_EF_of_to_extended():
+    # every survivor's image text, written from the prefix it shares with
+    # the survivor before it and read back, against the two reference
+    # definitions on every survivor of the search family (n odd and even,
+    # both grids)
+    compared, kinds = 0, set()
     for psi in search_family():
-        image, reference = CompiledImage(psi), tuple(range(1, psi.r + 1))
-        for p in CompiledCriterion(psi).survivors():
-            picked = ExtendedMultiSegment(*image.pick(p, image.table), reference)
-            assert picked == project_EF(psi, to_extended(psi, p)), (psi, p)
+        compiled = CompiledPackets(psi)
+        for p, entry, image in compiled.entries():
+            assert json.loads(entry)["padic_image"] == json.loads(image)
+            if not compiled.in_domain:
+                assert image == "null"
+                continue
+            read = json.loads(image)
+            signs = tuple(1 if e == "+" else -1 for e in read["eta"])
+            written = ExtendedMultiSegment(tuple(read["l"]), signs, tuple(read["sigma"]))
+            assert written == project_EF(psi, to_extended(psi, p)), (psi, p)
             compared += 1
-    assert compared > 10_000
-
-
-@pytest.mark.parametrize("p", [(-1, 0, 0), (0, 6, 0), (4, 0, 0), (2, 2), (2, 2, 2, 2)])
-def test_compiled_image_refuses_a_vector_off_its_table(psi_A, p):
-    # psi_A has m = (3, 5, 6): a negative entry once read a row from the end
-    # (p_1 = -1 gave the image of p_1 = 3), an entry of m_i + 1 raised a bare
-    # IndexError, and a short p was cut off
-    image = CompiledImage(psi_A)
-    with pytest.raises(InputError) as info:
-        image.pick(p, image.table)
-    assert str(info.value) == f"vector {p} is not in the box of m = (3, 5, 6)"
+            kinds.add((psi.n % 2, psi.seg(1).b.twice % 2))
+    assert compared > 10_000 and kinds == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_padic_transition_refuses_an_inadmissible_order():
@@ -353,6 +353,17 @@ def test_padic_transition_refuses_an_inadmissible_order():
     with pytest.raises(InputError) as info:
         padic_transition(psi, ems, 3)
     assert str(info.value) == "arrangement (1, 4, 2, 3) is not admissible"
+
+
+def test_padic_cond_C_refuses_an_inadmissible_order():
+    # [3,3] sits before [6,6], which precedes it: the pair (1, 4) once read
+    # True and (2, 3) False, although neither pair is out of order itself
+    psi = GoodParityParameter.from_components([(16, 1), (12, 1), (13, 2), (6, 1)])
+    ems = ExtendedMultiSegment((0, 0, 0, 0), (1, 1, 1, 1), (1, 4, 2, 3))
+    for i, j in ((1, 4), (4, 1), (2, 3), (3, 2)):
+        with pytest.raises(InputError) as info:
+            padic_cond_C(psi, ems, i, j)
+        assert str(info.value) == "arrangement (1, 4, 2, 3) is not admissible"
 
 
 def test_compiled_image_checks_its_signs_once(psi_A, monkeypatch):
@@ -450,10 +461,13 @@ def cond_C_sweep():
 # ``cond_C_sweep()``: the verdict's ``repr``, or the ``InputError`` message.
 # ``PADIC_RECORD`` reaches the condition only through ``padic_nonvanishing``,
 # which stops at the first failing pair of each order; this one reads every
-# pair.  Recorded while the condition was still split by relation case and
-# looped over the choices of the erased signs (32,909 outcomes, 2,734 of them
-# errors).
-COND_C_RECORD = "acb17026947d457922cd8d456def5f452ffbd49922587769e07c274381532616"
+# pair.  First recorded while the condition was still split by relation case
+# and looped over the choices of the erased signs (32,909 outcomes, 2,734 of
+# them errors); recorded again when data on an order that is not admissible
+# became an ``InputError``: the 2,402 verdicts once read on such orders now
+# read "arrangement ... is not admissible", and the other 30,507 outcomes
+# are unchanged (5,136 errors).
+COND_C_RECORD = "2142f0034c56b900f03fad94cd9b1530d20ec0107d9c151115bd12ab1a75bcd7"
 
 
 def test_padic_cond_C_outcomes_match_their_record():

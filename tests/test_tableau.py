@@ -33,6 +33,7 @@ from aqlam.tableau import (
 from aqlam.transition import ParamVector, phi
 
 from conftest import box, parameter_family, random_entry_vector, random_parameter, seg
+from test_criterion import reordered_family
 
 
 def h(x) -> HalfInt:
@@ -555,6 +556,35 @@ class TestCompiledReduction:
             warm += [repr(compiled.run(p)) for p in vectors]
         digests = [hashlib.sha256("\n".join(lines).encode()).hexdigest() for lines in (cold, warm)]
         assert (len(cold), len(warm), *digests) == (742, 742, self.SWEEP_RECORD, self.WARM_RECORD)
+
+    def test_final_states_match_fresh_instances_on_the_record_sweep(self):
+        # one batch per parameter against a fresh instance per vector, so
+        # nothing is resumed: the record's sweep puts zero vectors among
+        # nonzero ones, so a batch resumes after a witness, and on
+        # reordered_family() every vector is transported.  The numbers are
+        # the batch's own: equal final types, equal numbers
+        rng = random.Random(29)
+        inputs = list(self.sweep_inputs())
+        for psi in reordered_family():
+            vectors = []
+            for p in islice(CompiledCriterion(psi).survivors(), 0, None, 7):
+                vectors += [p, random_entry_vector(rng, psi)]
+            inputs.append((psi, vectors))
+        states = witnesses = 0
+        for psi, vectors in inputs:
+            batch = list(CompiledReduction(psi).final_states(vectors))
+            for p, state in zip(vectors, batch, strict=True):
+                fresh = CompiledReduction(psi).final_state(p)
+                if isinstance(fresh, Witness):
+                    assert state == fresh, (psi, p)
+                    witnesses += 1
+                    continue
+                assert (state[0], *state[2:]) == (fresh[0], *fresh[2:]), (psi, p)
+                states += 1
+            numbers = {s[0]: s[1] for s in batch if not isinstance(s, Witness)}
+            assert len(set(numbers.values())) == len(numbers), psi
+            assert all(numbers[s[0]] == s[1] for s in batch if not isinstance(s, Witness))
+        assert states > 1000 and witnesses > 1000
 
     def test_agrees_with_the_schedule_oracle(self):
         rng = random.Random(6)

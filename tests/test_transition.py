@@ -22,7 +22,7 @@ from aqlam.transition import (
     transported_forms,
 )
 
-from conftest import random_entry_vector, random_parameter
+from conftest import random_entry_vector, random_parameter, swap_by_cases
 
 
 def all_geodesic_results(psi, pv, tau):
@@ -170,23 +170,8 @@ def test_phi_rejects_an_inadmissible_target(psi_A):
         phi(psi_A, pv, (3, 2, 1))
 
 
-def swap_by_cases(psi, entries, sigma, h):
-    """The swap of positions (h, h+1), 1-based, as the paper states it, case
-    by case, with q = m - p at each position: container first gives
-    (q_{h+1}, p_h + p_{h+1} - q_{h+1}), contained first
-    (p_h + p_{h+1} - q_h, q_h)."""
-    i, j = sigma[h - 1], sigma[h]
-    p_h, p_h1 = entries[h - 1], entries[h]
-    q_h, q_h1 = psi.m(i) - p_h, psi.m(j) - p_h1
-    if relation(psi, i, j) is Relation.CONTAINS:
-        new = (q_h1, p_h + p_h1 - q_h1)
-    else:
-        new = (p_h + p_h1 - q_h, q_h)
-    return entries[: h - 1] + new + entries[h + 1 :], sigma[: h - 1] + (j, i) + sigma[h + 1 :]
-
-
 def test_transported_forms_equal_phi_at_every_position():
-    # phi here is the case-by-case swap above, walked along the bubble path
+    # phi here is the case-by-case swap of conftest, walked along the bubble path
     # from the reference order and from a random admissible start
     rng = random.Random(137)
     for _ in range(150):
