@@ -40,6 +40,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .arrangements import (
     Permutation,
     adjacent_placement,
+    bubble_path,
     enumerate_admissible,
 )
 from .errors import InputError, ResourceLimitError
@@ -304,10 +305,10 @@ class CompiledCriterion:
         sigma = adjacent_placement(self.psi.masks.preceded_by, i, j)
         if sigma is None:  # pragma: no cover - impossible for neighbors
             raise InputError(f"neighbor pair ({i},{j}) has no placement")
-        m = (0,) + self.m
-        forms = transported_forms(self.psi.masks.contains, m, self.reference, sigma, (i, j))
+        path = bubble_path(self.reference, sigma)
+        forms = transported_forms(self.psi, self.reference, path, (i, j))
         sing = intersection_size(self.psi.seg(i), self.psi.seg(j))
-        return PairConstraint(i, j, sigma, *forms, m[i], m[j], sing)
+        return PairConstraint(i, j, sigma, *forms, self.m[i - 1], self.m[j - 1], sing)
 
     def _walk(self) -> Iterator[PairConstraint]:
         """The pairs in ``neighbor_pairs`` order, each built the first time

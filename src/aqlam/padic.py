@@ -37,7 +37,7 @@ from .arrangements import (
 from .criterion import Verdict, Witness
 from .errors import InputError, InvariantViolationError
 from .segments import GoodParityParameter, Relation, check_arrangement, relation
-from .transition import ParamVector
+from .transition import ParamVector, _swap_pair
 
 
 def _sgnpow(exponent: int) -> int:
@@ -192,24 +192,15 @@ def padic_transition(
     _check(psi, ems)
     sigma = ems.sigma
     check_arrangement(psi, sigma)
-    if not 1 <= h < len(sigma):
-        raise InputError(f"swap position {h} out of range 1..{len(sigma) - 1}")
-    i, j = sigma[h - 1], sigma[h]
-    rel = relation(psi, i, j)
-    if not rel.is_containment:
-        raise InputError(
-            f"cannot swap positions ({h},{h + 1}): components {i},{j} are "
-            f"in precedence, not containment"
-        )
-    c, d = (i, j) if rel is Relation.CONTAINS else (j, i)
+    c, d = _swap_pair(psi, sigma, h)
     m_c, m_d = psi.m(c), psi.m(d)
     l, eta = list(ems.l), list(ems.eta)
-    t = _sgnpow(1 + (m_d if c == i else m_c))
+    t = _sgnpow(1 + (m_d if c == sigma[h - 1] else m_c))
     x = l[c - 1] + eta[c - 1] * eta[d - 1] * t * (m_d - 2 * l[d - 1])
     e_c = _sgnpow(m_d) * eta[c - 1]
     eta[d - 1] *= _sgnpow(1 + m_c)
     l[c - 1], eta[c - 1] = (m_c - x, -e_c) if 2 * x > m_c else (x, e_c)
-    return _canonical(psi, l, eta, sigma[: h - 1] + (j, i) + sigma[h + 1 :])
+    return _canonical(psi, l, eta, sigma[: h - 1] + (sigma[h], sigma[h - 1]) + sigma[h + 1 :])
 
 
 def _transport(

@@ -52,18 +52,16 @@ class Segment:
         return [HalfInt(self.b.twice - 2 * k) for k in range(self.m)]
 
     @staticmethod
-    def relate_twice(sb: int, se: int, tb: int, te: int, tie: Relation) -> Relation:
+    def relate_twice(sb: int, se: int, tb: int, te: int) -> Relation:
         """Relation of [sb/2, se/2] to [tb/2, te/2], from the doubled ends;
-        ``tie`` breaks exact duplicates.
+        an exact duplicate Contains.
 
-        Compares plain ints: this is the innermost test of every engine.
+        Compares plain ints: this is the innermost test of the tableau steps.
         """
         if sb > tb and se > te:
             return Relation.PRECEDES
         if tb > sb and te > se:
             return Relation.PRECEDED_BY
-        if sb == tb and se == te:
-            return tie
         # containment: neither precedes the other
         if sb >= tb and se <= te:
             return Relation.CONTAINS
@@ -182,7 +180,8 @@ class GoodParityParameter:
 
 
 def relation(psi: GoodParityParameter, i: int, j: int) -> Relation:
-    """Relation of component i to component j (duplicates: earlier Contains).
+    """Relation of component i to component j (duplicates: earlier Contains),
+    read off the parameter's masks.
 
     >>> psi = GoodParityParameter((Segment.of(7, 5), Segment.of(7, 3)))
     >>> relation(psi, 1, 2)
@@ -190,17 +189,17 @@ def relation(psi: GoodParityParameter, i: int, j: int) -> Relation:
     """
     if i == j:
         raise InputError(f"relation needs distinct indices, got ({i}, {j})")
-    s, t = psi.seg(i), psi.seg(j)
-    tie = Relation.CONTAINS if i < j else Relation.CONTAINED
-    return Segment.relate_twice(s.b.twice, s.e.twice, t.b.twice, t.e.twice, tie)
+    psi.seg(i), psi.seg(j)  # validates the indices
+    return _decoded(psi.masks, i, j)
 
 
 class RelationMasks(NamedTuple):
     """Every relation of a parameter as bitmasks: bit k of ``X[i]`` is set
-    when ``relation(psi, i, k)`` is X.  Indices are 1-based; entry 0 is 0.
-    Fields follow the order of ``Relation``, so each k != i sets its bit in
-    exactly one mask of i, and ``preceded_by`` and ``contained`` are the
-    transposes of ``precedes`` and ``contains``."""
+    when component i stands in relation X to component k, an exact
+    duplicate counting as the earlier one containing the later.  Indices
+    are 1-based; entry 0 is 0.  Fields follow the order of ``Relation``, so
+    each k != i sets its bit in exactly one mask of i, and ``preceded_by``
+    and ``contained`` are the transposes of ``precedes`` and ``contains``."""
 
     precedes: tuple[int, ...]
     preceded_by: tuple[int, ...]
@@ -210,8 +209,9 @@ class RelationMasks(NamedTuple):
 
 def relation_masks(psi: GoodParityParameter) -> RelationMasks:
     """All relations in one pass over the doubled ends (the comparisons of
-    ``Segment.relate_twice``, an exact duplicate counting as earlier
-    Contains); ``GoodParityParameter`` keeps the result as ``masks``."""
+    ``Segment.relate_twice``, an exact duplicate counting as the earlier
+    one Containing the later); ``GoodParityParameter`` keeps the result as
+    ``masks``, which ``relation`` and ``relation_table`` decode."""
     segments = psi.segments
     r = len(segments)
     precedes, preceded_by = [0] * (r + 1), [0] * (r + 1)
@@ -242,6 +242,16 @@ def relation_masks(psi: GoodParityParameter) -> RelationMasks:
 _PRECEDES, _PRECEDED_BY, _CONTAINS, _CONTAINED = Relation  # read without Enum lookups
 
 
+def _decoded(masks: RelationMasks, i: int, k: int) -> Relation:
+    """The relation of component i to component k != i that the masks hold."""
+    precedes, preceded_by, contains, _ = masks
+    if precedes[i] >> k & 1:
+        return _PRECEDES
+    if preceded_by[i] >> k & 1:
+        return _PRECEDED_BY
+    return _CONTAINS if contains[i] >> k & 1 else _CONTAINED
+
+
 def relation_table(psi: GoodParityParameter) -> tuple[tuple[Relation | None, ...], ...]:
     """All relations at once: ``table[i][j] == relation(psi, i, j)``, read
     out of the parameter's masks.
@@ -249,19 +259,12 @@ def relation_table(psi: GoodParityParameter) -> tuple[tuple[Relation | None, ...
     Indices are 1-based like everywhere else; row 0, column 0 and the
     diagonal hold None.
     """
-    precedes, _, contains, contained = psi.masks
-    size = len(precedes)
-    rows = [[None] * size for _ in range(size)]
-    for i in range(1, size):
-        row = rows[i]
-        for k in range(i + 1, size):
-            if precedes[i] >> k & 1:
-                row[k], rows[k][i] = _PRECEDES, _PRECEDED_BY
-            elif contains[i] >> k & 1:
-                row[k], rows[k][i] = _CONTAINS, _CONTAINED
-            else:  # the reference order is admissible: k does not precede i
-                row[k], rows[k][i] = _CONTAINED, _CONTAINS
-    return tuple(map(tuple, rows))
+    masks = psi.masks
+    size = len(masks.precedes)
+    return ((None,) * size, *(
+        tuple(None if k in (0, i) else _decoded(masks, i, k) for k in range(size))
+        for i in range(1, size)
+    ))
 
 
 def intersection_size(s: Segment, t: Segment) -> int:

@@ -37,7 +37,7 @@ from itertools import accumulate, count, zip_longest
 from operator import add, gt, sub
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .arrangements import Permutation, appropriate_arrangement, enumerate_admissible
+from .arrangements import Permutation, appropriate_arrangement, bubble_path, enumerate_admissible
 from .criterion import Witness, _reference_entries
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
@@ -92,11 +92,6 @@ def _state(columns: Sequence[Column], size: int) -> tuple[list[End], list[Types]
     padded with the column length to at least ``size`` entries."""
     ends = [(c.segment.b.twice, c.segment.e.twice) for c in columns]
     return ends, [(*c.L, *(c.L[-1],) * (size - len(c.L))) for c in columns]
-
-
-def _segments(ends: Iterable[End]) -> tuple[Segment, ...]:
-    """The segments with these doubled ends."""
-    return tuple(Segment(HalfInt(b), HalfInt(e)) for b, e in ends)
 
 
 def _columns(
@@ -214,7 +209,8 @@ def trapa_op(left: Column, right: Column) -> Union[Witness, tuple[Column, Column
     ov, result = _run_step(step, *types, *heights)
     if result is None:
         return Witness("overlap", (1, 2), None, (ov, step.sing))
-    return _columns(_segments(step.ends), result, heights)
+    segments = [Segment(HalfInt(b), HalfInt(e)) for b, e in step.ends]
+    return _columns(segments, result, heights)
 
 
 class _Step(NamedTuple):
@@ -240,7 +236,7 @@ def _pair_step(left: End, right: End) -> Optional[_Step]:
     segment their coordinatewise max and the right one their min, moving
     the ends by ``moves`` whole steps."""
     (lb, le), (rb, re) = left, right
-    rel = Segment.relate_twice(lb, le, rb, re, Relation.CONTAINS)
+    rel = Segment.relate_twice(lb, le, rb, re)
     if rel is Relation.PRECEDED_BY:
         return None
     rewrite = rel is not Relation.PRECEDES
@@ -383,7 +379,6 @@ class Reduction:
     zero: Optional[Witness]
     antitableau: Optional[tuple[tuple[HalfInt, ...], ...]] = None
     rows: Optional[Rows] = None
-    state: Optional[TableauState] = None
 
     @property
     def nonzero(self) -> bool:
@@ -421,7 +416,7 @@ class CompiledReduction:
     or the zero witness; ``final_state(p)`` is its one-vector case.
     ``run(p)`` returns the final types and the signed rows read out of the
     counts; ``antitableau(types)`` reads the filled rows out of the types,
-    and ``reduce`` wraps both in a ``Reduction`` with its ``TableauState``.
+    and ``reduce`` wraps both in a ``Reduction``.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -448,9 +443,9 @@ class CompiledReduction:
 
     @cached_property
     def _forms(self) -> tuple[AffineForm, ...]:
-        m = (0, *(s.m for s in self.psi.segments))
         reference = tuple(range(1, self.psi.r + 1))
-        return transported_forms(self.psi.masks.contains, m, reference, self.sigma, self.sigma)
+        path = bubble_path(reference, self.sigma)
+        return transported_forms(self.psi, reference, path, self.sigma)
 
     def _column_steps(self, k: int) -> tuple[tuple[int, _Step], ...]:
         """Column k's (position, step) pairs in Trapa's insertion order, run
@@ -586,8 +581,7 @@ class CompiledReduction:
         if isinstance(result, Witness):
             return Reduction(result)
         types, rows = result
-        state = TableauState(_columns(_segments(self._final_ends), types), rows, self.sigma)
-        return Reduction(None, self.antitableau(types), rows, state)
+        return Reduction(None, self.antitableau(types), rows)
 
 
 def trapa_reduce(
@@ -644,8 +638,7 @@ def reduce_with_schedule(
         raise InvariantViolationError(
             f"reduction finished on a non-antitableau state for p={p}"
         )
-    state = TableauState(_columns(_segments(ends), types), rows, sigma)
-    return Reduction(None, _antitableau_grid(_cells(ends), types), rows, state)
+    return Reduction(None, _antitableau_grid(_cells(ends), types), rows)
 
 
 def last_column_type(
@@ -667,13 +660,11 @@ def last_column_type(
     return tuple(HalfInt(min(types)) for types in zip(*fills))
 
 
-def upper_bound_check(
-    prefix: Sequence[Column], last: Column, h: Optional[int] = None
-) -> bool:
+def upper_bound_check(prefix: Sequence[Column], last: Column) -> bool:
     """Decide non-zero insertion of a final column into an antitableau prefix.
 
     The prefix columns mu_1..mu_{r-1} must satisfy mu_{k;i} >= mu_{k+1;i},
-    with mu_1..mu_h preceding the new segment and the rest contained in it.
+    with the first h preceding the new segment and the rest contained in it.
     Evaluates the two quantified-minimum inequalities: chains
     i = j_0 > j_1 > ... walk down the prefix columns from the newest to
     column h, accumulating type differences.
@@ -682,12 +673,11 @@ def upper_bound_check(
     ends, types = _state(columns, max(c.height for c in columns) + 2)
     if not _descends(_gaps(ends[:-1]), types[:-1]):
         raise InputError("prefix columns are not an antitableau")
-    rels = [Segment.relate_twice(*end, *ends[-1], Relation.CONTAINS) for end in ends[:-1]]
-    if h is None:
-        h = sum(1 for rel in rels if rel is Relation.PRECEDES)
-    if not 0 <= h <= len(prefix) or any(
-        rel is not Relation.PRECEDES for rel in rels[:h]
-    ) or any(rel is not Relation.CONTAINED for rel in rels[h:]):
+    rels = [Segment.relate_twice(*end, *ends[-1]) for end in ends[:-1]]
+    h = sum(1 for rel in rels if rel is Relation.PRECEDES)
+    if any(rel is not Relation.PRECEDES for rel in rels[:h]) or any(
+        rel is not Relation.CONTAINED for rel in rels[h:]
+    ):
         raise InputError(
             "prefix must split into preceding segments followed by contained ones"
         )

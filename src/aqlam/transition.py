@@ -15,11 +15,11 @@ transposition path agree (tested as a property).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .arrangements import Permutation, bubble_path, transposition_path
+from .arrangements import Permutation, transposition_path
 from .errors import InputError
-from .segments import GoodParityParameter, relation
+from .segments import GoodParityParameter, Relation, relation
 
 
 @dataclass(frozen=True)
@@ -56,26 +56,39 @@ def phi_adjacent(
     p_c += p_d - q_d; p-adic: l_d kept, l_c +- (m_d - 2 l_d) folded (d the
     contained component, c its container, in either order).
     """
-    if not 1 <= h < len(pv.sigma):
-        raise InputError(f"swap position {h} out of range 1..{len(pv.sigma) - 1}")
-    i, j = pv.sigma[h - 1], pv.sigma[h]
-    if not relation(psi, i, j).is_containment:
+    sigma = pv.sigma
+    _swap_pair(psi, sigma, h)
+    return phi(psi, pv, sigma[: h - 1] + (sigma[h], sigma[h - 1]) + sigma[h + 1 :])
+
+
+def _swap_pair(psi: GoodParityParameter, sigma: Permutation, h: int) -> tuple[int, int]:
+    """The container and the contained component at positions (h, h+1) of
+    sigma, or an ``InputError`` when h is out of range or the two are in
+    precedence: the one check of a swap, for ``phi_adjacent`` and
+    ``padic.padic_transition``."""
+    if not 1 <= h < len(sigma):
+        raise InputError(f"swap position {h} out of range 1..{len(sigma) - 1}")
+    i, j = sigma[h - 1], sigma[h]
+    rel = relation(psi, i, j)
+    if not rel.is_containment:
         raise InputError(
             f"cannot swap positions ({h},{h + 1}): components {i},{j} are "
             f"in precedence, not containment"
         )
-    return phi(psi, pv, pv.sigma[: h - 1] + (j, i) + pv.sigma[h + 1 :])
+    return (i, j) if rel is Relation.CONTAINS else (j, i)
 
 
 def phi(
     psi: GoodParityParameter, pv: ParamVector, tau: Sequence[int]
 ) -> ParamVector:
     """Transport pv from its own arrangement to tau (both admissible): the
-    ``transported_forms`` of tau's components, evaluated at pv's entries."""
+    ``transported_forms`` of tau's components along the transposition
+    path, evaluated at pv's entries; pv itself when the path is empty."""
     tau = tuple(tau)
-    transposition_path(psi, pv.sigma, tau)  # checks both arrangements
-    m = (0, *(s.m for s in psi.segments))
-    forms = transported_forms(psi.masks.contains, m, pv.sigma, tau, tau)
+    path = transposition_path(psi, pv.sigma, tau)  # checks both arrangements
+    if not path:
+        return pv
+    forms = transported_forms(psi, pv.sigma, path, tau)
     return ParamVector(tuple(affine_value(form, pv.entries) for form in forms), tau)
 
 
@@ -92,34 +105,35 @@ def affine_value(form: AffineForm, p: Sequence[int]) -> int:
 
 
 def transported_forms(
-    contains: Sequence[int], m: Sequence[int], start: Permutation, sigma: Permutation,
-    comps: Sequence[int],
+    psi: GoodParityParameter, start: Permutation, path: Iterable[int], comps: Sequence[int],
 ) -> tuple[AffineForm, ...]:
-    """The entries of components ``comps`` after ``phi`` takes a vector on
-    arrangement ``start`` to sigma, as affine forms in its entries.
+    """The entries of components ``comps`` after a vector on arrangement
+    ``start`` of psi is swapped at the positions of ``path`` in turn (the
+    ``bubble_path`` to some arrangement sigma), as affine forms in its
+    entries; ``comps = sigma`` gives every position in order.
 
-    ``contains`` is the parameter's ``RelationMasks.contains`` (bit y of
-    ``contains[x]`` set when component x contains y) and ``m[i]`` the
-    length of component i (both 1-based); ``comps = sigma`` gives every
-    position in order.  Each swap of the bubble path applies the rule of
-    ``phi_adjacent``.  A component's form is built on its first swap; one
-    that no swap touches keeps its entry on ``start``.
+    Each swap applies the rule of ``phi_adjacent``, reading which component
+    contains the other from ``psi.masks.contains`` and the contained one's
+    length from ``psi.segments``.  A component's form is built on its first
+    swap; one that no swap touches keeps its entry on ``start``.
     """
+    contains, segments = psi.masks.contains, psi.segments
     images = list(start)
     forms: dict[int, dict[int, int]] = {}  # component -> {0: constant, k: coefficient of p_k}
 
     def form(comp: int) -> dict[int, int]:
         return forms.get(comp) or {0: 0, start.index(comp) + 1: 1}
 
-    for h in bubble_path(start, sigma):
+    for h in path:
         x, y = images[h - 1], images[h]
         c, d = (x, y) if contains[x] >> y & 1 else (y, x)
         f_c, f_d = form(c), form(d)  # d flips to m_d - p_d, c adds p_d - q_d = 2 p_d - m_d
         for k, v in f_d.items():
             f_c[k] = f_c.get(k, 0) + 2 * v
         forms[c], forms[d] = f_c, {k: -v for k, v in f_d.items()}
-        f_c[0] -= m[d]
-        forms[d][0] += m[d]
+        m_d = segments[d - 1].m
+        f_c[0] -= m_d
+        forms[d][0] += m_d
         images[h - 1], images[h] = y, x
     return tuple(
         (f[0], tuple((k - 1, v) for k, v in sorted(f.items()) if k and v))

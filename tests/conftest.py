@@ -93,6 +93,21 @@ def parameter_family(
     return out
 
 
+def defined_relation(psi: GoodParityParameter, i: int, k: int) -> Relation:
+    """The relation of component i to component k != i straight from the
+    doubled ends: i precedes k when both of its ends are higher, and
+    otherwise one contains the other, an exact duplicate counting as the
+    earlier one containing the later."""
+    (sb, se), (tb, te) = ((s.b.twice, s.e.twice) for s in (psi.seg(i), psi.seg(k)))
+    if sb > tb and se > te:
+        return Relation.PRECEDES
+    if sb < tb and se < te:
+        return Relation.PRECEDED_BY
+    if (sb, se) == (tb, te):
+        return Relation.CONTAINS if i < k else Relation.CONTAINED
+    return Relation.CONTAINS if sb >= tb and se <= te else Relation.CONTAINED
+
+
 def box(psi: GoodParityParameter):
     """Every entry vector 0 <= p_i <= m_i."""
     return itertools.product(*(range(psi.m(i) + 1) for i in range(1, psi.r + 1)))

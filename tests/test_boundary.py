@@ -1,5 +1,5 @@
-"""Every public function that takes an index, a position, a rank, a length
-or h, called with integers at and past the ends of its domain: only the
+"""Every public function that takes an index, a position, a rank or a
+length, called with integers at and past the ends of its domain: only the
 library's own errors (``AqlamError`` and its subclasses) may escape.
 
 The integers come from a fixed set rather than from ``st.integers()``, so
@@ -32,8 +32,6 @@ from aqlam import (
     segment_from_component,
     sigma_pairs,
     to_extended,
-    trapa_reduce,
-    upper_bound_check,
 )
 
 
@@ -52,7 +50,6 @@ def calls(psi, p):
     pv = ParamVector.reference(p)
     ems = to_extended(psi, pv)
     state = build_tableau(psi, pv)
-    columns = trapa_reduce(psi, p).state.columns
     m = tuple(s.m for s in psi.segments)
     components = [(s.a, s.m) for s in psi.segments]
     ints = boundary(psi.r)
@@ -66,7 +63,6 @@ def calls(psi, p):
         yield points, (m, x), x
         yield points, ((), x), x
         yield points, ((x,),), x
-        yield upper_bound_check, (columns[:-1], columns[-1], x), x
     for x, y in itertools.product(ints, repeat=2):
         yield relation, (psi, x, y), (x, y)
         yield neighbors, (psi, x, y), (x, y)

@@ -492,9 +492,9 @@ def test_verdicts_first_leave_the_pairs_and_survivors_of_a_fresh_instance():
 def test_a_verdict_builds_the_pairs_only_up_to_its_first_failing_one(monkeypatch):
     built = []
 
-    def counted(contains, m, start, sigma, targets):
+    def counted(psi, start, path, targets):
         built.append(targets)
-        return transported_forms(contains, m, start, sigma, targets)
+        return transported_forms(psi, start, path, targets)
 
     monkeypatch.setattr(criterion, "transported_forms", counted)
     seen = set()

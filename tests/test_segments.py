@@ -30,7 +30,13 @@ from aqlam.segments import arrangement_is_admissible
 from aqlam.tableau import CompiledReduction
 from aqlam.transition import ParamVector, phi
 
-from conftest import parameter_family, random_parameter, seg, sorted_reference
+from conftest import (
+    defined_relation,
+    parameter_family,
+    random_parameter,
+    seg,
+    sorted_reference,
+)
 
 
 def entries(s: Segment) -> set:
@@ -185,23 +191,28 @@ def defined_neighbor_pairs(psi):
         (i, j)
         for i, j in itertools.combinations(range(1, psi.r + 1), 2)
         if not any(
-            relation(psi, i, k) is relation(psi, i, j)
-            and relation(psi, k, j) is relation(psi, i, j)
+            defined_relation(psi, i, k) is defined_relation(psi, i, j)
+            and defined_relation(psi, k, j) is defined_relation(psi, i, j)
             for k in range(1, psi.r + 1)
             if k not in (i, j)
         )
     ]
 
 
+def assert_relations_match_the_ends(psi):
+    """``relation`` and ``relation_table``, both read off the masks, against
+    ``defined_relation`` on the segment ends, at every ordered pair."""
+    table = relation_table(psi)
+    for i, k in itertools.product(range(psi.r + 1), repeat=2):
+        if i and k and i != k:
+            assert relation(psi, i, k) is table[i][k] is defined_relation(psi, i, k), (psi, i, k)
+        else:
+            assert table[i][k] is None
+
+
 def test_relation_table_and_neighbor_pairs_match_the_definitions():
     for psi in parameter_family(range(1, 5), 3, (2, 3, 4)):
-        table = relation_table(psi)
-        r = psi.r
-        assert all(
-            table[i][j] is (relation(psi, i, j) if i != j else None)
-            for i in range(1, r + 1)
-            for j in range(1, r + 1)
-        )
+        assert_relations_match_the_ends(psi)
         assert neighbor_pairs(relation_masks(psi)) == defined_neighbor_pairs(psi)
 
 
@@ -213,9 +224,9 @@ def test_relation_table_and_neighbor_pairs_match_the_definitions():
     reorder=st.booleans(),
 )
 def test_relation_masks_hold_each_relation_once(seed, r, copies, reorder):
-    """Each k != i sets its bit in exactly the mask of relation(psi, i, k),
-    with exact duplicate segments forced in and, for r <= 7, the reference
-    order replaced by a random admissible one."""
+    """Each k != i sets its bit in exactly the mask of its relation to i on
+    the segment ends, with exact duplicate segments forced in and, for
+    r <= 7, the reference order replaced by a random admissible one."""
     rng = random.Random(seed)
     segments = list(random_parameter(rng, r).segments)
     for _ in range(copies):
@@ -235,7 +246,7 @@ def test_relation_masks_hold_each_relation_once(seed, r, copies, reorder):
         for k in range(1, r + 1):
             if k != i:
                 held = [rel for rel, row in zip(Relation, rows) if row >> k & 1]
-                assert held == [relation(psi, i, k)]
+                assert held == [defined_relation(psi, i, k)]
     for i, k in itertools.product(range(r + 1), repeat=2):
         assert masks.preceded_by[i] >> k & 1 == masks.precedes[k] >> i & 1
         assert masks.contained[i] >> k & 1 == masks.contains[k] >> i & 1
@@ -243,11 +254,7 @@ def test_relation_masks_hold_each_relation_once(seed, r, copies, reorder):
     assert neighbor_pairs(masks) == defined
     for i, j in itertools.permutations(range(1, r + 1), 2):
         assert neighbors(psi, i, j) == ((min(i, j), max(i, j)) in defined)
-    table = relation_table(psi)
-    assert all(
-        table[i][k] is (relation(psi, i, k) if i != k and i and k else None)
-        for i, k in itertools.product(range(r + 1), repeat=2)
-    )
+    assert_relations_match_the_ends(psi)
 
 
 def test_the_parameter_builds_its_masks_once(monkeypatch):

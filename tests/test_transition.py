@@ -13,7 +13,7 @@ import pytest
 from aqlam import GoodParityParameter, Relation
 from aqlam.arrangements import bubble_path, enumerate_admissible
 from aqlam.errors import InputError
-from aqlam.segments import relation, relation_masks
+from aqlam.segments import relation
 from aqlam.transition import (
     ParamVector,
     affine_value,
@@ -176,15 +176,14 @@ def test_transported_forms_equal_phi_at_every_position():
     rng = random.Random(137)
     for _ in range(150):
         psi = random_parameter(rng, rng.randint(1, 6), m_max=4)
-        m = (0, *(s.m for s in psi.segments))
-        contains = relation_masks(psi).contains
         orders = enumerate_admissible(psi)
         for sigma in orders:
             for start in (orders[0], rng.choice(orders)):
-                forms = transported_forms(contains, m, start, sigma, sigma)
+                path = bubble_path(start, sigma)
+                forms = transported_forms(psi, start, path, sigma)
                 p = random_entry_vector(rng, psi)
                 entries, order = p, start
-                for h in bubble_path(start, sigma):
+                for h in path:
                     entries, order = swap_by_cases(psi, entries, order, h)
                 assert order == sigma
                 assert [affine_value(form, p) for form in forms] == list(entries)
