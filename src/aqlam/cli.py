@@ -30,12 +30,12 @@ from typing import Any, Iterator, Optional, Sequence
 
 from . import packets as packets_mod
 from .arrangements import enumerate_admissible
-from .criterion import Verdict, Witness, nonvanishing, nonvanishing_simplified
+from .criterion import Witness, nonvanishing, nonvanishing_simplified
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .halfint import HalfInt
 from .padic import ExtendedMultiSegment, in_padic_domain, project_EF, sign_of, to_extended
 from .segments import GoodParityParameter, Segment
-from .tableau import CompiledReduction, Reduction, trapa_reduce
+from .tableau import CompiledReduction, trapa_reduce
 from .transition import ParamVector, phi
 
 
@@ -75,20 +75,6 @@ def _list(doc: dict, key: str) -> list:
 
 
 def _parse_parameter(doc: dict, strict_parity: bool) -> GoodParityParameter:
-    psi = _read_parameter(doc, strict_parity)
-    # every number an output derives from psi is at most its largest doubled
-    # end plus n: the lengths, the centres and the doubled lambda values
-    largest = max(abs(x) for s in psi.segments for x in (s.b.twice, s.e.twice)) + psi.n
-    try:
-        str(largest)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise InputError(
-            f"the segment ends are too long to print: past {sys.get_int_max_str_digits()} digits"
-        ) from None
-    return psi
-
-
-def _read_parameter(doc: dict, strict_parity: bool) -> GoodParityParameter:
     has_components = "components" in doc
     has_segments = "segments" in doc
     if has_components == has_segments:
@@ -100,15 +86,26 @@ def _read_parameter(doc: dict, strict_parity: bool) -> GoodParityParameter:
                 comps.append((_json(item["a"], int, "'a'"), _json(item["m"], int, "'m'")))
             except (KeyError, TypeError):
                 raise InputError(f"bad component entry: {item!r}") from None
-        return GoodParityParameter.from_components(comps, strict_parity)
-    segs = []
-    for item in _list(doc, "segments"):
-        try:
-            b, e = (HalfInt.parse(_json(item[k], str, f"'{k}'")) for k in "be")
-            segs.append(Segment(b, e))
-        except (KeyError, TypeError):
-            raise InputError(f"bad segment entry: {item!r}") from None
-    return GoodParityParameter(tuple(segs), strict_parity)
+        psi = GoodParityParameter.from_components(comps, strict_parity)
+    else:
+        segs = []
+        for item in _list(doc, "segments"):
+            try:
+                b, e = (HalfInt.parse(_json(item[k], str, f"'{k}'")) for k in "be")
+                segs.append(Segment(b, e))
+            except (KeyError, TypeError):
+                raise InputError(f"bad segment entry: {item!r}") from None
+        psi = GoodParityParameter(tuple(segs), strict_parity)
+    # every number an output derives from psi is at most its largest doubled
+    # end plus n: the lengths, the centres and the doubled lambda values
+    largest = max(abs(x) for s in psi.segments for x in (s.b.twice, s.e.twice)) + psi.n
+    try:
+        str(largest)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise InputError(
+            f"the segment ends are too long to print: past {sys.get_int_max_str_digits()} digits"
+        ) from None
+    return psi
 
 
 def _require_p(doc: dict, psi: GoodParityParameter) -> tuple[int, ...]:
@@ -139,20 +136,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
-
-
-def _verdict_payload(verdict: Verdict) -> dict:
-    return {"nonzero": verdict.nonzero, "witness": _jsonable(verdict.witness)}
-
-
-def _reduction_payload(reduction: Reduction) -> dict:
-    if not reduction.nonzero:
-        return {"zero": True, "witness": _jsonable(reduction.zero)}
-    return {
-        "zero": False,
-        "antitableau": _jsonable(reduction.antitableau),
-        "rows": [[length, sign] for length, sign in reduction.rows],
-    }
 
 
 class _Entries(list):
@@ -203,12 +186,17 @@ def _cmd_check(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
                 f"engines disagree on p={p}: simplified={verdict.nonzero}, "
                 f"full={full.nonzero}, tableau={tableau}"
             )
-    return _verdict_payload(verdict), 0 if verdict.nonzero else 1
+    payload = {"nonzero": verdict.nonzero, "witness": _jsonable(verdict.witness)}
+    return payload, 0 if verdict.nonzero else 1
 
 
 def _cmd_tableau(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:
     p = _require_p(doc, psi)
-    return _reduction_payload(trapa_reduce(psi, p)), 0
+    reduction = trapa_reduce(psi, p)
+    if not reduction.nonzero:
+        return {"zero": True, "witness": _jsonable(reduction.zero)}, 0
+    rows = [[length, sign] for length, sign in reduction.rows]
+    return {"zero": False, "antitableau": _jsonable(reduction.antitableau), "rows": rows}, 0
 
 
 def _cmd_padic(doc: dict, psi: GoodParityParameter, args) -> tuple[dict, int]:

@@ -305,7 +305,8 @@ class CompiledCriterion:
         sigma = adjacent_placement(self.psi.masks.preceded_by, i, j)
         if sigma is None:  # pragma: no cover - impossible for neighbors
             raise InputError(f"neighbor pair ({i},{j}) has no placement")
-        path = bubble_path(self.reference, sigma)
+        # sigma moves only positions i..j, so only they are bubbled
+        path = [h + i - 1 for h in bubble_path(self.reference[i - 1 : j], sigma[i - 1 : j])]
         forms = transported_forms(self.psi, self.reference, path, (i, j))
         sing = intersection_size(self.psi.seg(i), self.psi.seg(j))
         return PairConstraint(i, j, sigma, *forms, self.m[i - 1], self.m[j - 1], sing)

@@ -8,12 +8,17 @@ the type in which segment ends are parsed and half-integers are printed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
 
 HalfIntLike = Union["HalfInt", int]
+
+# what ``HalfInt.parse`` reads, once stripped: int() alone would also take
+# "1_000", non-ASCII digits and "7 /2"
+_GRAMMAR = re.compile(r"([+-]?[0-9]+)(/2)?")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,14 +47,16 @@ class HalfInt:
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        """Parse "7" or "7/2" (optionally negative)."""
+        """Parse "7" or "7/2", optionally signed, in ASCII digits only."""
         text = text.strip()
+        match = _GRAMMAR.fullmatch(text)
         try:
-            if text.endswith("/2"):
-                return cls(int(text[:-2]))
-            return cls(2 * int(text))
+            if match is None:
+                raise ValueError
+            value = int(match[1])  # also past sys.get_int_max_str_digits()
         except ValueError:
             raise InputError(f"not a half-integer: {text!r}") from None
+        return cls(value if match[2] else 2 * value)
 
     @property
     def is_integer(self) -> bool:

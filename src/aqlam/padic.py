@@ -203,15 +203,6 @@ def padic_transition(
     return _canonical(psi, l, eta, sigma[: h - 1] + (sigma[h], sigma[h - 1]) + sigma[h + 1 :])
 
 
-def _transport(
-    psi: GoodParityParameter, ems: ExtendedMultiSegment, tau: Permutation
-) -> ExtendedMultiSegment:
-    out = ems
-    for h in transposition_path(psi, ems.sigma, tau):
-        out = padic_transition(psi, out, h)
-    return out
-
-
 def padic_cond_C(
     psi: GoodParityParameter, ems: ExtendedMultiSegment, i: int, j: int
 ) -> bool:
@@ -234,7 +225,13 @@ def padic_cond_C(
     if rel is Relation.PRECEDED_BY:
         raise InputError(f"component {i} is preceded by its successor {j}")
     check_arrangement(psi, ems.sigma)
-    s, t = psi.seg(i), psi.seg(j)
+    return _cond_C(psi, ems, i, j)
+
+
+def _cond_C(psi: GoodParityParameter, ems: ExtendedMultiSegment, i: int, j: int) -> bool:
+    """The rule of ``padic_cond_C`` for i placed just before j, on data that
+    lives on psi and an admissible order."""
+    s, t = psi.segments[i - 1], psi.segments[j - 1]
     b_i, e_i, b_j, e_j = s.b.twice, s.e.twice, t.b.twice, t.e.twice
     l_i, l_j = ems.l[i - 1], ems.l[j - 1]
     # the ends lie on one grid, so every difference of doubled ends is even
@@ -257,7 +254,9 @@ def padic_nonvanishing(
     ems: ExtendedMultiSegment,
 ) -> Verdict:
     """Non-vanishing on the p-adic side: l >= 0 and the adjacency
-    conditions at every admissible order."""
+    conditions at every admissible order.  ems is checked once; each
+    adjacent pair is then decided by the rule of ``padic_cond_C``, as
+    ``criterion.nonvanishing`` decides the real condition C."""
     _check(psi, ems)
     if not in_padic_domain(psi):
         raise InputError(
@@ -265,7 +264,9 @@ def padic_nonvanishing(
             "the p-adic comparison needs all segment ends >= 0"
         )
     for sigma in enumerate_admissible(psi):
-        moved = _transport(psi, ems, sigma)
+        moved = ems
+        for h in transposition_path(psi, ems.sigma, sigma):
+            moved = padic_transition(psi, moved, h)
         for i in range(1, psi.r + 1):
             if moved.l[i - 1] < 0:
                 return Verdict(
@@ -273,7 +274,7 @@ def padic_nonvanishing(
                 )
         for h in range(psi.r - 1):
             i, j = sigma[h], sigma[h + 1]
-            if not padic_cond_C(psi, moved, i, j):
+            if not _cond_C(psi, moved, i, j):
                 values = (
                     moved.l[i - 1],
                     moved.eta[i - 1],

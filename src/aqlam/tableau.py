@@ -413,10 +413,10 @@ class CompiledReduction:
     for each vector in turn, the final types, their number and the row
     counts by length and end sign (from which, and from the prefix it shares
     with the survivor before, ``packets.CompiledPackets`` writes an entry),
-    or the zero witness; ``final_state(p)`` is its one-vector case.
-    ``run(p)`` returns the final types and the signed rows read out of the
-    counts; ``antitableau(types)`` reads the filled rows out of the types,
-    and ``reduce`` wraps both in a ``Reduction``.
+    or the zero witness.  ``run(p)``, its one-vector case, returns the
+    final types and the signed rows read out of the counts;
+    ``antitableau(types)`` reads the filled rows out of the types, and
+    ``reduce`` wraps both in a ``Reduction``.
     """
 
     def __init__(self, psi: GoodParityParameter) -> None:
@@ -502,15 +502,11 @@ class CompiledReduction:
     ) -> Union[Witness, tuple[tuple[Types, ...], Rows]]:
         """The core of ``reduce``: p's final types (padded, see ``_column``)
         and signed rows, or the witness that p is zero."""
-        result = self.final_state(p)
+        result = next(self.final_states((p,)))
         if isinstance(result, Witness):
             return result
         types, _, plus, minus = result
         return types, _rows(plus, minus)
-
-    def final_state(self, p: Sequence[int] | ParamVector) -> Union[Witness, tuple]:
-        """``final_states`` of the one vector p."""
-        return next(self.final_states((p,)))
 
     def final_states(
         self, vectors: Iterable[Sequence[int] | ParamVector]

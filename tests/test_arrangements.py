@@ -79,12 +79,23 @@ def test_the_order_budget_counts_partial_arrangements_at_any_r(monkeypatch):
     assert len(enumerate_admissible(EIGHT_EQUAL)) == math.factorial(8)
     with pytest.raises(ResourceLimitError, match="more than 109601 partial arrangements"):
         enumerate_admissible(GoodParityParameter((seg(4, 3),) * 9))
-    # a precedence chain has one order at any length
+    # a precedence chain of sixteen has one order; the search visits every
+    # increasing prefix of the chain, 2^16 partial arrangements
     chain = GoodParityParameter(tuple(seg(2 * k, 1) for k in range(16, 0, -1)))
     assert enumerate_admissible(chain) == [tuple(range(1, 17))]
     monkeypatch.setattr(arrangements, "MAX_ORDER_NODES", arrangements.MAX_ORDER_NODES - 1)
     with pytest.raises(ResourceLimitError):
         enumerate_admissible(EIGHT_EQUAL)
+
+
+@pytest.mark.xfail(
+    raises=ResourceLimitError,
+    strict=True,
+    reason="2^17 increasing prefixes pass the order budget; pruning is ROADMAP item 2",
+)
+def test_a_precedence_chain_of_seventeen_has_its_one_order():
+    chain = GoodParityParameter(tuple(seg(2 * k, 1) for k in range(17, 0, -1)))
+    assert enumerate_admissible(chain) == [tuple(range(1, 18))]
 
 
 def order_inputs():

@@ -420,6 +420,14 @@ class TestInputHandling:
         assert run(["check", write_doc(tmp_path, doc)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_a_segment_end_outside_the_half_integer_grammar_is_input_error(
+        self, tmp_path, capsys
+    ):
+        doc = {"segments": [{"b": "1_0", "e": "\u0663"}], "p": [1]}
+        assert run(["check", write_doc(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: not a half-integer: '1_0'\n")
+
     def test_both_segment_forms_rejected(self, tmp_path, capsys):
         doc = dict(DOC_A)
         doc["segments"] = DOC_HALF["segments"]

@@ -20,10 +20,11 @@ def test_parse():
     assert HalfInt.parse("7/2") == HalfInt(7)
     assert HalfInt.parse("-3/2") == HalfInt(-3)
     assert HalfInt.parse(" 4 ") == HalfInt.of(4)
-    with pytest.raises(InputError):
-        HalfInt.parse("3.5")
-    with pytest.raises(InputError):
-        HalfInt.parse("x/2")
+    # int() takes the last three: an underscore, an Arabic-Indic three and
+    # a space before the /2
+    for text in ("3.5", "x/2", "1_000", "\u0663", "7 /2"):
+        with pytest.raises(InputError, match="not a half-integer"):
+            HalfInt.parse(text)
 
 
 @given(halfints)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqlam import GoodParityParameter, HalfInt, Segment, padic
-from aqlam.arrangements import enumerate_admissible
-from aqlam.criterion import cond_C, nonvanishing
+from aqlam.arrangements import enumerate_admissible, lex_first_adjacent, transposition_path
+from aqlam.criterion import CompiledCriterion, cond_C, nonvanishing, nonvanishing_simplified
 from aqlam.errors import InputError, InvariantViolationError
 from aqlam.packets import CompiledPackets
 from aqlam.padic import (
@@ -28,11 +28,11 @@ from aqlam.padic import (
     sign_of,
     to_extended,
 )
-from aqlam.segments import Relation, arrangement_is_admissible, relation
-from aqlam.transition import ParamVector, phi_adjacent
+from aqlam.segments import Relation, arrangement_is_admissible, neighbor_pairs, relation
+from aqlam.transition import ParamVector, phi, phi_adjacent
 
-from conftest import box, parameter_family, random_parameter, seg
-from test_criterion import search_family
+from conftest import box, parameter_family, random_entry_vector, random_parameter, seg
+from test_criterion import reordered_family, search_family
 
 
 @pytest.fixture
@@ -411,13 +411,73 @@ def padic_sweep():
             yield psi, random_extended(rng, psi, orders)
 
 
-def test_padic_outputs_match_their_record():
+def padic_record():
+    """(number of lines, sha256) of the outputs ``PADIC_RECORD`` pins."""
     lines = []
     for psi, ems in padic_sweep():
         lines += [repr(padic_transition(psi, ems, h)) for h in containment_swaps(psi, ems.sigma)]
         lines.append(repr(padic_nonvanishing(psi, ems)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert (len(lines), digest) == (4159, PADIC_RECORD)
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_padic_outputs_match_their_record():
+    assert padic_record() == (4159, PADIC_RECORD)
+
+
+def test_padic_nonvanishing_decides_its_pairs_without_the_public_condition(monkeypatch):
+    # the oracle checks its data once and decides each pair by the rule,
+    # as criterion.nonvanishing does, not by the validating padic_cond_C
+    def refuse(*args):
+        raise AssertionError("padic_cond_C called")
+
+    monkeypatch.setattr(padic, "padic_cond_C", refuse)
+    assert padic_record() == (4159, PADIC_RECORD)
+
+
+def by_pair_cases():
+    """Seeded vectors for the by-pair comparison: 100 parameters from
+    ``random_parameter`` with r = 2-24, two random box vectors each, and
+    every parameter of ``reordered_family()`` with two random box vectors
+    and every seventh survivor."""
+    rng = random.Random(2026)
+    for _ in range(100):
+        psi = random_parameter(rng, rng.randint(2, 24))
+        yield psi, [random_entry_vector(rng, psi) for _ in range(2)]
+    for psi in reordered_family():
+        survivors = itertools.islice(CompiledCriterion(psi).survivors(), 0, None, 7)
+        yield psi, [random_entry_vector(rng, psi) for _ in range(2)] + list(survivors)
+
+
+def test_the_two_sides_agree_pair_by_pair():
+    # for each neighbour pair at its lexicographically first placement:
+    # the real side passes when the vector, moved there by phi, lies in the
+    # box and satisfies condition C; the p-adic side when its (l, eta),
+    # moved there by padic_transition, has every l >= 0 and satisfies
+    # padic_cond_C.  The box at the reference and every pair passing is
+    # the simplified verdict.
+    cases = vectors = nonzero = 0
+    for psi, drawn in by_pair_cases():
+        m = [s.m for s in psi.segments]
+        pairs = [(i, j, lex_first_adjacent(psi, i, j)) for i, j in neighbor_pairs(psi.masks)]
+        for p in drawn:
+            pv, ems = ParamVector.reference(p), to_extended(psi, p)
+            passing = all(0 <= p_k <= m_k for p_k, m_k in zip(p, m))
+            for i, j, sigma in pairs:
+                moved = phi(psi, pv, sigma)
+                real = all(
+                    0 <= moved.entry_of(k) <= m[k - 1] for k in range(1, psi.r + 1)
+                ) and cond_C(psi, moved, i, j)
+                at = ems
+                for h in transposition_path(psi, ems.sigma, sigma):
+                    at = padic_transition(psi, at, h)
+                p_adic = all(l >= 0 for l in at.l) and padic_cond_C(psi, at, i, j)
+                assert real == p_adic, (psi, p, i, j)
+                passing = passing and real
+                cases += 1
+            assert passing == nonvanishing_simplified(psi, p).nonzero, (psi, p)
+            vectors += 1
+            nonzero += passing
+    assert (cases, vectors, nonzero) == (16728, 1125, 827)
 
 
 @settings(max_examples=300, deadline=None)

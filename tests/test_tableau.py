@@ -567,7 +567,7 @@ class TestCompiledReduction:
         for psi, vectors in inputs:
             batch = list(CompiledReduction(psi).final_states(vectors))
             for p, state in zip(vectors, batch, strict=True):
-                fresh = CompiledReduction(psi).final_state(p)
+                fresh = next(CompiledReduction(psi).final_states((p,)))
                 if isinstance(fresh, Witness):
                     assert state == fresh, (psi, p)
                     witnesses += 1
@@ -724,7 +724,7 @@ class TestStepMemo:
         )
         vectors = list(box(psi))
         want = [_outcome(CompiledReduction(psi), p) for p in vectors]
-        fresh = [CompiledReduction(psi).final_state(p) for p in vectors]
+        fresh = [next(CompiledReduction(psi).final_states((p,))) for p in vectors]
         final = {state[0] for state in fresh if not isinstance(state, Witness)}
         compiled = CompiledReduction(psi)
         keys, inside, insert = [], [], compiled._insert
