@@ -31,7 +31,6 @@ from .errors import (
 )
 from .halfint import HalfInt
 from .padic import (
-    CompiledImage,
     ExtendedMultiSegment,
     padic_cond_C,
     padic_nonvanishing,
@@ -42,12 +41,12 @@ from .padic import (
 )
 from .packets import (
     AVReport,
-    CompiledPackets,
     arthur_vogan,
     compute_packet,
     count_params,
     enumerate_params,
     multiplicity_report,
+    packet_entries,
 )
 from .segments import (
     GoodParityParameter,
@@ -86,11 +85,11 @@ __all__ = [
     "sigma_pairs", "transposition_path", "CompiledCriterion", "Verdict",
     "Witness", "cond_B", "cond_C", "lattice_points", "nonvanishing",
     "nonvanishing_simplified", "AqlamError", "InputError",
-    "InvariantViolationError", "ResourceLimitError", "CompiledImage",
+    "InvariantViolationError", "ResourceLimitError",
     "ExtendedMultiSegment", "padic_cond_C", "padic_nonvanishing",
     "padic_transition", "project_EF", "sign_of", "to_extended", "AVReport",
-    "CompiledPackets", "arthur_vogan", "compute_packet",
-    "count_params", "enumerate_params", "multiplicity_report",
+    "arthur_vogan", "compute_packet",
+    "count_params", "enumerate_params", "multiplicity_report", "packet_entries",
     "GoodParityParameter", "RangeLabel", "Relation", "RelationMasks",
     "Segment", "intersection_size", "lambda_values", "neighbor_pairs",
     "neighbors", "range_classify", "relation", "relation_masks",

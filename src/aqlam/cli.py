@@ -139,7 +139,7 @@ def _jsonable(value: Any) -> Any:
 
 
 class _Entries(list):
-    """Entry texts written by ``packets.CompiledPackets.entries``, which
+    """Entry texts written by ``packets.packet_entries``, which
     ``_chunks`` splices in."""
 
 

@@ -38,11 +38,18 @@ class HalfInt:
 
     twice: int
 
+    def __post_init__(self) -> None:
+        if type(self.twice) is not int:
+            raise InputError(f"a HalfInt stores an int, not {self.twice!r}")
+
     @classmethod
     def of(cls, value: HalfIntLike) -> "HalfInt":
-        """Coerce an int (or HalfInt) to a HalfInt."""
+        """Coerce an int (or HalfInt) to a HalfInt; a float or a bool is
+        refused."""
         if isinstance(value, HalfInt):
             return value
+        if type(value) is not int:
+            raise InputError(f"not an int or a HalfInt: {value!r}")
         return cls(2 * value)
 
     @classmethod

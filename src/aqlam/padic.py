@@ -143,34 +143,33 @@ def project_EF(
     return _canonical(psi, ems.l, tuple(-e for e in ems.eta), ems.sigma)
 
 
-class CompiledImage:
+def image_table(psi: GoodParityParameter) -> list[list[tuple[int, int, int, int]]]:
     """``project_EF(psi, to_extended(psi, p))`` for reference vectors p in
-    the box, compiled once per parameter.
+    the box, as a column of rows per component, one row per entry value.
 
     On the reference order the sign eta_i carries (-1)^(M_i + 1), with M_i
     the partial length sum m_1 + ... + m_i, and the sign product of
     ``sign_of`` is a product of one factor per component, read from m_i // 2,
     m_i mod 2, l_i and eta_i; for n odd a negative product flips every sign
     not fixed by 2 l_i = m_i.  So each entry value p_i has its l_i, its
-    eta_i, its flipped eta_i and its factor in a row of ``table`` (signs
-    checked once), from which ``packets.CompiledPackets`` writes the image;
-    ``to_extended`` and ``project_EF`` stay the reference definitions, and
-    tests hold them equal.
+    eta_i, its flipped eta_i and its factor in a row of component i's column
+    (signs checked once), from which ``packets.packet_entries`` writes the
+    image; ``to_extended`` and ``project_EF`` stay the reference
+    definitions, and tests hold them equal.
     """
-
-    def __init__(self, psi: GoodParityParameter) -> None:
-        lengths, self.table = [s.m for s in psi.segments], []
-        for m, acc in zip(lengths, accumulate(lengths)):
-            sign = _sgnpow(acc + 1)
-            column = []
-            for p_i in range(m + 1):
-                l_i = min(p_i, m - p_i)
-                e_i = 1 if 2 * l_i == m else (-sign if 2 * p_i < m else sign)
-                factor = _sgnpow(m // 2 + l_i) * (e_i if m % 2 else 1)
-                column.append((l_i, e_i, 1 if 2 * l_i == m else -e_i, factor))
-            self.table.append(column)
-        if any(e not in (1, -1) for column in self.table for row in column for e in row[1:3]):
-            raise InvariantViolationError("eta entries must be +1 or -1")
+    lengths, table = [s.m for s in psi.segments], []
+    for m, acc in zip(lengths, accumulate(lengths)):
+        sign = _sgnpow(acc + 1)
+        column = []
+        for p_i in range(m + 1):
+            l_i = min(p_i, m - p_i)
+            e_i = 1 if 2 * l_i == m else (-sign if 2 * p_i < m else sign)
+            factor = _sgnpow(m // 2 + l_i) * (e_i if m % 2 else 1)
+            column.append((l_i, e_i, 1 if 2 * l_i == m else -e_i, factor))
+        table.append(column)
+    if any(e not in (1, -1) for column in table for row in column for e in row[1:3]):
+        raise InvariantViolationError("eta entries must be +1 or -1")
+    return table
 
 
 def padic_transition(

@@ -412,7 +412,7 @@ class CompiledReduction:
     unfit for sharing between threads.  ``final_states(vectors)`` yields,
     for each vector in turn, the final types, their number and the row
     counts by length and end sign (from which, and from the prefix it shares
-    with the survivor before, ``packets.CompiledPackets`` writes an entry),
+    with the survivor before, ``packets.packet_entries`` writes an entry),
     or the zero witness.  ``run(p)``, its one-vector case, returns the
     final types and the signed rows read out of the counts;
     ``antitableau(types)`` reads the filled rows out of the types, and

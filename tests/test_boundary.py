@@ -103,3 +103,10 @@ def test_a_negative_length_is_named_in_the_error(length):
         with pytest.raises(InputError) as info:
             points(*args)
         assert str(info.value) == f"length {length} in {args[0]} is negative"
+
+
+def test_a_segment_of_floats_is_refused():
+    # Segment.of(3.5, 2.5) once had m == 2.0
+    with pytest.raises(InputError) as info:
+        Segment.of(3.5, 2.5)
+    assert str(info.value) == "not an int or a HalfInt: 3.5"

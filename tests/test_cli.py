@@ -20,7 +20,7 @@ from aqlam import GoodParityParameter, HalfInt, Segment, cli, criterion, tableau
 from aqlam import packets as packets_mod
 from aqlam.cli import run
 from aqlam.packets import fiber_audit
-from aqlam.padic import project_EF, to_extended
+from aqlam.padic import in_padic_domain, project_EF, to_extended
 from aqlam.segments import lambda_values
 from aqlam.tableau import trapa_reduce
 
@@ -603,7 +603,7 @@ def compact(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def test_entry_text_matches_the_reference_definitions():
+def test_entry_text_matches_the_reference_definitions(monkeypatch):
     rng = random.Random(73)
     # fixtures A to D, the r=5 parameter and one outside the comparison domain
     docs = [DOC_A, DOC_B, DOC_HALF, DOC_D, DOC_R5, DOC_NEGATIVE_END]
@@ -613,14 +613,24 @@ def test_entry_text_matches_the_reference_definitions():
     psis += reordered_family()
     written = grids = 0
     kinds = set()  # n mod 2 in the comparison domain, None outside it
+    calls = []  # the types of each antitableau written
+    antitableau = tableau.CompiledReduction.antitableau
+
+    def counted(self, types, cells=None):
+        calls.append(types)
+        return antitableau(self, types, cells)
+
+    monkeypatch.setattr(tableau.CompiledReduction, "antitableau", counted)
     for psi in psis:
-        compiled = packets_mod.CompiledPackets(psi)
-        entries = list(compiled.entries())
+        in_domain = in_padic_domain(psi)
+        calls.clear()
+        entries = list(packets_mod.packet_entries(psi))
+        antitableaux = len(calls)  # written in one pass
         lam = [str(x) for x in lambda_values(psi)]
         references = []
         for p, text, image in entries:
             reduction = trapa_reduce(psi, p)
-            reference = project_EF(psi, to_extended(psi, p)) if compiled.in_domain else None
+            reference = project_EF(psi, to_extended(psi, p)) if in_domain else None
             assert text == compact({
                 "p": list(p),
                 "levi": [[p_i, s.m - p_i] for p_i, s in zip(p, psi.segments)],
@@ -632,22 +642,22 @@ def test_entry_text_matches_the_reference_definitions():
             assert image == compact(image_payload(reference)), (psi, p)
             references.append(reference)
         written += len(entries)
-        kinds.add(psi.n % 2 if compiled.in_domain else None)
-        if compiled.in_domain:
+        kinds.add(psi.n % 2 if in_domain else None)
+        if in_domain:
             texts = [image for _, _, image in entries]
             by_text, by_object = fiber_audit(texts, psi.n), fiber_audit(references, psi.n)
             assert sorted(by_text[0].values()) == sorted(by_object[0].values())
             assert by_text[1] is by_object[1] is True
-        # one antitableau text per final types; a second pass reads them all from the memo
-        assert len(compiled.grids) == len({compiled.reduction.run(p)[0] for p, _, _ in entries})
-        assert list(compiled.entries()) == entries
-        grids += len(compiled.grids)
+        # one antitableau text per final types
+        compiled = tableau.CompiledReduction(psi)
+        assert antitableaux == len({compiled.run(p)[0] for p, _, _ in entries})
+        grids += antitableaux
     assert kinds == {0, 1, None}
     assert written > 1000 and grids < written / 2  # survivors share final types
 
 
 # sha256 of the newline-joined ``repr`` of the ``(p, entry, image)`` triples
-# of ``CompiledPackets(psi).entries()`` over ``reordered_family()``, whose
+# of ``packet_entries(psi)`` over ``reordered_family()``, whose
 # reductions transport every vector to a canonical arrangement that is not
 # the reference order (5,118 entries), recorded before the entries were
 # written from the reduction's numbered types and row counts
@@ -659,7 +669,7 @@ def test_entries_of_reordered_parameters_match_their_record(verify):
     lines = [
         repr(entry)
         for psi in reordered_family()
-        for entry in packets_mod.CompiledPackets(psi).entries(None, verify)
+        for entry in packets_mod.packet_entries(psi, None, verify)
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (5118, REORDERED_ENTRIES_RECORD)

@@ -57,3 +57,14 @@ def test_equality_with_ints():
     assert HalfInt(8) != 4
     assert HalfInt(8) in {HalfInt.of(4)}
     assert 4 not in {HalfInt(8)}
+
+
+@pytest.mark.parametrize("value", [3.5, 3.0, True, False])
+def test_only_an_int_is_a_half_integer(value):
+    # a float once gave HalfInt(7.0/2), and True printed as "True/2"
+    with pytest.raises(InputError) as info:
+        HalfInt(value)
+    assert str(info.value) == f"a HalfInt stores an int, not {value!r}"
+    with pytest.raises(InputError) as info:
+        HalfInt.of(value)
+    assert str(info.value) == f"not an int or a HalfInt: {value!r}"

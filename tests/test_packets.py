@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from aqlam import GoodParityParameter, criterion
+from aqlam import GoodParityParameter, criterion, packets
 from aqlam.criterion import CompiledCriterion
 from aqlam.errors import InputError, InvariantViolationError, ResourceLimitError
 from aqlam.packets import (
@@ -15,7 +15,9 @@ from aqlam.packets import (
     count_params,
     enumerate_params,
     multiplicity_report,
+    packet_entries,
 )
+from aqlam.tableau import CompiledReduction
 
 from conftest import parameter_family, random_parameter, seg
 
@@ -121,6 +123,17 @@ class TestSearchChecks:
         # scan of its 15 nodes fits too, though one of the whole box would not
         assert compute_packet(psi_D, 2) == low and len(low) == 1
         assert compute_packet(psi_D, 2, verify=True) == low
+
+    def test_a_rank_with_no_survivor_builds_nothing_per_entry_value(self, psi_A, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built for a rank with no survivor")
+
+        monkeypatch.setattr(packets, "image_table", refuse)
+        monkeypatch.setattr(CompiledReduction, "cells", refuse)
+        for verify in (False, True):
+            assert list(packet_entries(psi_A, 3, verify)) == []
+        with pytest.raises(AssertionError, match="no survivor"):
+            next(packet_entries(psi_A, 6))
 
 
 class TestComputePacket:

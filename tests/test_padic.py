@@ -17,10 +17,11 @@ from aqlam import GoodParityParameter, HalfInt, Segment, padic
 from aqlam.arrangements import enumerate_admissible, lex_first_adjacent, transposition_path
 from aqlam.criterion import CompiledCriterion, cond_C, nonvanishing, nonvanishing_simplified
 from aqlam.errors import InputError, InvariantViolationError
-from aqlam.packets import CompiledPackets
+from aqlam.packets import packet_entries
 from aqlam.padic import (
-    CompiledImage,
     ExtendedMultiSegment,
+    image_table,
+    in_padic_domain,
     padic_cond_C,
     padic_nonvanishing,
     padic_transition,
@@ -331,10 +332,9 @@ def test_entry_text_image_is_project_EF_of_to_extended():
     # both grids)
     compared, kinds = 0, set()
     for psi in search_family():
-        compiled = CompiledPackets(psi)
-        for p, entry, image in compiled.entries():
+        for p, entry, image in packet_entries(psi):
             assert json.loads(entry)["padic_image"] == json.loads(image)
-            if not compiled.in_domain:
+            if not in_padic_domain(psi):
                 assert image == "null"
                 continue
             read = json.loads(image)
@@ -371,7 +371,7 @@ def test_compiled_image_checks_its_signs_once(psi_A, monkeypatch):
     # when it is built, since the CLI writes images without building one
     monkeypatch.setattr(padic, "_sgnpow", lambda exponent: 0)
     with pytest.raises(InvariantViolationError, match="eta entries must be"):
-        CompiledImage(psi_A)
+        image_table(psi_A)
 
 
 def random_extended(rng, psi, orders):
