@@ -44,7 +44,6 @@ from .packets import (
     arthur_vogan,
     compute_packet,
     count_params,
-    enumerate_params,
     multiplicity_report,
     packet_entries,
 )
@@ -60,8 +59,6 @@ from .segments import (
     neighbors,
     range_classify,
     relation,
-    relation_masks,
-    relation_table,
     segment_from_component,
 )
 from .tableau import (
@@ -88,12 +85,10 @@ __all__ = [
     "InvariantViolationError", "ResourceLimitError",
     "ExtendedMultiSegment", "padic_cond_C", "padic_nonvanishing",
     "padic_transition", "project_EF", "sign_of", "to_extended", "AVReport",
-    "arthur_vogan", "compute_packet",
-    "count_params", "enumerate_params", "multiplicity_report", "packet_entries",
-    "GoodParityParameter", "RangeLabel", "Relation", "RelationMasks",
-    "Segment", "intersection_size", "lambda_values", "neighbor_pairs",
-    "neighbors", "range_classify", "relation", "relation_masks",
-    "relation_table",
+    "arthur_vogan", "compute_packet", "count_params", "multiplicity_report",
+    "packet_entries", "GoodParityParameter", "RangeLabel", "Relation",
+    "RelationMasks", "Segment", "intersection_size", "lambda_values",
+    "neighbor_pairs", "neighbors", "range_classify", "relation",
     "segment_from_component", "Column", "CompiledReduction", "Reduction",
     "TableauState", "build_tableau", "last_column_type",
     "overlap", "reduce_with_schedule", "trapa_op", "trapa_reduce",

@@ -43,7 +43,7 @@ from .arrangements import (
     bubble_path,
     enumerate_admissible,
 )
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, check_ints
 from .segments import (
     GoodParityParameter,
     check_arrangement,
@@ -147,6 +147,7 @@ def _reference_entries(
     entries = tuple(p)
     if len(entries) != psi.r:
         raise InputError(f"expected {psi.r} entries, got {len(entries)}")
+    check_ints("entry", entries)
     return entries
 
 
@@ -218,13 +219,17 @@ def lattice_points(
     ``_interval``).  A node counts its whole box or rank range before the
     checks narrow it; raises ``ResourceLimitError`` past ``MAX_DFS_NODES``
     nodes, and ``InputError`` for a negative length or a rank outside
-    0..sum(m).  The empty box has one point, ().
+    0..sum(m), or a length or rank that is not an int.  The empty box has
+    one point, ().
     """
+    check_ints("length", m)
     if min(m, default=0) < 0:
         raise InputError(f"length {min(m)} in {tuple(m)} is negative")
     room = [sum(m[k:]) for k in range(len(m) + 1)]  # most entries k.. can hold
-    if rank is not None and not 0 <= rank <= room[0]:
-        raise InputError(f"rank {rank} out of range 0..{room[0]}")
+    if rank is not None:
+        check_ints("rank", (rank,))
+        if not 0 <= rank <= room[0]:
+            raise InputError(f"rank {rank} out of range 0..{room[0]}")
     if not m:
         return iter([()])
     return _depth_first(m, rank, checks or ((),) * len(m), room)

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: bad input -> 2, resource limits -> 3,
 internal invariant violations -> 4.  A zero verdict is *not* an error.
 """
 
+from typing import Iterable
+
 
 class AqlamError(Exception):
     """Base class for all library errors."""
@@ -19,3 +21,11 @@ class ResourceLimitError(AqlamError):
 
 class InvariantViolationError(AqlamError):
     """An internal self-check failed; indicates a bug (exit code 4)."""
+
+
+def check_ints(what: str, values: Iterable[object]) -> None:
+    """Refuse, with an ``InputError``, a value whose type is not ``int``:
+    the library takes no float, bool or str where it takes an integer."""
+    for value in values:
+        if type(value) is not int:
+            raise InputError(f"{what} {value!r} is not an int")

@@ -24,30 +24,19 @@ from itertools import accumulate
 from typing import Hashable, Iterable, Iterator, Optional
 
 from .criterion import CompiledCriterion, Witness, lattice_points
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, check_ints
 from .halfint import HalfInt
 from .padic import image_table, in_padic_domain
 from .segments import GoodParityParameter, lambda_values
 from .tableau import CompiledReduction
 
 
-def enumerate_params(
-    psi: GoodParityParameter, p_rank: int
-) -> list[tuple[int, ...]]:
-    """All integer vectors in the box summing to p_rank, lexicographic.
-
-    The lattice-point search with no checks: entry k takes only the values
-    that the remaining entries can still complete to p_rank, so no vector
-    of another rank is ever formed.
-    """
-    return list(lattice_points(tuple(s.m for s in psi.segments), p_rank))
-
-
 def count_params(psi: GoodParityParameter, p_rank: int) -> int:
-    """``len(enumerate_params(psi, p_rank))``, counted without listing: the
-    vectors of the entries so far summing to each t <= p_rank, each step a
-    difference of prefix sums."""
+    """The number of box vectors of sum p_rank, which ``lattice_points``
+    lists, counted without listing: the vectors of the entries so far
+    summing to each t <= p_rank, each step a difference of prefix sums."""
     n = psi.n
+    check_ints("rank", (p_rank,))
     if not 0 <= p_rank <= n:
         raise InputError(f"rank {p_rank} out of range 0..{n}")
     ways = [1] + [0] * p_rank  # ways[t]: vectors of the entries so far summing to t

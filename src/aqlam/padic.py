@@ -34,8 +34,8 @@ from .arrangements import (
     enumerate_admissible,
     transposition_path,
 )
-from .criterion import Verdict, Witness
-from .errors import InputError, InvariantViolationError
+from .criterion import Verdict, Witness, _reference_entries
+from .errors import InputError, InvariantViolationError, check_ints
 from .segments import GoodParityParameter, Relation, check_arrangement, relation
 from .transition import ParamVector, _swap_pair
 
@@ -59,6 +59,8 @@ class ExtendedMultiSegment:
     sigma: Permutation
 
     def __post_init__(self) -> None:
+        check_ints("l entry", self.l)
+        check_ints("eta entry", self.eta)
         if not all(e in (1, -1) for e in self.eta):
             raise InputError("eta entries must be +1 or -1")
         if len(self.l) != len(self.eta) or len(self.l) != len(self.sigma):
@@ -69,6 +71,7 @@ def _check(psi: GoodParityParameter, ems: ExtendedMultiSegment) -> None:
     """Reject data that does not live on psi: an order that is not a
     permutation of 1..r (so also a wrong component count) or 2 l_i > m_i."""
     r = psi.r
+    check_ints("order image", ems.sigma)
     if sorted(ems.sigma) != list(range(1, r + 1)):
         raise InputError(f"order {ems.sigma} is not a permutation of 1..{r}")
     for i, (l_i, s) in enumerate(zip(ems.l, psi.segments), start=1):
@@ -99,7 +102,7 @@ def to_extended(
     if isinstance(p, ParamVector):
         check_arrangement(psi, p.sigma)
     else:
-        p = ParamVector.reference(tuple(p))
+        p = ParamVector.reference(_reference_entries(psi, p))
     r = psi.r
     l = [0] * r
     eta = [1] * r

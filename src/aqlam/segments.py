@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_ints
 from .halfint import HalfInt, HalfIntLike
 
 
@@ -88,6 +88,8 @@ def segment_from_component(a: int, m: int) -> Segment:
     >>> str(segment_from_component(12, 3))
     '[7,5]'
     """
+    check_ints("component centre", (a,))
+    check_ints("component length", (m,))
     if m < 1:
         raise InputError(f"component length must be positive, got {m}")
     return Segment(HalfInt(a + m - 1), HalfInt(a - m + 1))
@@ -168,7 +170,8 @@ class GoodParityParameter:
         return sum(s.m for s in self.segments)
 
     def seg(self, i: int) -> Segment:
-        if not 1 <= i <= self.r:
+        if type(i) is not int or not 1 <= i <= self.r:  # one test on the hot path
+            check_ints("component index", (i,))
             raise InputError(f"component index {i} out of range 1..{self.r}")
         return self.segments[i - 1]
 
@@ -327,6 +330,7 @@ def arrangement_is_admissible(
 ) -> bool:
     """No position h < k carries a segment preceded by the one at k: walking
     from the right, no component's predecessors meet the later ones."""
+    check_ints("arrangement image", images)
     if sorted(images) != list(range(1, psi.r + 1)):
         raise InputError(f"not a permutation of 1..{psi.r}: {tuple(images)}")
     preceded_by = psi.masks.preceded_by

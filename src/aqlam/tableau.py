@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 
 from .arrangements import Permutation, appropriate_arrangement, bubble_path, enumerate_admissible
 from .criterion import Witness, _reference_entries
-from .errors import InputError, InvariantViolationError, ResourceLimitError
+from .errors import InputError, InvariantViolationError, ResourceLimitError, check_ints
 from .halfint import HalfInt
 from .segments import GoodParityParameter, Relation, Segment, check_arrangement
 from .transition import AffineForm, ParamVector, affine_value, phi, transported_forms
@@ -179,6 +179,7 @@ def _rows(plus: Sequence[int], minus: Sequence[int]) -> Rows:
 
 def overlap(state: TableauState, k: int) -> int:
     """Overlap of columns at positions k and k+1 (1-based), clamped at 0."""
+    check_ints("column position", (k,))
     if not 1 <= k < len(state.columns):
         raise InputError(f"column position {k} out of range")
     left, right = state.columns[k - 1], state.columns[k]

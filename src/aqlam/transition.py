@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arrangements import Permutation, transposition_path
-from .errors import InputError
+from .errors import InputError, check_ints
 from .segments import GoodParityParameter, Relation, relation
 
 
@@ -32,6 +32,7 @@ class ParamVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "sigma", tuple(self.sigma))
+        check_ints("entry", self.entries)
         if len(self.entries) != len(self.sigma):
             raise InputError("entry count does not match arrangement size")
 
@@ -66,6 +67,7 @@ def _swap_pair(psi: GoodParityParameter, sigma: Permutation, h: int) -> tuple[in
     sigma, or an ``InputError`` when h is out of range or the two are in
     precedence: the one check of a swap, for ``phi_adjacent`` and
     ``padic.padic_transition``."""
+    check_ints("swap position", (h,))
     if not 1 <= h < len(sigma):
         raise InputError(f"swap position {h} out of range 1..{len(sigma) - 1}")
     i, j = sigma[h - 1], sigma[h]

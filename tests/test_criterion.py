@@ -27,7 +27,6 @@ from aqlam.criterion import (
     nonvanishing_simplified,
 )
 from aqlam.errors import InputError, ResourceLimitError
-from aqlam.packets import enumerate_params
 from aqlam.segments import arrangement_is_admissible, neighbors
 from aqlam.tableau import trapa_reduce
 from aqlam.transition import ParamVector, phi, transported_forms
@@ -270,7 +269,7 @@ def test_survivors_are_the_box_filtered_by_the_verdict():
         assert list(compiled.survivors()) == passing, psi
         for rank in range(psi.n + 1):
             assert list(compiled.survivors(rank)) == [
-                p for p in enumerate_params(psi, rank) if compiled.verdict(p).nonzero
+                p for p in lattice_points(compiled.m, rank) if compiled.verdict(p).nonzero
             ], (psi, rank)
 
 

@@ -7,13 +7,12 @@ import random
 import pytest
 
 from aqlam import GoodParityParameter, criterion, packets
-from aqlam.criterion import CompiledCriterion
+from aqlam.criterion import CompiledCriterion, lattice_points
 from aqlam.errors import InputError, InvariantViolationError, ResourceLimitError
 from aqlam.packets import (
     arthur_vogan,
     compute_packet,
     count_params,
-    enumerate_params,
     multiplicity_report,
     packet_entries,
 )
@@ -22,9 +21,14 @@ from aqlam.tableau import CompiledReduction
 from conftest import parameter_family, random_parameter, seg
 
 
+def box_points(psi, rank):
+    """The box vectors of psi summing to rank, lexicographic."""
+    return list(lattice_points(tuple(s.m for s in psi.segments), rank))
+
+
 class TestEnumerate:
     def test_fixture_A_rank_6(self, psi_A):
-        vectors = enumerate_params(psi_A, 6)
+        vectors = box_points(psi_A, 6)
         assert len(vectors) == 21
         assert vectors == sorted(vectors)
         assert all(sum(p) == 6 for p in vectors)
@@ -33,18 +37,18 @@ class TestEnumerate:
         )
 
     def test_extreme_ranks(self, psi_A):
-        assert enumerate_params(psi_A, 0) == [(0, 0, 0)]
-        assert enumerate_params(psi_A, psi_A.n) == [(3, 5, 6)]
+        assert box_points(psi_A, 0) == [(0, 0, 0)]
+        assert box_points(psi_A, psi_A.n) == [(3, 5, 6)]
 
     def test_rank_out_of_range(self, psi_A):
         with pytest.raises(InputError):
-            enumerate_params(psi_A, psi_A.n + 1)
+            box_points(psi_A, psi_A.n + 1)
         with pytest.raises(InputError):
-            enumerate_params(psi_A, -1)
+            box_points(psi_A, -1)
 
     def test_counts_partition_the_box(self, psi_A):
         total = sum(
-            len(enumerate_params(psi_A, rank)) for rank in range(psi_A.n + 1)
+            len(box_points(psi_A, rank)) for rank in range(psi_A.n + 1)
         )
         box_size = 1
         for i in range(1, psi_A.r + 1):
@@ -59,7 +63,7 @@ class TestEnumerate:
                 itertools.product(*(range(psi.m(i) + 1) for i in range(1, psi.r + 1)))
             )
             for rank in range(psi.n + 1):
-                assert enumerate_params(psi, rank) == [
+                assert box_points(psi, rank) == [
                     p for p in whole if sum(p) == rank
                 ]
 
@@ -69,14 +73,14 @@ class TestEnumerate:
         for _ in range(30):
             psi = random_parameter(rng, rng.randint(1, 5), m_max=4)
             for rank in range(psi.n + 1):
-                assert count_params(psi, rank) == len(enumerate_params(psi, rank))
+                assert count_params(psi, rank) == len(box_points(psi, rank))
         with pytest.raises(InputError):
             count_params(psi, psi.n + 1)
         # large m at a small rank, one segment and two
         one = GoodParityParameter.from_components([(12, 60_000)])
         two = GoodParityParameter.from_components([(12, 60_000), (10, 45_000)])
         for psi, rank in ((one, 1), (one, 59_999), (two, 2), (two, 30_000)):
-            assert count_params(psi, rank) == len(enumerate_params(psi, rank))
+            assert count_params(psi, rank) == len(box_points(psi, rank))
 
 
 def loosen_pair(monkeypatch, i, j):

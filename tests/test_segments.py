@@ -19,14 +19,12 @@ from aqlam import (
     neighbors,
     range_classify,
     relation,
-    relation_masks,
-    relation_table,
     segment_from_component,
 )
 from aqlam.arrangements import appropriate_arrangement, enumerate_admissible, lex_first_adjacent
 from aqlam.criterion import CompiledCriterion
 from aqlam.errors import InputError
-from aqlam.segments import arrangement_is_admissible
+from aqlam.segments import arrangement_is_admissible, relation_masks, relation_table
 from aqlam.tableau import CompiledReduction
 from aqlam.transition import ParamVector, phi
 
